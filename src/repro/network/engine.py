@@ -57,12 +57,15 @@ Saturation hot path
 Under load the per-cycle work itself is optimised (see
 ``docs/performance.md`` for the invariants): PVC priorities and
 rate-compliance boundaries are cached per (router, flow) in the flow
-table and invalidated only by charges/refunds/flushes; each port keeps
-a persistent sorted candidate ranking maintained incrementally across
-cycles (exact because charges only ever worsen a priority — flushes
-and refunds force a lazy per-node rebuild); blocked ports cache their
-"nothing can advance" verdict with its exact dependency set; busy
-ports skip their scans until serialisation ends.
+table and invalidated only by charges/refunds/flushes; for every
+policy that exposes a flow table (PVC, the per-flow baseline and GSF)
+each port keeps a persistent sorted candidate ranking maintained
+incrementally across cycles (exact because between fences a charge
+can only worsen a priority and a GSF frame tag never changes;
+flushes, refunds and weight changes force a lazy per-node rebuild);
+blocked ports cache their "nothing can advance" verdict with its
+exact dependency set; busy ports skip their scans until serialisation
+ends.
 
 ``run_until_drained`` tracks an aggregate count of undrained injectors
 (maintained at ACK/creation transitions) instead of scanning every
@@ -1010,18 +1013,21 @@ class ColumnSimulator:
         the earliest of the port/crossbar-line serialisation bounds and
         the requests' ``ready_at`` times.
 
-        Policies whose priority is pure (router, flow) flow-table state
-        (PVC, the per-flow baseline) run the incremental path: each
-        port keeps a **persistent sorted candidate ranking** maintained
-        across passes (`port.requests` degenerates to an inbox drained
-        into it), valid because charges only ever *worsen* a priority
-        within a frame — an entry whose (router, flow) state changed
+        Policies that expose a flow table run the incremental path:
+        PVC and the per-flow baseline, whose priority is pure (router,
+        flow) table state, and GSF, whose frame-tag priority is fixed
+        before placement.  Each port keeps a **persistent sorted
+        candidate ranking** maintained across passes (`port.requests`
+        degenerates to an inbox drained into it), valid because
+        between fences a priority can only *worsen* (a charge) or stay
+        put (a frame tag) — an entry whose (router, flow) state changed
         (flow-table `versions`) is repositioned when encountered, and
-        the two events that can improve priorities (frame flush,
-        preemption refund) trigger a per-node lazy rebuild.  A pass
-        then validates the front of the ranking instead of re-scoring
-        every request, and the fall-through order for a blocked winner
-        is already in hand without a sort.
+        the events that can improve priorities (frame flush, which
+        also clears carried priorities at stations without flow state;
+        preemption refund; weight change) trigger a per-node lazy
+        rebuild.  A pass then validates the front of the ranking
+        instead of re-scoring every request, and the fall-through
+        order for a blocked winner is already in hand without a sort.
 
         A pass that concludes "ready candidates exist but none can
         advance" additionally caches that verdict with its exact

@@ -68,16 +68,27 @@ class QosPolicy:
         """The :class:`~repro.qos.flow_table.FlowTable` hosting this
         policy's incremental priority cache, or ``None``.
 
-        A policy may return its flow table only when :meth:`priority`
-        is a pure function of (station node, flow) table state — i.e.
-        independent of the current cycle — and every state change that
-        could alter a priority invalidates the matching cache entry
-        (``charge``/refund void one entry, ``flush`` voids all via the
-        epoch).  The engine then reads ``prio_values``/``prio_stamps``
-        inline on the arbitration hot path, falling back to
-        :meth:`priority` (which fills the entry) on a miss.  Policies
-        whose priority depends on the cycle (no-QoS) must return
-        ``None``; call this after :meth:`bind`.
+        Returning a table puts the policy on the engine's ranked
+        arbitration path (persistent per-port rankings plus cached
+        blocked verdicts), which is exact only when:
+
+        * at a QoS station, :meth:`priority` is either pure (station
+          node, flow) table state (PVC) or a per-packet key fixed
+          before the packet is placed (GSF's frame tag) — never a
+          function of the current cycle;
+        * a priority can *improve* only at an epoch flush (``flush``)
+          or at a refund or weight fence; any other change may only
+          worsen it and must void the entry (``charge``, which also
+          bumps its ``versions`` counter);
+        * every False answer from :meth:`is_rate_compliant` leaves in
+          ``comp_thresholds`` a cycle no later than the one at which
+          the answer can next become True.
+
+        The engine reads ``prio_values``/``prio_stamps`` inline,
+        falling back to :meth:`priority` whenever the stamp is not
+        current.  Policies whose priority depends on the cycle (no-QoS)
+        must return ``None`` and take the single-scan path; call this
+        after :meth:`bind`.
         """
         return None
 

@@ -48,6 +48,7 @@ from repro.errors import ConfigurationError
 from repro.network.fabric import Station
 from repro.network.packet import FlowSpec, Packet
 from repro.qos.base import PolicyCapabilities, QosPolicy
+from repro.qos.flow_table import FlowTable
 from repro.qos.pvc import PROVISIONED_INJECTORS
 
 
@@ -66,6 +67,10 @@ class GsfPolicy(QosPolicy):
     )
 
     def __init__(self) -> None:
+        # Arbitration bookkeeping for the engine's ranked path, never
+        # charged: GSF routers hold no per-flow state (see
+        # `priority_cache`).
+        self.table: FlowTable | None = None
         self._frame = 0
         self._share = 0.0
         self._budgets: list[float] = []
@@ -87,7 +92,12 @@ class GsfPolicy(QosPolicy):
         self._deferrals = 0
 
     def bind(self, n_nodes: int, flows: list[FlowSpec], config) -> None:
-        """Size frame budgets for the bound flow population."""
+        """Size frame budgets for the bound flow population.
+
+        Every per-run field is reset, so one instance re-bound to a
+        fresh simulator reproduces a fresh policy's run.
+        """
+        self.table = FlowTable(n_nodes, len(flows))
         self._frame = config.frame_cycles
         share = config.reserved_quota_share
         if share is None:
@@ -96,6 +106,9 @@ class GsfPolicy(QosPolicy):
         self._budgets = [share * self._frame * flow.weight for flow in flows]
         self._charge_frame = [0] * len(flows)
         self._charge_used = [0.0] * len(flows)
+        self._created = 0
+        self._frame_of_pid = {}
+        self._deferrals = 0
 
     # -- priority ----------------------------------------------------
 
@@ -108,11 +121,20 @@ class GsfPolicy(QosPolicy):
         """
         return float(packet.frame_tag)
 
-    def priority_cache(self):
-        """Priority is per-packet (its frame), not (router, flow) table
-        state — two packets of one flow can carry different frames — so
-        the incremental cache cannot host it."""
-        return None
+    def priority_cache(self) -> FlowTable:
+        """An uncharged table that puts GSF on the engine's ranked path.
+
+        The frame tag is fixed before the packet's first request and
+        never changes while it is resident, so the ranked path's
+        "priorities only worsen between fences" invariant holds
+        trivially: the table's priority stamps stay invalid (the engine
+        reads the tag through :meth:`priority`), its ``versions`` never
+        move, and the :meth:`on_frame` flush is the fence that rebuilds
+        rankings when a boundary clears ``carried_priority`` at stations
+        without flow state.  It is simulator bookkeeping, not modelled
+        router state.
+        """
+        return self.table
 
     def set_weight(self, flow_id: int, weight: float) -> None:
         """Re-program a flow's reservation: rescale its frame budget.
@@ -125,12 +147,14 @@ class GsfPolicy(QosPolicy):
         self._budgets[flow_id] = self._share * self._frame * weight
 
     def on_frame(self, now: int) -> None:
-        """Frame rollover: nothing to flush.
+        """Frame rollover: advance the arbitration table's epoch.
 
-        Reclamation is lazy — the charge pointer snaps forward the next
-        time the flow charges or is compliance-checked — so the two
-        engines need not agree on when boundary cycles are visited.
+        Budget reclamation is lazy — the charge pointer snaps forward
+        the next time the flow charges or is compliance-checked — so
+        the two engines need not agree on when boundary cycles are
+        visited.  The flush only fences the engine's rankings.
         """
+        self.table.flush(now)
 
     # -- frame budgets -----------------------------------------------
 
@@ -176,12 +200,23 @@ class GsfPolicy(QosPolicy):
     def is_rate_compliant(self, station: Station, packet: Packet, now: int) -> bool:
         """Flow is within its reservation: not charging a future frame.
 
-        Pure read (the engines call it different numbers of times): a
-        flow whose charge pointer has run ahead of the active frame is
+        A flow whose charge pointer has run ahead of the active frame is
         over-subscribed and loses reserved-VC access until the clock
-        catches up.
+        catches up.  A False answer records that catch-up cycle as the
+        (router, flow) compliance boundary the engine's blocked-verdict
+        cache gates on; later charges only move the pointer forward, so
+        the recorded boundary is never late.  Policy state is only read
+        (the engines call this different numbers of times).
         """
-        return self._charge_frame[packet.flow_id] <= now // self._frame
+        flow_id = packet.flow_id
+        frame = self._charge_frame[flow_id]
+        if frame <= now // self._frame:
+            return True
+        table = self.table
+        table.comp_thresholds[station.node * table.n_flows + flow_id] = (
+            frame * self._frame
+        )
+        return False
 
     # -- diagnostics ---------------------------------------------------
 

@@ -14,7 +14,9 @@ same commit; an unintentional divergence fails here first.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.network.config import SimulationConfig
 from repro.network.engine import ColumnSimulator
 from repro.network.golden import GoldenColumnSimulator
@@ -24,6 +26,7 @@ from repro.scenarios import bursty_workload
 from repro.topologies.registry import get_topology
 from repro.traffic.workloads import (
     full_column_workload,
+    hotspot_all_injectors,
     uniform_workload,
     workload1,
     workload1_finite,
@@ -115,12 +118,14 @@ def test_preemption_heavy_trace_matches_golden():
 
 # --- GSF: the frame-throttling policy exercises the injection-release
 # hook, which no other registered policy reaches.  Deferred ready_at
-# values flow through both engines' admission paths (pending heap and
-# port-scan wait horizons in the optimised engine, naive per-cycle
-# checks in golden), so the matrix spans traffic shapes and both the
-# open and drained run modes.
+# values flow through both engines' admission paths (the ranked path's
+# pending heap in the optimised engine, naive per-cycle checks in
+# golden), so the matrix spans traffic shapes and both the open and
+# drained run modes.  DPS is the one fabric with stations that hold no
+# flow state: there a frame boundary clears the packets' carried
+# priorities, and the GSF table's flush epoch must rebuild the rankings.
 
-GSF_TOPOLOGIES = ("mesh_x1", "mecs", "fbfly")
+GSF_TOPOLOGIES = ("mesh_x1", "mecs", "dps", "fbfly")
 
 
 def _gsf_flows(traffic, *, finite):
@@ -164,6 +169,22 @@ def test_gsf_drained_matches_golden(topology, traffic):
     assert optimised.stats.snapshot() == golden.stats.snapshot()
 
 
+def test_gsf_frame_fence_on_dps_matches_golden():
+    # Short frames under the 64-injector hotspot: packets wait at DPS's
+    # intermediate hops across many frame boundaries, each of which
+    # clears their carried priorities.  The GSF table's flush epoch is
+    # the only thing that rebuilds those ports' rankings; without it
+    # the engines diverge here.
+    config = SimulationConfig(frame_cycles=200, seed=1)
+    optimised, golden = _pair(
+        "dps", lambda: hotspot_all_injectors(0.2), "gsf", config
+    )
+    optimised.run(1200)
+    golden.run(1200)
+    assert optimised.stats.snapshot() == golden.stats.snapshot()
+    assert optimised.policy.deferral_count() == golden.policy.deferral_count()
+
+
 def test_gsf_trace_matches_golden():
     # Event-level agreement, not just aggregate counters, under heavy
     # throttling: every injection, hop and delivery lands on the same
@@ -181,6 +202,58 @@ def test_gsf_trace_matches_golden():
     assert optimised.policy.deferral_count() > 0
     assert optimised.stats.snapshot() == golden.stats.snapshot()
     assert list(trace_optimised.events) == list(trace_golden.events)
+
+
+_GSF_TRAFFIC = {
+    "hotspot": hotspot_all_injectors,
+    "uniform": full_column_workload,
+    "bursty": lambda rate, packet_limit: bursty_workload(
+        rate, on_cycles=40, off_cycles=120, packet_limit=packet_limit
+    ),
+}
+
+
+def _finish(simulator, cycles, packet_limit):
+    """Open runs stop at ``cycles``; drained runs report how they ended."""
+    if packet_limit is None:
+        simulator.run(cycles)
+        return None
+    try:
+        return simulator.run_until_drained(max_cycles=cycles)
+    except SimulationError:
+        return "undrained"
+
+
+@given(
+    topology=st.sampled_from(GSF_TOPOLOGIES),
+    traffic=st.sampled_from(sorted(_GSF_TRAFFIC)),
+    rate=st.floats(min_value=0.01, max_value=0.3),
+    frame_cycles=st.integers(min_value=50, max_value=1200),
+    seed=st.integers(min_value=0, max_value=2**16),
+    packet_limit=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    cycles=st.integers(min_value=600, max_value=1500),
+)
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_gsf_randomized_differential(
+    topology, traffic, rate, frame_cycles, seed, packet_limit, cycles
+):
+    # Randomized differential run (a finite packet limit selects the
+    # drained mode): off the fixed matrix above, both engines must
+    # still agree on every counter, the final cycle and the deferrals.
+    config = SimulationConfig(frame_cycles=frame_cycles, seed=seed)
+    optimised, golden = _pair(
+        topology,
+        lambda: _GSF_TRAFFIC[traffic](rate, packet_limit=packet_limit),
+        "gsf",
+        config,
+    )
+    assert _finish(optimised, cycles, packet_limit) == _finish(
+        golden, cycles, packet_limit
+    )
+    assert optimised.cycle == golden.cycle
+    assert optimised.stats.snapshot() == golden.stats.snapshot()
+    assert optimised.policy.deferral_count() == golden.policy.deferral_count()
 
 
 def test_stepwise_runs_match_golden():

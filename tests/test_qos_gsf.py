@@ -13,14 +13,19 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.config import SimulationConfig
 from repro.network.engine import ColumnSimulator
+from repro.network.fabric import Station
 from repro.network.packet import FlowSpec, Packet
 from repro.network.trace import TraceKind, TraceRecorder
 from repro.qos.gsf import GsfPolicy
 from repro.qos.pvc import PROVISIONED_INJECTORS
 from repro.topologies.registry import get_topology
 from repro.traffic.patterns import hotspot
+from repro.traffic.workloads import hotspot_all_injectors
 
 FRAME = 100
+
+#: The router the unit tests' compliance reads happen at.
+STATION = Station(0, 2, "r2.term", "terminal", n_vcs=1, va_wait=1, qos=True)
 
 
 def _bound_policy(*, share=0.1, weights=(1.0,)):
@@ -65,14 +70,14 @@ def test_packets_charge_active_frame_until_budget_exhausted():
         packet, release = _packet(policy, 0, 4, now=5)
         assert packet.frame_tag == 0
         assert release == 5  # active-frame packets are not deferred
-    assert policy.is_rate_compliant(None, packet, 5)
+    assert policy.is_rate_compliant(STATION, packet, 5)
     packet, release = _packet(policy, 0, 4, now=5)
     assert packet.frame_tag == 1
     assert release == FRAME  # held until its window opens
     assert policy.deferral_count() == 1
-    assert not policy.is_rate_compliant(None, packet, 5)
+    assert not policy.is_rate_compliant(STATION, packet, 5)
     # ... and compliance returns once the clock reaches the charged frame.
-    assert policy.is_rate_compliant(None, packet, FRAME)
+    assert policy.is_rate_compliant(STATION, packet, FRAME)
 
 
 def test_throttled_source_charges_successive_frames():
@@ -125,7 +130,40 @@ def test_priority_is_the_charged_frame():
     early, _ = _packet(policy, 0, 4, now=0)
     late, _ = _packet(policy, 0, 4, now=0)
     assert policy.priority(None, early, 0) < policy.priority(None, late, 0)
-    assert policy.priority_cache() is None
+    # The ranked-path table.  A False compliance read leaves the cycle
+    # at which the answer can next flip: the start of the charged frame.
+    table = policy.priority_cache()
+    assert policy.charged_frame(0) == 1
+    assert not policy.is_rate_compliant(STATION, late, 0)
+    assert table.comp_thresholds[STATION.node * table.n_flows] == FRAME
+    # Every frame boundary is a rank-rebuild fence...
+    policy.on_frame(FRAME)
+    assert table.epoch == 1
+    assert policy.is_rate_compliant(STATION, late, FRAME)
+    # ...and the table is never charged: no priority stamp is ever
+    # valid (the engine reads the tag via `priority`), no version moves.
+    assert all(stamp != table.epoch for stamp in table.prio_stamps)
+    assert not any(table.versions)
+
+
+def _hotspot_run(policy):
+    config = SimulationConfig(frame_cycles=300, seed=3)
+    simulator = ColumnSimulator(
+        get_topology("mecs").build(config), hotspot_all_injectors(0.05),
+        policy, config,
+    )
+    simulator.run(1500)
+    return simulator.stats.snapshot(), policy.deferral_count()
+
+
+def test_rebound_policy_reproduces_a_fresh_run():
+    # Binding resets every per-run field: a second simulator driven by
+    # the same instance must see exactly what a fresh policy sees.
+    fresh = _hotspot_run(GsfPolicy())
+    policy = GsfPolicy()
+    _hotspot_run(policy)
+    assert _hotspot_run(policy) == fresh
+    assert fresh[1] > 0  # the throttle actually bit
 
 
 def test_engine_budget_exhausted_source_waits_for_frame_boundary():
