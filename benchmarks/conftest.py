@@ -9,21 +9,22 @@ paper-scale parameters through the experiment modules for long runs.
 Experiments that route through :mod:`repro.runtime` accept an
 ``executor=``; :func:`executor_variants` supplies the serial reference
 and a process-parallel executor so a benchmark can report both
-wall-clocks, and :func:`record_runtime_baseline` persists the
-comparison into ``BENCH_runtime.json`` at the repo root.
+wall-clocks, and :func:`record_runtime_baseline` records the
+comparison as a ``sweeps`` row of ``BENCH_runtime.json`` at the repo
+root, through the same bench registry as ``repro bench``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
+from repro.runtime.bench import RUNTIME_BENCH_FILENAME, bench_result, record
 from repro.runtime.executor import Executor, ParallelExecutor, SerialExecutor
 
 #: Where the serial-vs-parallel baselines are recorded.
 BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_runtime.json"
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, RUNTIME_BENCH_FILENAME
 )
 
 #: Worker count for the parallel variants (override: REPRO_BENCH_JOBS).
@@ -62,25 +63,7 @@ def time_variants(fn) -> tuple[dict[str, float], dict[str, object]]:
 def record_runtime_baseline(name: str, timings: dict[str, float]) -> None:
     """Merge one benchmark's serial-vs-parallel timings into the baseline.
 
-    The file is keyed by benchmark name so reruns update in place; the
-    committed copy documents the machine it was recorded on.
+    The row is keyed by benchmark name so reruns update in place, and it
+    carries the CPU count of the machine it was recorded on.
     """
-    try:
-        with open(BASELINE_PATH, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        data = {"_meta": {}}
-    data.setdefault("_meta", {})
-    data["_meta"]["cpu_count"] = os.cpu_count()
-    data["_meta"]["jobs"] = BENCH_JOBS
-    serial = timings.get("serial")
-    parallel = next(
-        (v for k, v in timings.items() if k.startswith("parallel")), None
-    )
-    entry: dict[str, object] = {"timings_seconds": timings}
-    if serial and parallel:
-        entry["speedup"] = round(serial / parallel, 3)
-    data[name] = entry
-    with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    record([bench_result("sweeps", name, timings)], BASELINE_PATH)

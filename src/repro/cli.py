@@ -388,33 +388,31 @@ def _csv(value: str | None) -> tuple[str, ...] | None:
 
 
 def _run_bench(args) -> int:
-    """``repro bench engine|guard|obs|runtime|journal|history``."""
+    """``repro bench engine|obs|runtime|journal|guard|history``.
+
+    A section verb times that section live, prints its table, exits 1
+    on diverged results or a breached ceiling, and with ``--record
+    PATH`` (``-`` = the section's BENCH file) merges its rows in.
+    """
+    from repro.runtime import bench
+
     action = args.targets[1] if len(args.targets) > 1 else "engine"
     if action == "guard":
-        return _run_bench_guard(args)
-    if action == "obs":
-        return _run_bench_obs(args)
-    if action == "runtime":
-        return _run_bench_runtime(args)
-    if action == "journal":
-        return _run_bench_journal(args)
+        return _run_bench_guard(args, bench)
     if action == "history":
-        return _run_bench_history(args)
-    if action != "engine":
-        print(f"unknown bench action {action!r}; expected engine, guard, "
-              "obs, runtime, journal or history", file=sys.stderr)
+        return _run_bench_history(args, bench)
+    section = bench.SECTION.get(action)
+    if section is None or section.run is None:
+        print(f"unknown bench action {action!r}; expected engine, obs, "
+              "runtime, journal, guard or history", file=sys.stderr)
         return 2
-    from repro.runtime.bench import (
-        format_engine_bench,
-        record_engine_baseline,
-        run_engine_bench,
-    )
 
-    regimes = _csv(args.regimes)
-    topologies = _csv(args.topologies)
-    run = lambda: run_engine_bench(  # noqa: E731 - tiny local closure
-        fast=args.fast, regimes=regimes, topologies=topologies,
-    )
+    def run():
+        return bench.run_section(
+            action, fast=args.fast, jobs=args.jobs if args.jobs > 1 else 2,
+            regimes=_csv(args.regimes), topologies=_csv(args.topologies),
+        )
+
     if args.profile:
         import os as _os
 
@@ -428,214 +426,80 @@ def _run_bench(args) -> int:
     if not results:
         print("no benchmark points match the given filters", file=sys.stderr)
         return 2
-    print(format_engine_bench(results))
-    if not all(result.stats_equal for result in results):
-        print("ERROR: engines diverged — see tests/test_engine_golden.py",
-              file=sys.stderr)
+    text, failures = bench.report_results(results)
+    print(text)
+    for failure in failures:
+        print(f"ERROR: {failure}", file=sys.stderr)
+    if failures:
         return 1
     if args.record:
-        record_engine_baseline(results, args.record)
-        print(f"baseline recorded to {args.record}")
+        path = section.filename if args.record == "-" else args.record
+        bench.record(results, path)
+        print(f"{action} rows recorded to {path}")
     return 0
 
 
-def _run_bench_guard(args) -> int:
-    """``repro bench guard`` — regression-check the committed baseline.
+def _run_bench_guard(args, bench) -> int:
+    """``repro bench guard`` — judge the committed BENCH files.
 
-    Prints a markdown speedup table (suitable for a CI job summary) and
-    fails when any recorded point diverged (``stats_equal: false``) or
-    regressed (speedup below 1.0).  ``--record PATH`` points at the
-    engine baseline file; the default is ``BENCH_engine.json`` in the
-    current directory.  When ``BENCH_runtime.json`` is present it is
-    validated too: the persistent worker pool must beat per-batch pool
-    spawning, and parallel execution must hold its floor over serial.
+    Prints markdown tables (suitable for a CI job summary) and exits 1
+    on any diverged row or breached floor/ceiling.  ``--record PATH``
+    names the engine file (default ``BENCH_engine.json``); the runtime
+    file is judged too when it exists in the current directory.
     """
     import os as _os
 
-    from repro.runtime.bench import (
-        BENCH_ENGINE_FILENAME,
-        RUNTIME_BENCH_FILENAME,
-        format_baseline_markdown,
-        format_runtime_markdown,
-        validate_engine_baseline,
-        validate_runtime_baseline,
-    )
-
-    path = args.record or BENCH_ENGINE_FILENAME
-    try:
-        violations, data = validate_engine_baseline(path)
-    except (OSError, ValueError) as error:
-        print(f"cannot read baseline {path!r}: {error}", file=sys.stderr)
-        return 2
-    print(format_baseline_markdown(data))
-    if _os.path.exists(RUNTIME_BENCH_FILENAME):
+    files = [(args.record or bench.BENCH_ENGINE_FILENAME,
+              bench.BENCH_ENGINE_FILENAME)]
+    if _os.path.exists(bench.RUNTIME_BENCH_FILENAME):
+        files.append((bench.RUNTIME_BENCH_FILENAME,
+                      bench.RUNTIME_BENCH_FILENAME))
+    violations = []
+    for index, (path, filename) in enumerate(files):
         try:
-            runtime_violations, runtime_data = validate_runtime_baseline(
-                RUNTIME_BENCH_FILENAME
-            )
+            found, data = bench.guard_file(path, filename)
         except (OSError, ValueError) as error:
-            print(f"cannot read baseline {RUNTIME_BENCH_FILENAME!r}: {error}",
-                  file=sys.stderr)
+            print(f"cannot read baseline {path!r}: {error}", file=sys.stderr)
             return 2
-        print()
-        print(format_runtime_markdown(runtime_data))
-        violations.extend(runtime_violations)
+        print(("\n" if index else "") + bench.format_file(data, filename))
+        violations += found
     if violations:
-        print()
-        print("**Regressions detected:**")
-        for violation in violations:
-            print(f"- {violation}")
-        return 1
-    return 0
+        print("\n**Regressions detected:**")
+        print("\n".join(f"- {violation}" for violation in violations))
+    return 1 if violations else 0
 
 
-def _run_bench_runtime(args) -> int:
-    """``repro bench runtime`` — serial vs pooled vs dispatch timings.
-
-    Verifies all four variants (serial, persistent pool, fresh pool
-    per batch, in-process dispatch) return identical results, prints
-    the timing table, and with ``--record PATH`` merges the comparison
-    (plus the ``_floors`` section ``repro bench guard`` enforces) into
-    the runtime baseline.
-    """
-    from repro.runtime.bench import (
-        RUNTIME_BENCH_FILENAME,
-        format_runtime_bench,
-        record_runtime_bench,
-        run_runtime_bench,
-    )
-
-    jobs = args.jobs if args.jobs > 1 else 2
-    result = run_runtime_bench(fast=args.fast, jobs=jobs)
-    print(format_runtime_bench(result))
-    if not result.results_equal:
-        print("ERROR: executor variants returned different results",
-              file=sys.stderr)
-        return 1
-    if args.record:
-        path = args.record if args.record != "-" else RUNTIME_BENCH_FILENAME
-        record_runtime_bench(result, path)
-        print(f"runtime baseline recorded to {path}")
-    return 0
-
-
-def _run_bench_obs(args) -> int:
-    """``repro bench obs`` — probe overhead: off vs on vs golden.
-
-    Verifies that attaching a full ObsSession changes no results
-    (``stats_equal``), that the probes-*disabled* engine keeps beating
-    the golden reference, and that probes-*enabled* overhead stays
-    under the ceiling.  ``--record PATH`` merges an ``_obs`` section
-    into the engine baseline for ``repro bench guard`` to re-check.
-    """
-    from repro.runtime.bench import (
-        MAX_ENABLED_OVERHEAD,
-        format_obs_overhead,
-        record_obs_baseline,
-        run_obs_overhead,
-    )
-
-    results = run_obs_overhead(fast=args.fast)
-    print(format_obs_overhead(results))
-    failures = []
-    for result in results:
-        if not result.stats_equal:
-            failures.append(f"{result.point.name}: probes perturbed results")
-        if result.enabled_overhead > MAX_ENABLED_OVERHEAD:
-            failures.append(
-                f"{result.point.name}: enabled overhead "
-                f"{result.enabled_overhead:.1%} exceeds "
-                f"{MAX_ENABLED_OVERHEAD:.0%}"
-            )
-    if failures:
-        print()
-        for failure in failures:
-            print(f"ERROR: {failure}", file=sys.stderr)
-        return 1
-    if args.record:
-        record_obs_baseline(results, args.record)
-        print(f"obs baseline section recorded to {args.record}")
-    return 0
-
-
-def _run_bench_journal(args) -> int:
-    """``repro bench journal`` — dispatch journaling overhead: off vs on.
-
-    Runs identical batches through the in-process dispatch executor
-    with and without event journaling, verifies the journaled run is
-    bit-identical, and with ``--record PATH`` merges a ``_journal``
-    section (``-`` = the default runtime baseline) for ``repro bench
-    guard`` to re-check.
-    """
-    from repro.runtime.bench import (
-        RUNTIME_BENCH_FILENAME,
-        format_journal_overhead,
-        record_journal_overhead,
-        run_journal_overhead,
-    )
-
-    jobs = args.jobs if args.jobs > 1 else 2
-    result = run_journal_overhead(fast=args.fast, jobs=jobs)
-    print(format_journal_overhead(result))
-    if not result.results_equal:
-        print("ERROR: journaling perturbed results", file=sys.stderr)
-        return 1
-    if args.record:
-        path = args.record if args.record != "-" else RUNTIME_BENCH_FILENAME
-        record_journal_overhead(result, path)
-        print(f"journal overhead section recorded to {path}")
-    return 0
-
-
-def _run_bench_history(args) -> int:
+def _run_bench_history(args, bench) -> int:
     """``repro bench history`` — guard-checked speedup trend tracking.
 
-    Builds one record from the committed baselines (running the same
-    checks as ``repro bench guard``), compares every speedup against
-    its trailing-window mean in ``BENCH_history.jsonl``, and with
-    ``--record PATH`` (``-`` = the default history file) appends the
-    record.  Exits 1 on guard violations or trend regressions.
+    Builds one record from the committed BENCH files (the guard's
+    checks included), compares every floor metric against its
+    trailing-window mean in ``BENCH_history.jsonl``, and with
+    ``--record PATH`` (``-`` = the default history file) appends it.
+    Exits 1 on guard violations or trend regressions.
     """
     import os as _os
 
-    from repro.runtime.bench import (
-        BENCH_ENGINE_FILENAME,
-        BENCH_HISTORY_FILENAME,
-        HISTORY_WINDOW,
-        RUNTIME_BENCH_FILENAME,
-        append_bench_history,
-        bench_history_entry,
-        flag_history_regressions,
-        format_bench_history,
-        load_bench_history,
-    )
-
-    history_path = (
-        args.record if args.record and args.record != "-"
-        else BENCH_HISTORY_FILENAME
-    )
+    history_path = (args.record if args.record and args.record != "-"
+                    else bench.BENCH_HISTORY_FILENAME)
+    runtime = bench.RUNTIME_BENCH_FILENAME
     try:
-        entry = bench_history_entry(
-            BENCH_ENGINE_FILENAME,
-            RUNTIME_BENCH_FILENAME
-            if _os.path.exists(RUNTIME_BENCH_FILENAME) else None,
-        )
-        history = load_bench_history(history_path)
+        entry = bench.bench_history_entry(
+            bench.BENCH_ENGINE_FILENAME,
+            runtime if _os.path.exists(runtime) else None)
+        history = bench.load_bench_history(history_path)
     except (OSError, ValueError) as error:
         print(f"bench history: {error}", file=sys.stderr)
         return 2
-    window = args.window or HISTORY_WINDOW
-    flags = flag_history_regressions(history + [entry], window=window)
-    print(format_bench_history(history + [entry], flags))
+    window = args.window or bench.HISTORY_WINDOW
+    flags = bench.flag_history_regressions(history + [entry], window=window)
+    print(bench.format_bench_history(history + [entry], flags))
     if args.record:
-        append_bench_history(history_path, entry)
+        bench.append_bench_history(history_path, entry)
         print(f"history entry appended to {history_path}")
-    if entry["violations"]:
-        print()
-        for violation in entry["violations"]:
-            print(f"ERROR: {violation}", file=sys.stderr)
-        return 1
-    return 1 if flags else 0
+    for violation in entry["violations"]:
+        print(f"ERROR: {violation}", file=sys.stderr)
+    return 1 if entry["violations"] or flags else 0
 
 
 def _run_burst(args) -> str:
@@ -1670,17 +1534,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--record", default=None, metavar="PATH",
-        help="with 'bench engine': merge timings into the JSON baseline; "
-        "with 'bench guard': the baseline file to check",
+        help="with 'bench engine|obs|runtime|journal': merge rows into "
+        "this BENCH file ('-' = the section's own); with 'bench guard': "
+        "the engine file to check; with 'bench history': the history file",
     )
     parser.add_argument(
         "--regimes", default=None, metavar="R1,R2",
-        help="with 'bench engine': only run points in these regimes "
+        help="with 'bench engine|obs': only run points in these regimes "
         "(low_rate, mid_rate, saturation, bursty, gsf_throttled)",
     )
     parser.add_argument(
         "--topologies", default=None, metavar="T1,T2",
-        help="with 'bench engine': only run points on these topologies "
+        help="with 'bench engine|obs': only run points on these topologies "
         "(mesh_x1, mecs, dps, fbfly, ...)",
     )
     scenario = parser.add_argument_group("scenario options")

@@ -1,21 +1,17 @@
-"""Engine benchmark harness: optimised vs golden reference timings.
+"""Bench registry: every ``repro bench`` section, recorded and guarded once.
 
-Every point runs the *same* workload through the activity-tracked
-:class:`~repro.network.engine.ColumnSimulator` and the frozen
-:class:`~repro.network.golden.GoldenColumnSimulator`, verifies the two
-produce identical :meth:`NetworkStats.snapshot` dumps (a benchmark that
-silently changed results would be worse than useless), and reports the
-wall-clock ratio.  Consumers:
-
-* ``benchmarks/bench_engine.py`` records the numbers to
-  ``BENCH_engine.json`` at the repo root;
-* ``repro bench engine`` prints them from the console script.
-
-The default matrix brackets the regimes the optimisation targets: the
-low-injection left edge of the latency curves (where cycle skipping and
-geometric inter-arrival sampling shine) and a point past saturation
-(where the engine falls back to dense single-stepping and must not
-regress).
+A *section* is one kind of bench record: ``engine``, ``obs``,
+``runtime``, ``journal`` or ``sweeps`` (docs/performance.md tables
+them).  Each times the same work two or more ways, checks that every
+way produced identical results (a benchmark that silently changed
+answers would be worse than useless), and records timings plus ratios
+into a committed BENCH file.  :data:`SECTIONS` declares only what
+differs between them; running, recording (load, merge, write), the
+guard, history flattening and the console/markdown tables are written
+once over it.  A live ``repro bench <section>`` run fails only on
+diverged results or a breached ceiling (floors are too noisy for one
+run); ``repro bench guard`` judges the committed rows against every
+floor and ceiling.
 """
 
 from __future__ import annotations
@@ -23,7 +19,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.network.config import SimulationConfig
 from repro.network.engine import ColumnSimulator
@@ -31,8 +29,10 @@ from repro.network.golden import GoldenColumnSimulator
 from repro.topologies.registry import get_topology
 from repro.traffic.workloads import full_column_workload, offered_load
 
-#: File name of the committed baseline at the repository root.
+#: Committed BENCH files at the repository root.
 BENCH_ENGINE_FILENAME = "BENCH_engine.json"
+RUNTIME_BENCH_FILENAME = "BENCH_runtime.json"
+BENCH_HISTORY_FILENAME = "BENCH_history.jsonl"
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,6 @@ class EnginePoint:
             # blocked-port machinery *and* the idle-gap skipping.
             return bursty_workload(self.rate, pattern=hotspot(0))
         return full_column_workload(self.rate)
-
-
-@dataclass(frozen=True)
-class EngineResult:
-    """Timings for one point (seconds, best of ``repeats`` runs)."""
-
-    point: EnginePoint
-    optimized_seconds: float
-    golden_seconds: float
-    stats_equal: bool
-
-    @property
-    def speedup(self) -> float:
-        if self.optimized_seconds <= 0:
-            return float("inf")
-        return self.golden_seconds / self.optimized_seconds
 
 
 def default_points(*, fast: bool = False) -> tuple[EnginePoint, ...]:
@@ -120,856 +104,556 @@ def default_points(*, fast: bool = False) -> tuple[EnginePoint, ...]:
     )
 
 
-def filter_points(
-    points: tuple[EnginePoint, ...],
-    *,
-    regimes: tuple[str, ...] | None = None,
-    topologies: tuple[str, ...] | None = None,
-) -> tuple[EnginePoint, ...]:
-    """Restrict a point matrix to the given regimes and/or topologies."""
-    selected = tuple(
-        point
-        for point in points
-        if (regimes is None or point.regime in regimes)
-        and (topologies is None or point.topology in topologies)
-    )
-    return selected
-
-
-def _time_one(cls, point: EnginePoint) -> tuple[float, dict]:
-    from repro.qos.registry import create_policy
-
-    build = get_topology(point.topology).build(point.config)
-    simulator = cls(build, point.flows(), create_policy(point.policy),
-                    point.config)
-    started = time.perf_counter()
-    simulator.run(point.cycles, warmup=point.warmup)
-    return time.perf_counter() - started, simulator.stats.snapshot()
-
-
-def run_point(point: EnginePoint, *, repeats: int = 2) -> EngineResult:
-    """Benchmark one point, best-of-``repeats`` per engine."""
-    best_optimized = best_golden = float("inf")
-    snap_optimized = snap_golden = None
-    for _ in range(max(1, repeats)):
-        seconds, snap_optimized = _time_one(ColumnSimulator, point)
-        best_optimized = min(best_optimized, seconds)
-        seconds, snap_golden = _time_one(GoldenColumnSimulator, point)
-        best_golden = min(best_golden, seconds)
-    return EngineResult(
-        point=point,
-        optimized_seconds=round(best_optimized, 4),
-        golden_seconds=round(best_golden, 4),
-        stats_equal=snap_optimized == snap_golden,
-    )
-
-
-def run_engine_bench(
-    *, fast: bool = False, repeats: int = 2,
-    points: tuple[EnginePoint, ...] | None = None,
-    regimes: tuple[str, ...] | None = None,
-    topologies: tuple[str, ...] | None = None,
-) -> list[EngineResult]:
-    """Run the matrix, optionally filtered; see :func:`default_points`."""
-    selected = filter_points(
-        points or default_points(fast=fast),
-        regimes=regimes, topologies=topologies,
-    )
-    return [run_point(point, repeats=repeats) for point in selected]
-
-
-def format_engine_bench(results: list[EngineResult]) -> str:
-    """Human-readable table for the CLI."""
-    lines = [
-        "engine benchmark (optimised vs frozen golden reference)",
-        f"{'point':26s} {'regime':10s} {'optimised':>10s} {'golden':>10s} "
-        f"{'speedup':>8s}  stats",
-    ]
-    for result in results:
-        lines.append(
-            f"{result.point.name:26s} {result.point.regime:10s} "
-            f"{result.optimized_seconds:9.3f}s {result.golden_seconds:9.3f}s "
-            f"{result.speedup:7.2f}x  "
-            + ("identical" if result.stats_equal else "DIVERGED!")
-        )
-    return "\n".join(lines)
-
-
-#: Points timed by ``repro bench obs`` (a bracket of the full matrix:
-#: idle-dominated, saturated, and non-stationary bursty traffic).
-OBS_POINT_NAMES = (
-    "low_rate_mecs_0p01",
-    "saturation_mecs_0p30",
-    "bursty_saturation",
-)
-
-#: Default ceiling for probes-*enabled* overhead (on/off - 1).  The
-#: enabled path pays a Python callback per packet event plus windowed
-#: accumulation, so it is expected to cost real time; the guard only
-#: keeps it bounded.  The *disabled* path is guarded much harder: it
-#: must keep beating the golden reference (``speedup_off >= 1.0``).
-MAX_ENABLED_OVERHEAD = 1.5
-
-
 @dataclass(frozen=True)
-class ObsOverheadResult:
-    """Probe-overhead timings for one point (seconds, best of repeats).
+class BenchResult:
+    """One measured row of a section, exactly as it is recorded.
 
-    ``off`` is the default engine (``_probes is None``), ``on`` the same
-    engine with a full :class:`~repro.obs.ObsSession` (timeline
-    included) attached, ``golden`` the frozen reference with the same
-    session.  ``stats_equal`` requires all three snapshots identical —
-    probes are observational and must never perturb results.
+    The row's fields read as attributes (``result.speedup``,
+    ``result.stats_equal``); ``point`` is the engine point it timed.
     """
 
-    point: EnginePoint
-    off_seconds: float
-    on_seconds: float
-    golden_seconds: float
-    stats_equal: bool
+    section: str
+    name: str
+    row: dict
+    point: EnginePoint | None = None
 
-    @property
-    def speedup_off(self) -> float:
-        """Golden / probes-off: the disabled-probe performance floor."""
-        if self.off_seconds <= 0:
-            return float("inf")
-        return self.golden_seconds / self.off_seconds
-
-    @property
-    def enabled_overhead(self) -> float:
-        """Fractional slowdown of probes-on vs probes-off (0.1 = +10%)."""
-        if self.off_seconds <= 0:
-            return 0.0
-        return self.on_seconds / self.off_seconds - 1.0
+    def __getattr__(self, key: str):
+        row = self.__dict__.get("row", {})
+        if key in row:
+            return row[key]
+        raise AttributeError(key)
 
 
-def _time_one_obs(cls, point: EnginePoint) -> tuple[float, dict]:
-    """Like :func:`_time_one` but with a full ObsSession attached."""
+#: The name ``repro.runtime`` exports for engine results.
+EngineResult = BenchResult
+
+
+def bench_result(
+    section: str, name: str, timings: dict[str, float],
+    equal: bool | None = None, *, point: EnginePoint | None = None,
+    **descriptors,
+) -> BenchResult:
+    """Build a section row: descriptors, timings, ratios, equality, host.
+
+    The recording host's CPU count travels with the row, so a floor
+    that clamps on single-core hosts judges each row by its own host.
+    """
+    spec = SECTION[section]
+    row = {**descriptors, "timings_seconds": timings,
+           "cpu_count": os.cpu_count()}
+    for metric in spec.metrics:
+        top, bottom = _get(timings, metric.top), _get(timings, metric.bottom)
+        if top is not None and bottom is not None:
+            ratio = top / bottom if bottom > 0 else float("inf")
+            row[metric.name] = (round(ratio - 1, 4) if metric.overhead
+                                else round(ratio, 3))
+    if spec.equal:
+        row[spec.equal] = equal
+    return BenchResult(section, name, row, point)
+
+
+# -- how each section is timed ------------------------------------------
+
+
+def _best_of(variants: dict, repeats: int) -> tuple[dict[str, float], bool]:
+    """Best-of-``repeats`` seconds per variant (each returns seconds and
+    an output), interleaved, and whether every output agreed."""
+    best = dict.fromkeys(variants, float("inf"))
+    outputs = {}
+    for _ in range(max(1, repeats)):
+        for key, variant in variants.items():
+            seconds, outputs[key] = variant()
+            best[key] = min(best[key], seconds)
+    first, *rest = outputs.values()
+    return ({key: round(value, 4) for key, value in best.items()},
+            all(output == first for output in rest))
+
+
+def _simulate(cls, point: EnginePoint, observe: bool):
+    """Time one run of ``point``; ``observe`` attaches a full ObsSession."""
     from repro.obs import ObsSession
     from repro.qos.registry import create_policy
 
     build = get_topology(point.topology).build(point.config)
     simulator = cls(build, point.flows(), create_policy(point.policy),
                     point.config)
-    session = ObsSession(timeline=True)
-    session.attach(simulator)
+    session = ObsSession(timeline=True) if observe else None
+    if session is not None:
+        session.attach(simulator)
     started = time.perf_counter()
     simulator.run(point.cycles, warmup=point.warmup)
     elapsed = time.perf_counter() - started
-    session.finalize(simulator.cycle)
+    if session is not None:
+        session.finalize(simulator.cycle)
     return elapsed, simulator.stats.snapshot()
 
 
-def run_obs_overhead(
-    *, fast: bool = False, repeats: int = 2,
-    points: tuple[EnginePoint, ...] | None = None,
-) -> list[ObsOverheadResult]:
-    """Time probes-off vs probes-on vs golden on the obs point subset."""
-    selected = points or tuple(
-        point for point in default_points(fast=fast)
-        if point.name in OBS_POINT_NAMES
-    )
+def _run_points(section: str, variants: dict, points, *, repeats: int, **_):
+    """Time every point once per (simulator class, observed) variant."""
     results = []
-    for point in selected:
-        best_off = best_on = best_golden = float("inf")
-        snap_off = snap_on = snap_golden = None
-        for _ in range(max(1, repeats)):
-            seconds, snap_off = _time_one(ColumnSimulator, point)
-            best_off = min(best_off, seconds)
-            seconds, snap_on = _time_one_obs(ColumnSimulator, point)
-            best_on = min(best_on, seconds)
-            seconds, snap_golden = _time_one_obs(GoldenColumnSimulator, point)
-            best_golden = min(best_golden, seconds)
-        results.append(
-            ObsOverheadResult(
-                point=point,
-                off_seconds=round(best_off, 4),
-                on_seconds=round(best_on, 4),
-                golden_seconds=round(best_golden, 4),
-                stats_equal=snap_off == snap_on == snap_golden,
-            )
-        )
+    for point in points:
+        timings, equal = _best_of({
+            key: partial(_simulate, cls, point, observe)
+            for key, (cls, observe) in variants.items()
+        }, repeats)
+        results.append(bench_result(
+            section, point.name, timings, equal, point=point,
+            regime=point.regime, topology=point.topology,
+            workload=point.workload, policy=point.policy, rate=point.rate,
+            offered_load_flits_per_cycle=round(offered_load(point.flows()), 4),
+            cycles=point.cycles, warmup=point.warmup,
+        ))
     return results
 
 
-def format_obs_overhead(results: list[ObsOverheadResult]) -> str:
-    """Human-readable probe-overhead table for the CLI."""
-    lines = [
-        "probe overhead (probes off vs full ObsSession vs golden reference)",
-        f"{'point':26s} {'off':>9s} {'on':>9s} {'golden':>9s} "
-        f"{'overhead':>9s} {'floor':>7s}  stats",
-    ]
-    for result in results:
-        lines.append(
-            f"{result.point.name:26s} {result.off_seconds:8.3f}s "
-            f"{result.on_seconds:8.3f}s {result.golden_seconds:8.3f}s "
-            f"{result.enabled_overhead:8.1%} {result.speedup_off:6.2f}x  "
-            + ("identical" if result.stats_equal else "DIVERGED!")
-        )
-    return "\n".join(lines)
+def _through(make_executor, batches, *, per_batch: bool = False):
+    """Run every batch through ``make_executor()``: (seconds, result rows).
 
-
-def record_obs_baseline(
-    results: list[ObsOverheadResult], path: str | os.PathLike,
-    *, max_enabled_overhead: float = MAX_ENABLED_OVERHEAD,
-) -> None:
-    """Merge obs-overhead results into the ``_obs`` baseline section."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        data = {}
-    section = data.setdefault("_obs", {})
-    section["max_enabled_overhead"] = max_enabled_overhead
-    points = section.setdefault("points", {})
-    for result in results:
-        points[result.point.name] = {
-            "regime": result.point.regime,
-            "timings_seconds": {
-                "off": result.off_seconds,
-                "on": result.on_seconds,
-                "golden": result.golden_seconds,
-            },
-            "speedup_off": round(result.speedup_off, 3),
-            "enabled_overhead": round(result.enabled_overhead, 4),
-            "stats_equal": result.stats_equal,
-        }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _validate_obs_section(data: dict) -> list[str]:
-    """Violations in a baseline's ``_obs`` probe-overhead section."""
-    section = data.get("_obs")
-    if not section:
-        return []
-    violations: list[str] = []
-    ceiling = section.get("max_enabled_overhead", MAX_ENABLED_OVERHEAD)
-    for name, entry in sorted(section.get("points", {}).items()):
-        if not entry.get("stats_equal", False):
-            violations.append(
-                f"obs:{name}: stats_equal is false — probes perturbed results"
-            )
-        speedup = entry.get("speedup_off", 0.0)
-        if speedup < 1.0:
-            violations.append(
-                f"obs:{name}: disabled-probe speedup {speedup} < 1.0 — "
-                "probe hooks cost the engine its lead over golden"
-            )
-        overhead = entry.get("enabled_overhead", 0.0)
-        if overhead > ceiling:
-            violations.append(
-                f"obs:{name}: enabled overhead {overhead:.1%} exceeds the "
-                f"{ceiling:.0%} ceiling"
-            )
-    return violations
-
-
-def validate_engine_baseline(path: str | os.PathLike) -> tuple[list[str], dict]:
-    """Regression-check a committed baseline file.
-
-    Every recorded point must have ``stats_equal: true`` (the engines
-    agreed bit-for-bit when it was recorded) and a speedup of at least
-    1.0 (the optimised engine never loses to the reference).  A
-    baseline with an ``_obs`` section (``repro bench obs --record``)
-    additionally guards the probe layer: probes must not perturb
-    snapshots, the probes-*disabled* engine must keep its speedup floor,
-    and probes-*enabled* overhead must stay under the recorded ceiling.
-    Returns the list of violations (empty = clean) and the parsed
-    baseline.
+    ``per_batch`` creates and closes a fresh executor for each batch.
     """
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    violations: list[str] = []
-    if not any(not name.startswith("_") for name in data):
-        violations.append(
-            "baseline records no benchmark points — nothing is guarded"
-        )
-    for name, entry in sorted(data.items()):
-        if name.startswith("_"):
-            continue
-        if not entry.get("stats_equal", False):
-            violations.append(f"{name}: stats_equal is false — engines diverged")
-        speedup = entry.get("speedup", 0.0)
-        if speedup < 1.0:
-            violations.append(
-                f"{name}: speedup {speedup} < 1.0 — optimised engine regressed"
-            )
-    violations.extend(_validate_obs_section(data))
-    return violations, data
-
-
-def format_baseline_markdown(data: dict) -> str:
-    """Markdown speedup table of a baseline (for CI job summaries)."""
-    lines = [
-        "### Engine benchmark baseline",
-        "",
-        "| point | regime | topology | optimised (s) | golden (s) | speedup | stats |",
-        "|---|---|---|---:|---:|---:|---|",
-    ]
-    for name, entry in sorted(data.items()):
-        if name.startswith("_"):
-            continue
-        timings = entry.get("timings_seconds", {})
-        lines.append(
-            f"| {name} | {entry.get('regime', '?')} "
-            f"| {entry.get('topology', '?')} "
-            f"| {timings.get('optimized', float('nan')):.3f} "
-            f"| {timings.get('golden', float('nan')):.3f} "
-            f"| {entry.get('speedup', 0.0):.2f}x "
-            f"| {'identical' if entry.get('stats_equal') else 'DIVERGED'} |"
-        )
-    section = data.get("_obs")
-    if section and section.get("points"):
-        ceiling = section.get("max_enabled_overhead", MAX_ENABLED_OVERHEAD)
-        lines += [
-            "",
-            f"### Probe overhead (enabled ceiling {ceiling:.0%})",
-            "",
-            "| point | off (s) | on (s) | golden (s) | overhead | floor | stats |",
-            "|---|---:|---:|---:|---:|---:|---|",
-        ]
-        for name, entry in sorted(section["points"].items()):
-            timings = entry.get("timings_seconds", {})
-            lines.append(
-                f"| {name} "
-                f"| {timings.get('off', float('nan')):.3f} "
-                f"| {timings.get('on', float('nan')):.3f} "
-                f"| {timings.get('golden', float('nan')):.3f} "
-                f"| {entry.get('enabled_overhead', 0.0):.1%} "
-                f"| {entry.get('speedup_off', 0.0):.2f}x "
-                f"| {'identical' if entry.get('stats_equal') else 'DIVERGED'} |"
-            )
-    return "\n".join(lines)
-
-
-# -- runtime pool benchmark -------------------------------------------
-
-#: File name of the committed runtime baseline at the repository root.
-RUNTIME_BENCH_FILENAME = "BENCH_runtime.json"
-
-#: Speedup floors ``repro bench guard`` enforces on the runtime
-#: baseline: the persistent pool must beat spawning a fresh pool per
-#: batch, parallel execution must not lose to the serial reference,
-#: and the in-process dispatch path (broker + lease bookkeeping, no
-#: network) must stay within 30% of serial — the lease protocol is
-#: allowed to cost coordination, not to dominate the run.
-DEFAULT_RUNTIME_FLOORS = {
-    "pool_vs_spawn": 1.0,
-    "parallel_vs_serial": 1.0,
-    "dispatch_vs_serial": 0.70,
-}
-
-#: On a single-core machine two workers cannot beat one process — the
-#: parallel-vs-serial floor is clamped to this allowance (a bound on
-#: pure orchestration overhead) when ``_meta.cpu_count`` is 1.
-SINGLE_CORE_ALLOWANCE = 0.85
-
-
-@dataclass(frozen=True)
-class RuntimeBenchResult:
-    """Serial vs persistent-pool vs fresh-pool-per-batch timings.
-
-    ``pool`` runs every batch through one :class:`ParallelExecutor`
-    whose workers persist across batches; ``spawn`` creates and closes
-    a fresh executor per batch, paying the pool spawn that used to be
-    per-batch overhead; ``dispatch`` routes every batch through an
-    in-process :class:`~repro.dispatch.DispatchExecutor` (broker,
-    leases, content-hash result ingestion — no network), pricing the
-    coordination protocol itself.  ``results_equal`` asserts all
-    variants produced identical result rows — a benchmark that changed
-    answers would be worse than useless.
-    """
-
-    jobs: int
-    batches: int
-    specs_per_batch: int
-    serial_seconds: float
-    pool_seconds: float
-    spawn_seconds: float
-    results_equal: bool
-    dispatch_seconds: float = 0.0
-
-    @property
-    def pool_vs_spawn(self) -> float:
-        """Persistent-pool speedup over spawning a pool per batch."""
-        if self.pool_seconds <= 0:
-            return float("inf")
-        return self.spawn_seconds / self.pool_seconds
-
-    @property
-    def parallel_vs_serial(self) -> float:
-        """Persistent-pool speedup over the serial reference."""
-        if self.pool_seconds <= 0:
-            return float("inf")
-        return self.serial_seconds / self.pool_seconds
-
-    @property
-    def dispatch_vs_serial(self) -> float:
-        """In-process dispatch speedup over the serial reference.
-
-        Both paths execute specs one at a time in a single process, so
-        the ratio isolates lease-protocol overhead and is comparable
-        across machines (a healthy value sits just under 1.0).
-        """
-        if self.dispatch_seconds <= 0:
-            return float("inf")
-        return self.serial_seconds / self.dispatch_seconds
-
-    @property
-    def dispatch_vs_pool(self) -> float:
-        """In-process dispatch speedup over the persistent pool."""
-        if self.dispatch_seconds <= 0:
-            return float("inf")
-        return self.pool_seconds / self.dispatch_seconds
-
-
-def _runtime_batches(*, fast: bool, batches: int, specs_per_batch: int):
-    """Deterministic multi-batch workload for the executor comparison."""
-    from repro.runtime.spec import RunSpec
-
-    cycles = 800 if fast else 2500
-    batch_list = []
-    for batch_index in range(batches):
-        batch_list.append(
-            [
-                RunSpec(
-                    topology="mesh_x1",
-                    workload="uniform",
-                    rate=0.03 + 0.01 * spec_index,
-                    config=SimulationConfig(
-                        frame_cycles=2000, seed=11 + batch_index
-                    ),
-                    cycles=cycles,
-                    warmup=cycles // 4,
-                )
-                for spec_index in range(specs_per_batch)
-            ]
-        )
-    return batch_list
-
-
-def run_runtime_bench(
-    *, fast: bool = False, jobs: int = 2, batches: int = 8,
-    specs_per_batch: int = 2, repeats: int = 2,
-) -> RuntimeBenchResult:
-    """Time the four executor variants over the same batches (best-of)."""
-    from repro.dispatch import DispatchExecutor
-    from repro.runtime.executor import ParallelExecutor, SerialExecutor
-
-    batch_list = _runtime_batches(
-        fast=fast, batches=batches, specs_per_batch=specs_per_batch
-    )
-
-    def _serial():
-        executor = SerialExecutor()
-        return [executor.run(batch).results for batch in batch_list]
-
-    def _pool():
-        executor = ParallelExecutor(jobs=jobs)
+    started = time.perf_counter()
+    rows = []
+    for group in ([batch] for batch in batches) if per_batch else [batches]:
+        executor = make_executor()
         try:
-            return [executor.run(batch).results for batch in batch_list]
+            for batch in group:
+                rows += [result.to_json() for result in executor.run(batch).results]
         finally:
-            executor.close()
-
-    def _spawn():
-        collected = []
-        for batch in batch_list:
-            executor = ParallelExecutor(jobs=jobs)
-            try:
-                collected.append(executor.run(batch).results)
-            finally:
+            if hasattr(executor, "close"):
                 executor.close()
-        return collected
-
-    def _dispatch():
-        executor = DispatchExecutor(jobs=jobs)
-        try:
-            return [executor.run(batch).results for batch in batch_list]
-        finally:
-            executor.close()
-
-    timings = {"serial": float("inf"), "pool": float("inf"),
-               "spawn": float("inf"), "dispatch": float("inf")}
-    snapshots: dict[str, list] = {}
-    for _ in range(max(1, repeats)):
-        for name, variant in (("serial", _serial), ("pool", _pool),
-                              ("spawn", _spawn), ("dispatch", _dispatch)):
-            started = time.perf_counter()
-            results = variant()
-            timings[name] = min(timings[name], time.perf_counter() - started)
-            snapshots[name] = [
-                result.to_json() for batch in results for result in batch
-            ]
-    return RuntimeBenchResult(
-        jobs=jobs,
-        batches=batches,
-        specs_per_batch=specs_per_batch,
-        serial_seconds=round(timings["serial"], 4),
-        pool_seconds=round(timings["pool"], 4),
-        spawn_seconds=round(timings["spawn"], 4),
-        dispatch_seconds=round(timings["dispatch"], 4),
-        results_equal=(
-            snapshots["serial"] == snapshots["pool"]
-            == snapshots["spawn"] == snapshots["dispatch"]
-        ),
-    )
+    return time.perf_counter() - started, rows
 
 
-def format_runtime_bench(result: RuntimeBenchResult) -> str:
-    """Human-readable executor-comparison table for the CLI."""
-    return "\n".join([
-        "runtime executor benchmark "
-        f"({result.batches} batches x {result.specs_per_batch} specs, "
-        f"jobs={result.jobs})",
-        f"  serial reference:        {result.serial_seconds:8.3f}s",
-        f"  persistent pool:         {result.pool_seconds:8.3f}s "
-        f"({result.parallel_vs_serial:.2f}x vs serial)",
-        f"  fresh pool per batch:    {result.spawn_seconds:8.3f}s "
-        f"(pool is {result.pool_vs_spawn:.2f}x faster)",
-        f"  in-process dispatch:     {result.dispatch_seconds:8.3f}s "
-        f"({result.dispatch_vs_serial:.2f}x vs serial)",
-        "  results: " + ("identical across all variants"
-                         if result.results_equal else "DIVERGED!"),
-    ])
-
-
-def record_runtime_bench(
-    result: RuntimeBenchResult, path: str | os.PathLike
-) -> None:
-    """Merge the executor comparison into the runtime baseline file."""
-    import repro
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        data = {}
-    floors = data.setdefault("_floors", {})
-    for key, value in DEFAULT_RUNTIME_FLOORS.items():
-        floors.setdefault(key, value)
-    floors.setdefault("single_core_allowance", SINGLE_CORE_ALLOWANCE)
-    data.setdefault("_meta", {})
-    data["_meta"]["cpu_count"] = os.cpu_count()
-    data["_meta"]["engine_version"] = repro.__version__
-    data["runtime_pool"] = {
-        "jobs": result.jobs,
-        "batches": result.batches,
-        "specs_per_batch": result.specs_per_batch,
-        "timings_seconds": {
-            "serial": result.serial_seconds,
-            "pool": result.pool_seconds,
-            "spawn_per_batch": result.spawn_seconds,
-            "dispatch": result.dispatch_seconds,
-        },
-        "pool_vs_spawn": round(result.pool_vs_spawn, 3),
-        "parallel_vs_serial": round(result.parallel_vs_serial, 3),
-        "dispatch_vs_serial": round(result.dispatch_vs_serial, 3),
-        "dispatch_vs_pool": round(result.dispatch_vs_pool, 3),
-        "results_equal": result.results_equal,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _runtime_floors(data: dict) -> tuple[float, float, float]:
-    """(pool_vs_spawn, parallel_vs_serial, dispatch_vs_serial) floors.
-
-    The parallel floor is clamped to the single-core allowance when the
-    baseline was recorded on one CPU — there, two workers time-slicing
-    one core cannot beat the serial reference, and the floor only
-    bounds orchestration overhead.  The dispatch floor needs no clamp:
-    the in-process dispatch path is single-process like the serial
-    reference, so the ratio is machine-independent by construction.
-    """
-    floors = {**DEFAULT_RUNTIME_FLOORS, **(data.get("_floors") or {})}
-    allowance = floors.get("single_core_allowance", SINGLE_CORE_ALLOWANCE)
-    cpu_count = (data.get("_meta") or {}).get("cpu_count") or 1
-    parallel_floor = floors["parallel_vs_serial"]
-    if cpu_count <= 1:
-        parallel_floor = min(parallel_floor, allowance)
-    return (
-        floors["pool_vs_spawn"],
-        parallel_floor,
-        floors["dispatch_vs_serial"],
-    )
-
-
-def validate_runtime_baseline(path: str | os.PathLike) -> tuple[list[str], dict]:
-    """Regression-check the committed runtime baseline.
-
-    The ``runtime_pool`` section must show bit-identical results, the
-    persistent pool beating per-batch pool spawning, parallel
-    execution holding its floor against serial (clamped on single-core
-    recorders), and the in-process dispatch path staying above its
-    coordination-overhead floor.  Legacy per-benchmark ``speedup``
-    entries are held to the same parallel floor.  Returns
-    (violations, parsed baseline).
-    """
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    violations: list[str] = []
-    pool_floor, parallel_floor, dispatch_floor = _runtime_floors(data)
-    entry = data.get("runtime_pool")
-    if not entry:
-        violations.append(
-            "no runtime_pool section — record one with "
-            "`repro bench runtime --record BENCH_runtime.json`"
-        )
-    else:
-        if not entry.get("results_equal", False):
-            violations.append(
-                "runtime_pool: results_equal is false — executor variants "
-                "diverged"
-            )
-        pool_vs_spawn = entry.get("pool_vs_spawn", 0.0)
-        if pool_vs_spawn < pool_floor:
-            violations.append(
-                f"runtime_pool: pool_vs_spawn {pool_vs_spawn} < "
-                f"{pool_floor:g} — persistent pool lost to per-batch "
-                "spawning"
-            )
-        parallel_vs_serial = entry.get("parallel_vs_serial", 0.0)
-        if parallel_vs_serial < parallel_floor:
-            violations.append(
-                f"runtime_pool: parallel_vs_serial {parallel_vs_serial} < "
-                f"{parallel_floor:g} — pooled execution regressed vs serial"
-            )
-        dispatch_vs_serial = entry.get("dispatch_vs_serial")
-        if dispatch_vs_serial is not None and dispatch_vs_serial < dispatch_floor:
-            violations.append(
-                f"runtime_pool: dispatch_vs_serial {dispatch_vs_serial} < "
-                f"{dispatch_floor:g} — lease-protocol overhead regressed"
-            )
-    for name, legacy in sorted(data.items()):
-        if name.startswith("_") or name == "runtime_pool":
-            continue
-        speedup = legacy.get("speedup")
-        if speedup is not None and speedup < parallel_floor:
-            violations.append(
-                f"{name}: parallel speedup {speedup} < {parallel_floor:g}"
-            )
-    violations.extend(_validate_journal_section(data))
-    return violations, data
-
-
-def format_runtime_markdown(data: dict) -> str:
-    """Markdown summary of the runtime baseline (for CI job summaries)."""
-    pool_floor, parallel_floor, dispatch_floor = _runtime_floors(data)
-    meta = data.get("_meta") or {}
-    lines = [
-        "### Runtime executor baseline",
-        "",
-        f"Recorded on {meta.get('cpu_count', '?')} CPU(s); floors: "
-        f"pool_vs_spawn ≥ {pool_floor:g}, parallel_vs_serial ≥ "
-        f"{parallel_floor:g}, dispatch_vs_serial ≥ {dispatch_floor:g}",
-        "",
-        "| entry | serial (s) | pool (s) | spawn (s) | dispatch (s) "
-        "| pool/spawn | par/serial | disp/serial |",
-        "|---|---:|---:|---:|---:|---:|---:|---:|",
-    ]
-    entry = data.get("runtime_pool")
-    if entry:
-        timings = entry.get("timings_seconds", {})
-        lines.append(
-            f"| runtime_pool | {timings.get('serial', float('nan')):.3f} "
-            f"| {timings.get('pool', float('nan')):.3f} "
-            f"| {timings.get('spawn_per_batch', float('nan')):.3f} "
-            f"| {timings.get('dispatch', float('nan')):.3f} "
-            f"| {entry.get('pool_vs_spawn', 0.0):.2f}x "
-            f"| {entry.get('parallel_vs_serial', 0.0):.2f}x "
-            f"| {entry.get('dispatch_vs_serial', 0.0):.2f}x |"
-        )
-    for name, legacy in sorted(data.items()):
-        if name.startswith("_") or name == "runtime_pool":
-            continue
-        timings = legacy.get("timings_seconds", {})
-        serial = timings.get("serial")
-        lines.append(
-            f"| {name} | {serial if serial is not None else float('nan'):.3f} "
-            f"| — | — | — | — | {legacy.get('speedup', 0.0):.2f}x | — |"
-        )
-    journal = data.get("_journal")
-    if journal:
-        timings = journal.get("timings_seconds", {})
-        lines += [
-            "",
-            "### Dispatch journal overhead "
-            f"(journal-off floor ≥ {journal.get('floor_speedup_off', JOURNAL_OFF_FLOOR):g})",
-            "",
-            "| off (s) | on (s) | overhead | floor | results |",
-            "|---:|---:|---:|---:|---|",
-            f"| {timings.get('off', float('nan')):.3f} "
-            f"| {timings.get('on', float('nan')):.3f} "
-            f"| {journal.get('journal_overhead', 0.0):+.1%} "
-            f"| {journal.get('speedup_off', 0.0):.2f}x "
-            f"| {'identical' if journal.get('results_equal') else 'DIVERGED'} |",
-        ]
-    return "\n".join(lines)
-
-
-# -- dispatch journal overhead ----------------------------------------
-
-#: Floor for the journal-*off* dispatch path.  With no
-#: :class:`~repro.obs.fleet.JournalWriter` attached every hook site is
-#: one ``is not None`` test, so running with journaling off must never
-#: be slower than running with it on — a value under 1.0 means the
-#: disabled path itself started costing time.
-JOURNAL_OFF_FLOOR = 1.0
-
-
-@dataclass(frozen=True)
-class JournalOverheadResult:
-    """Dispatch timings with event journaling off vs on (best of repeats).
-
-    Both variants run the same batches through an in-process
-    :class:`~repro.dispatch.DispatchExecutor`; ``on`` additionally
-    writes broker/worker journals into a scratch directory.
-    ``results_equal`` asserts the journaled run returned bit-identical
-    result rows — journaling is observational and must never perturb
-    results.
-    """
-
-    jobs: int
-    batches: int
-    specs_per_batch: int
-    off_seconds: float
-    on_seconds: float
-    results_equal: bool
-
-    @property
-    def speedup_off(self) -> float:
-        """Journal-on / journal-off: the disabled-journal floor."""
-        if self.off_seconds <= 0:
-            return float("inf")
-        return self.on_seconds / self.off_seconds
-
-    @property
-    def journal_overhead(self) -> float:
-        """Fractional slowdown of journal-on vs journal-off."""
-        if self.off_seconds <= 0:
-            return 0.0
-        return self.on_seconds / self.off_seconds - 1.0
-
-
-def run_journal_overhead(
-    *, fast: bool = False, jobs: int = 2, batches: int = 4,
-    specs_per_batch: int = 2, repeats: int = 2,
-) -> JournalOverheadResult:
-    """Time dispatch with journaling off vs on over identical batches."""
+def _run_executors(section: str, name: str, batch_count: int, variants: dict,
+                   _, *, fast: bool, jobs: int, repeats: int):
+    """Time the same two-spec batches once per (executor, per_batch)
+    variant: serial, pool, dispatch, or dispatch writing journals."""
     import tempfile
 
     from repro.dispatch import DispatchExecutor
+    from repro.runtime.executor import ParallelExecutor, SerialExecutor
+    from repro.runtime.spec import RunSpec
 
-    batch_list = _runtime_batches(
-        fast=fast, batches=batches, specs_per_batch=specs_per_batch
-    )
-
-    def _run(journal_dir: str | None):
-        executor = DispatchExecutor(jobs=jobs, journal_dir=journal_dir)
-        try:
-            return [executor.run(batch).results for batch in batch_list]
-        finally:
-            executor.close()
-
-    best_off = best_on = float("inf")
-    snap_off = snap_on = None
-    with tempfile.TemporaryDirectory(prefix="repro-journal-bench-") as scratch:
-        for repeat in range(max(1, repeats)):
-            started = time.perf_counter()
-            results = _run(None)
-            best_off = min(best_off, time.perf_counter() - started)
-            snap_off = [
-                result.to_json() for batch in results for result in batch
-            ]
-            # A fresh directory per repeat: JournalWriter resumes the
-            # sequence on an existing file, which would grow the journal
-            # (and its flush cost) across repeats.
-            journal_dir = os.path.join(scratch, f"repeat{repeat}")
-            started = time.perf_counter()
-            results = _run(journal_dir)
-            best_on = min(best_on, time.perf_counter() - started)
-            snap_on = [
-                result.to_json() for batch in results for result in batch
-            ]
-    return JournalOverheadResult(
-        jobs=jobs,
-        batches=batches,
-        specs_per_batch=specs_per_batch,
-        off_seconds=round(best_off, 4),
-        on_seconds=round(best_on, 4),
-        results_equal=snap_off == snap_on,
-    )
+    cycles = 800 if fast else 2500
+    batches = [
+        [RunSpec(topology="mesh_x1", workload="uniform", rate=rate,
+                 config=SimulationConfig(frame_cycles=2000, seed=11 + batch),
+                 cycles=cycles, warmup=cycles // 4)
+         for rate in (0.03, 0.04)]
+        for batch in range(batch_count)
+    ]
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
+        executors = {
+            "serial": SerialExecutor,
+            "pool": partial(ParallelExecutor, jobs=jobs),
+            "dispatch": partial(DispatchExecutor, jobs=jobs),
+            # A fresh directory per run: JournalWriter resumes the
+            # sequence on an existing file, which would grow the
+            # journal (and its flush cost) across repeats.
+            "journaled": lambda: DispatchExecutor(
+                jobs=jobs, journal_dir=tempfile.mkdtemp(dir=scratch)),
+        }
+        timings, equal = _best_of({
+            key: partial(_through, executors[kind], batches,
+                         per_batch=per_batch)
+            for key, (kind, per_batch) in variants.items()
+        }, repeats)
+    return [bench_result(section, name, timings, equal, jobs=jobs,
+                         batches=batch_count, specs_per_batch=2)]
 
 
-def format_journal_overhead(result: JournalOverheadResult) -> str:
-    """Human-readable journal-overhead table for the CLI."""
-    return "\n".join([
-        "dispatch journal overhead "
-        f"({result.batches} batches x {result.specs_per_batch} specs, "
-        f"jobs={result.jobs})",
-        f"  journaling off:          {result.off_seconds:8.3f}s",
-        f"  journaling on:           {result.on_seconds:8.3f}s "
-        f"({result.journal_overhead:+.1%})",
-        "  results: " + ("identical with and without journaling"
-                         if result.results_equal else "DIVERGED!"),
+# -- the section table --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Metric:
+    """A recorded ratio of two timings, optionally held to a limit.
+
+    ``top / bottom`` (minus one for an ``overhead``: 0.1 = +10%) must
+    stay at or above ``limit``, or at or below it for a ``ceiling``.
+    """
+
+    name: str
+    top: str
+    bottom: str
+    limit: float | None = None
+    why: str = ""
+    ceiling: bool = False
+    overhead: bool = False
+    #: Dotted path where a BENCH file may keep its own limit.
+    stored: str | None = None
+    #: Rows recorded on one CPU are held to the single-core allowance.
+    clamp: bool = False
+    #: Rows without the metric are not judged (otherwise it reads 0).
+    optional: bool = False
+
+
+#: On one CPU two workers cannot beat one process, so a ``clamp`` floor
+#: drops to this allowance (a bound on pure orchestration overhead).
+SINGLE_CORE_ALLOWANCE = 0.85
+_ALLOWANCE_AT = "_floors.single_core_allowance"
+
+
+@dataclass(frozen=True)
+class Section:
+    """One kind of bench record; see the module docstring."""
+
+    name: str
+    title: str
+    filename: str
+    metrics: tuple[Metric, ...]
+    descriptors: tuple[str, ...] = ()
+    #: The row's equality flag, and what a false one means.
+    equal: str | None = None
+    diverged: str = ""
+    #: Rows live in the mapping at this key path, or at key ``row`` of
+    #: it for a single-row section.
+    at: tuple[str, ...] = ()
+    row: str | None = None
+    #: Violation prefix and history key, formatted with row and metric.
+    label: str = "{row}"
+    history: str | None = None
+    #: A file with no rows for this section is itself a violation.
+    required: bool = False
+    #: How it is timed (None: ``benchmarks/`` times and records it);
+    #: ``points`` gives a point-based section's default matrix.
+    run: Callable[..., list[BenchResult]] | None = None
+    points: Callable[[bool], tuple[EnginePoint, ...]] | None = None
+
+
+SECTIONS: tuple[Section, ...] = (
+    Section(
+        "engine", "Engine benchmark (optimised vs frozen golden reference)",
+        BENCH_ENGINE_FILENAME,
+        (Metric("speedup", "golden", "optimized", 1.0,
+                "optimised engine regressed"),),
+        descriptors=("regime", "topology"),
+        equal="stats_equal", diverged="engines diverged",
+        history="{row}", required=True,
+        run=partial(_run_points, "engine", {
+            "optimized": (ColumnSimulator, False),
+            "golden": (GoldenColumnSimulator, False),
+        }),
+        points=lambda fast: default_points(fast=fast),
+    ),
+    Section(
+        "obs", "Probe overhead (probes off vs full ObsSession vs golden)",
+        BENCH_ENGINE_FILENAME,
+        (Metric("speedup_off", "golden", "off", 1.0,
+                "probe hooks cost the engine its lead over golden"),
+         # Enabled probes pay a callback per packet event, so they may
+         # cost real time; the ceiling only keeps that bounded.
+         Metric("enabled_overhead", "on", "off", 1.5,
+                "enabled probes grew too costly", ceiling=True,
+                overhead=True, stored="_obs.max_enabled_overhead")),
+        descriptors=("regime",),
+        equal="stats_equal", diverged="probes perturbed results",
+        at=("_obs", "points"), label="obs:{row}", history="obs:{row}",
+        run=partial(_run_points, "obs", {
+            "off": (ColumnSimulator, False),
+            "on": (ColumnSimulator, True),
+            "golden": (GoldenColumnSimulator, True),
+        }),
+        # A bracket of the matrix: idle-dominated, saturated, bursty.
+        points=lambda fast: tuple(
+            point for point in default_points(fast=fast) if point.name in
+            ("low_rate_mecs_0p01", "saturation_mecs_0p30", "bursty_saturation")
+        ),
+    ),
+    Section(
+        "runtime", "Runtime executors (serial vs pool vs spawn vs dispatch)",
+        RUNTIME_BENCH_FILENAME,
+        (Metric("pool_vs_spawn", "spawn_per_batch", "pool", 1.0,
+                "persistent pool lost to per-batch spawning",
+                stored="_floors.pool_vs_spawn"),
+         Metric("parallel_vs_serial", "serial", "pool", 1.0,
+                "pooled execution regressed vs serial",
+                stored="_floors.parallel_vs_serial", clamp=True),
+         # In-process dispatch is single-process like serial, so the
+         # ratio prices the lease protocol alone on any machine.
+         Metric("dispatch_vs_serial", "serial", "dispatch", 0.70,
+                "lease-protocol overhead regressed",
+                stored="_floors.dispatch_vs_serial", optional=True),
+         Metric("dispatch_vs_pool", "pool", "dispatch")),
+        equal="results_equal", diverged="executor variants diverged",
+        row="runtime_pool", history="runtime:{metric}", required=True,
+        # ``pool`` keeps one pool's workers across batches,
+        # ``spawn_per_batch`` pays a fresh pool per batch, and
+        # ``dispatch`` prices the broker/lease protocol (no network).
+        run=partial(_run_executors, "runtime", "runtime_pool", 8, {
+            "serial": ("serial", False), "pool": ("pool", False),
+            "spawn_per_batch": ("pool", True),
+            "dispatch": ("dispatch", False),
+        }),
+    ),
+    Section(
+        "journal", "Dispatch journal overhead (journaling off vs on)",
+        RUNTIME_BENCH_FILENAME,
+        # With no journal attached every hook site is one ``is not
+        # None`` test, so journaling off must never be the slower run.
+        (Metric("speedup_off", "on", "off", 1.0, "journal-off speedup "
+                "fell: the disabled hook path costs real time",
+                stored="_journal.floor_speedup_off"),
+         Metric("journal_overhead", "on", "off", overhead=True)),
+        equal="results_equal", diverged="journaling perturbed results",
+        row="_journal", history="journal:{metric}",
+        run=partial(_run_executors, "journal", "journal", 4, {
+            "off": ("dispatch", False), "on": ("journaled", False),
+        }),
+    ),
+    Section(
+        "sweeps", "Experiment sweeps (serial vs parallel, from benchmarks/)",
+        RUNTIME_BENCH_FILENAME,
+        (Metric("speedup", "serial", "parallel", 1.0,
+                "parallel sweep lost to serial",
+                stored="_floors.parallel_vs_serial", clamp=True,
+                optional=True),),
+    ),
+)
+
+
+#: Sections by name.
+SECTION = {section.name: section for section in SECTIONS}
+
+
+def _limited(section: Section) -> list[Metric]:
+    return [metric for metric in section.metrics if metric.limit is not None]
+
+
+def _get(mapping, path: str):
+    """Follow a dotted path; ``key`` also matches a ``key[...]`` entry
+    (sweep timings are keyed ``parallel[<jobs>]``)."""
+    value = mapping
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            return None
+        if key not in value:
+            key = next((k for k in value if k.startswith(key + "[")), key)
+        value = value.get(key)
+    return value
+
+
+def _rows(section: Section, data: dict) -> dict[str, dict]:
+    """The section's rows in a parsed BENCH file, by name."""
+    holder = data
+    for key in section.at:
+        holder = holder.get(key) or {}
+    if section.row:
+        row = holder.get(section.row)
+        return {section.row.lstrip("_"): row} if row else {}
+    claimed = {s.row for s in SECTIONS if s.filename == section.filename}
+    return {name: row for name, row in holder.items()
+            if not name.startswith("_") and name not in claimed}
+
+
+def _limit(metric: Metric, data: dict, cpus: int = 2) -> float:
+    """The metric's limit in ``data`` for a row recorded on ``cpus`` CPUs."""
+    stored = _get(data, metric.stored) if metric.stored else None
+    limit = metric.limit if stored is None else stored
+    if metric.clamp and cpus <= 1:
+        allowance = _get(data, _ALLOWANCE_AT)
+        limit = min(limit, SINGLE_CORE_ALLOWANCE
+                    if allowance is None else allowance)
+    return limit
+
+
+def _check(section: Section, data: dict, *, live: bool = False) -> list[str]:
+    """Violations of one section's rows in ``data``.
+
+    ``live`` judges a fresh run: diverged results and ceilings only.
+    """
+    rows = _rows(section, data)
+    if not rows and section.required and not live:
+        return [f"no {section.row or section.name + ' rows'} in "
+                f"{section.filename} — nothing is guarded; record with "
+                f"`repro bench {section.name} --record`"]
+    violations = []
+    for name, row in sorted(rows.items()):
+        label = section.label.format(row=name)
+        if section.equal and not row.get(section.equal, False):
+            violations.append(
+                f"{label}: {section.equal} is false — {section.diverged}")
+        # Each row is judged by the host that recorded it; files from
+        # before rows carried one fall back to the file-wide ``_meta``.
+        cpus = (row.get("cpu_count")
+                or (data.get("_meta") or {}).get("cpu_count") or 1)
+        for metric in _limited(section):
+            value = row.get(metric.name, None if metric.optional else 0.0)
+            if value is None or (live and not metric.ceiling):
+                continue
+            limit = _limit(metric, data, cpus)
+            if metric.ceiling and value > limit:
+                violations.append(f"{label}: {metric.name} {value} exceeds "
+                                  f"the {limit:g} ceiling — {metric.why}")
+            elif not metric.ceiling and value < limit:
+                violations.append(f"{label}: {metric.name} {value} < "
+                                  f"{limit:g} — {metric.why}")
+    return violations
+
+
+def _render(title: str, notes: list[str], header: list[str],
+            body: list[list[str]], *, markdown: bool = False) -> str:
+    """A console or markdown table under a title and any note lines."""
+    if markdown:
+        return "\n".join([
+            f"### {title}", "", *notes, "",
+            "| " + " | ".join(header) + " |", "|---" * len(header) + "|",
+            *("| " + " | ".join(cells) + " |" for cells in body),
+        ])
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    return "\n".join([title, *notes] + [
+        "  ".join(cell.ljust(width) if i == 0 else cell.rjust(width)
+                  for i, (cell, width) in enumerate(zip(cells, widths)))
+        for cells in [header, *body]
     ])
 
 
-def record_journal_overhead(
-    result: JournalOverheadResult, path: str | os.PathLike,
-    *, floor: float = JOURNAL_OFF_FLOOR,
-) -> None:
-    """Merge journal-overhead results into the ``_journal`` section."""
+def _table(section: Section, data: dict, *, markdown: bool) -> str:
+    """One section's rows as a console or markdown table: descriptors,
+    timings in seconds, metrics, recording host and equality flag."""
+    rows = list(_rows(section, data).items())
+    timings = dict.fromkeys(
+        key for _, row in rows for key in row.get("timings_seconds", {})
+    )
+    columns = [
+        *((name, name, str) for name in section.descriptors),
+        *((f"{key} (s)", f"timings_seconds.{key}", "{:.3f}".format)
+          for key in timings),
+        *((m.name, m.name, "{:+.1%}".format if m.overhead else "{:.2f}x".format)
+          for m in section.metrics),
+        ("cpus", "cpu_count", str),
+    ]
+    if section.equal:
+        columns.append((section.equal.removesuffix("_equal"), section.equal,
+                        lambda ok: "identical" if ok else "DIVERGED"))
+    limits = ", ".join(
+        f"{m.name} {'≤' if m.ceiling else '≥'} {_limit(m, data):g}"
+        + (f" ({_limit(m, data, cpus=1):g} on 1 CPU)" if m.clamp else "")
+        for m in _limited(section)
+    )
+    return _render(
+        section.title, [f"limits: {limits}"],
+        ["point" if section.points else "entry",
+         *(title for title, _, _ in columns)],
+        [[name, *("—" if _get(row, path) is None else fmt(_get(row, path))
+                  for _, path, fmt in columns)] for name, row in rows],
+        markdown=markdown,
+    )
+
+
+def run_section(
+    name: str, *, fast: bool = False, repeats: int = 2, jobs: int = 2,
+    points: tuple[EnginePoint, ...] | None = None,
+    regimes: tuple[str, ...] | None = None,
+    topologies: tuple[str, ...] | None = None,
+) -> list[BenchResult]:
+    """Time one section live.
+
+    Point-based sections run ``points`` (default: the section's matrix)
+    narrowed to ``regimes``/``topologies``; executor sections use
+    ``jobs`` workers.
+    """
+    section = SECTION[name]
+    if section.points is not None:
+        points = tuple(
+            point for point in points or section.points(fast)
+            if (regimes is None or point.regime in regimes)
+            and (topologies is None or point.topology in topologies)
+        )
+    return section.run(points, fast=fast, jobs=jobs, repeats=repeats)
+
+
+#: The name ``repro.runtime`` exports for timing the engine section.
+run_engine_bench = partial(run_section, "engine")
+
+
+def _merge(results: list[BenchResult], data: dict) -> dict:
+    """Put each result's row in place, replacing only its same-named row,
+    and store any limit the file does not record yet."""
+    for result in results:
+        section = SECTION[result.section]
+        holder = data
+        for key in section.at:
+            holder = holder.setdefault(key, {})
+        holder[section.row or result.name] = dict(result.row)
+        limits = [(m.stored, m.limit) for m in section.metrics if m.stored]
+        if any(m.clamp for m in section.metrics):
+            limits.append((_ALLOWANCE_AT, SINGLE_CORE_ALLOWANCE))
+        for path, limit in limits:
+            *parents, last = path.split(".")
+            holder = data
+            for key in parents:
+                holder = holder.setdefault(key, {})
+            holder.setdefault(last, limit)
+    return data
+
+
+def load_bench_file(path: str | os.PathLike) -> dict:
+    """Parse a BENCH file (OSError/ValueError when unreadable)."""
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def record(results: list[BenchResult], path: str | os.PathLike) -> None:
+    """Merge results into the BENCH file at ``path``: load, merge, write.
+
+    Every other row keeps its values and its recording host; ``_meta``
+    names the code version that last wrote the file.
+    """
+    import repro
+
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = load_bench_file(path)
     except (OSError, json.JSONDecodeError):
         data = {}
-    data["_journal"] = {
-        "floor_speedup_off": floor,
-        "jobs": result.jobs,
-        "batches": result.batches,
-        "specs_per_batch": result.specs_per_batch,
-        "timings_seconds": {
-            "off": result.off_seconds,
-            "on": result.on_seconds,
-        },
-        "speedup_off": round(result.speedup_off, 3),
-        "journal_overhead": round(result.journal_overhead, 4),
-        "results_equal": result.results_equal,
-    }
+    _merge(results, data)
+    data.setdefault("_meta", {})["engine_version"] = repro.__version__
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _validate_journal_section(data: dict) -> list[str]:
-    """Violations in a runtime baseline's ``_journal`` section."""
-    section = data.get("_journal")
-    if not section:
-        return []
-    violations: list[str] = []
-    if not section.get("results_equal", False):
-        violations.append(
-            "journal: results_equal is false — journaling perturbed results"
-        )
-    floor = section.get("floor_speedup_off", JOURNAL_OFF_FLOOR)
-    speedup = section.get("speedup_off", 0.0)
-    if speedup < floor:
-        violations.append(
-            f"journal: journal-off speedup {speedup} < {floor:g} — the "
-            "disabled hook path costs real time"
-        )
-    return violations
+#: The name ``repro.runtime`` exports for recording engine results.
+record_engine_baseline = record
+
+
+def _sections(*, filename: str | None = None, results=()) -> list[Section]:
+    names = {result.section for result in results}
+    return [s for s in SECTIONS if s.filename == filename or s.name in names]
+
+
+def report_results(results: list[BenchResult]) -> tuple[str, list[str]]:
+    """Console tables for fresh results, and the live verdict on them:
+    diverged rows and breached ceilings."""
+    data, sections = _merge(results, {}), _sections(results=results)
+    return (
+        "\n\n".join(_table(s, data, markdown=False) for s in sections),
+        [violation for s in sections for violation in _check(s, data, live=True)],
+    )
+
+
+def format_engine_bench(results: list[BenchResult]) -> str:
+    """The console table of :func:`report_results` (a ``repro.runtime``
+    export)."""
+    return report_results(results)[0]
+
+
+def guard_file(path: str | os.PathLike, filename: str) -> tuple[list[str], dict]:
+    """Judge the file at ``path`` as the BENCH file ``filename``:
+    (violations, parsed file); no violations means clean."""
+    data = load_bench_file(path)
+    return [violation for section in _sections(filename=filename)
+            for violation in _check(section, data)], data
+
+
+def format_file(data: dict, filename: str) -> str:
+    """Markdown tables of a parsed BENCH file (for CI job summaries)."""
+    return "\n\n".join(_table(section, data, markdown=True)
+                       for section in _sections(filename=filename)
+                       if section.required or _rows(section, data))
 
 
 # -- bench trend history ----------------------------------------------
-
-#: File name of the committed bench trend history at the repo root.
-BENCH_HISTORY_FILENAME = "BENCH_history.jsonl"
 
 #: Trailing-window defaults for ``repro bench history``: the newest
 #: entry is compared against the mean of up to this many preceding
@@ -982,44 +666,35 @@ def bench_history_entry(
     engine_path: str | os.PathLike,
     runtime_path: str | os.PathLike | None = None,
 ) -> dict:
-    """One guard-checked trend record built from the committed baselines.
+    """One guard-checked trend record built from the committed files.
 
-    Flattens every guarded speedup (engine points, ``_obs`` probe
-    floors, runtime-pool ratios, the ``_journal`` floor) into a single
-    ``speedups`` mapping so the trailing-window comparison is a plain
-    per-key ratio check, and carries the guard's violations verbatim —
-    a history entry recorded against a failing baseline says so.
+    Flattens every floor metric of every section with a history key
+    into one ``speedups`` mapping, so the trailing-window comparison is
+    a plain per-key ratio check, and carries the guard's violations
+    verbatim — an entry recorded against a failing file says so.
     """
     import repro
 
-    violations, engine_data = validate_engine_baseline(engine_path)
     speedups: dict[str, float] = {}
-    for name, entry in sorted(engine_data.items()):
-        if name.startswith("_"):
+    violations: list[str] = []
+    for path, filename in ((engine_path, BENCH_ENGINE_FILENAME),
+                           (runtime_path, RUNTIME_BENCH_FILENAME)):
+        if path is None:
             continue
-        speedups[name] = entry.get("speedup", 0.0)
-    for name, entry in sorted(
-        (engine_data.get("_obs") or {}).get("points", {}).items()
-    ):
-        speedups[f"obs:{name}"] = entry.get("speedup_off", 0.0)
-    if runtime_path is not None:
-        runtime_violations, runtime_data = validate_runtime_baseline(
-            runtime_path
-        )
-        violations.extend(runtime_violations)
-        pool = runtime_data.get("runtime_pool") or {}
-        for key in ("pool_vs_spawn", "parallel_vs_serial",
-                    "dispatch_vs_serial"):
-            if key in pool:
-                speedups[f"runtime:{key}"] = pool[key]
-        journal = runtime_data.get("_journal") or {}
-        if "speedup_off" in journal:
-            speedups["journal:speedup_off"] = journal["speedup_off"]
+        found, data = guard_file(path, filename)
+        violations += found
+        for section in _sections(filename=filename):
+            if section.history is None:
+                continue
+            for name, row in sorted(_rows(section, data).items()):
+                for metric in _limited(section):
+                    if not metric.ceiling and metric.name in row:
+                        key = section.history.format(row=name,
+                                                     metric=metric.name)
+                        speedups[key] = row[metric.name]
     return {
         "engine_version": repro.__version__,
-        "recorded_utc": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
+        "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "speedups": speedups,
         "violations": violations,
     }
@@ -1091,63 +766,22 @@ def flag_history_regressions(
 
 def format_bench_history(entries: list[dict], flags: list[str]) -> str:
     """Human-readable trend table (newest last) plus any flags."""
-    lines = [
-        f"bench history ({len(entries)} entr"
-        f"{'y' if len(entries) == 1 else 'ies'}, newest last)",
-        f"{'recorded (UTC)':22s} {'engine':8s} {'metrics':>7s} "
-        f"{'min speedup':>12s} violations",
-    ]
+    body = []
     for entry in entries[-10:]:
         speedups = entry.get("speedups", {})
-        worst = min(speedups.values()) if speedups else float("nan")
-        lines.append(
-            f"{entry.get('recorded_utc', '?'):22s} "
-            f"{entry.get('engine_version', '?'):8s} "
-            f"{len(speedups):7d} {worst:12.3f} "
-            f"{len(entry.get('violations', []))}"
-        )
-    if flags:
-        lines.append("")
-        lines.append("trend regressions vs the trailing window:")
-        lines.extend(f"  {flag}" for flag in flags)
-    else:
-        lines.append("no trend regressions vs the trailing window")
-    return "\n".join(lines)
-
-
-def record_engine_baseline(
-    results: list[EngineResult], path: str | os.PathLike
-) -> None:
-    """Merge results into the JSON baseline (keyed by point name)."""
-    import repro
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        data = {}
-    data.setdefault("_meta", {})
-    data["_meta"]["cpu_count"] = os.cpu_count()
-    data["_meta"]["engine_version"] = repro.__version__
-    for result in results:
-        data[result.point.name] = {
-            "regime": result.point.regime,
-            "topology": result.point.topology,
-            "workload": result.point.workload,
-            "policy": result.point.policy,
-            "rate": result.point.rate,
-            "offered_load_flits_per_cycle": round(
-                offered_load(result.point.flows()), 4
-            ),
-            "cycles": result.point.cycles,
-            "warmup": result.point.warmup,
-            "timings_seconds": {
-                "optimized": result.optimized_seconds,
-                "golden": result.golden_seconds,
-            },
-            "speedup": round(result.speedup, 3),
-            "stats_equal": result.stats_equal,
-        }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        body.append([
+            entry.get("recorded_utc", "?"), entry.get("engine_version", "?"),
+            str(len(speedups)),
+            f"{min(speedups.values()) if speedups else float('nan'):.3f}",
+            str(len(entry.get("violations", []))),
+        ])
+    table = _render(
+        f"bench history ({len(entries)} entr"
+        f"{'y' if len(entries) == 1 else 'ies'}, newest last)", [],
+        ["recorded (UTC)", "engine", "metrics", "min speedup", "violations"],
+        body,
+    )
+    if not flags:
+        return f"{table}\nno trend regressions vs the trailing window"
+    return "\n".join([table, "", "trend regressions vs the trailing window:",
+                      *(f"  {flag}" for flag in flags)])

@@ -8,23 +8,25 @@ from repro.runtime.bench import (
     BENCH_ENGINE_FILENAME,
     BENCH_HISTORY_FILENAME,
     RUNTIME_BENCH_FILENAME,
-    JournalOverheadResult,
     append_bench_history,
     bench_history_entry,
+    bench_result,
     flag_history_regressions,
     format_bench_history,
-    format_journal_overhead,
+    guard_file,
     load_bench_history,
-    record_journal_overhead,
-    validate_runtime_baseline,
+    record,
+    report_results,
 )
 
 
 def _journal_result(off=0.5, on=0.52, equal=True):
-    return JournalOverheadResult(
-        jobs=2, batches=4, specs_per_batch=2,
-        off_seconds=off, on_seconds=on, results_equal=equal,
-    )
+    return bench_result("journal", "journal", {"off": off, "on": on}, equal,
+                        jobs=2, batches=4, specs_per_batch=2)
+
+
+def validate_runtime_baseline(path):
+    return guard_file(path, RUNTIME_BENCH_FILENAME)
 
 
 def _entry(version="1.9.0", **speedups):
@@ -43,8 +45,8 @@ def test_journal_overhead_ratios_and_formatting():
     result = _journal_result(off=0.5, on=0.6)
     assert result.speedup_off == pytest.approx(1.2)
     assert result.journal_overhead == pytest.approx(0.2)
-    table = format_journal_overhead(result)
-    assert "journaling off" in table and "identical" in table
+    table = report_results([result])[0]
+    assert "journal overhead" in table and "identical" in table
 
 
 def test_record_journal_overhead_round_trips(tmp_path):
@@ -53,7 +55,7 @@ def test_record_journal_overhead_round_trips(tmp_path):
         "results_equal": True, "pool_vs_spawn": 1.5,
         "parallel_vs_serial": 1.5, "dispatch_vs_serial": 0.9,
     }}))
-    record_journal_overhead(_journal_result(), path)
+    record([_journal_result()], path)
     violations, data = validate_runtime_baseline(path)
     assert violations == []
     assert data["_journal"]["results_equal"] is True
@@ -67,8 +69,7 @@ def test_journal_floor_and_divergence_are_violations(tmp_path):
         "parallel_vs_serial": 1.5, "dispatch_vs_serial": 0.9,
     }}))
     # Journal-off slower than journal-on: the disabled path costs time.
-    record_journal_overhead(_journal_result(off=1.0, on=0.8, equal=False),
-                            path)
+    record([_journal_result(off=1.0, on=0.8, equal=False)], path)
     violations, _ = validate_runtime_baseline(path)
     assert any("journal-off speedup" in violation for violation in violations)
     assert any("perturbed results" in violation for violation in violations)

@@ -7,11 +7,12 @@ import pytest
 
 from repro.cli import main
 from repro.runtime.bench import (
+    BENCH_ENGINE_FILENAME,
     EnginePoint,
-    format_obs_overhead,
-    record_obs_baseline,
-    run_obs_overhead,
-    validate_engine_baseline,
+    guard_file,
+    record,
+    report_results,
+    run_section,
 )
 
 
@@ -78,14 +79,15 @@ TINY_POINT = EnginePoint("tiny", "mesh_x1", 0.05, 300, regime="low_rate")
 
 
 def test_run_obs_overhead_tiny_point(tmp_path):
-    results = run_obs_overhead(points=(TINY_POINT,), repeats=1)
+    results = run_section("obs", points=(TINY_POINT,), repeats=1)
     assert [r.point.name for r in results] == ["tiny"]
     result = results[0]
     assert result.stats_equal
-    assert result.off_seconds > 0 and result.on_seconds > 0
-    assert "tiny" in format_obs_overhead(results)
+    assert result.timings_seconds["off"] > 0
+    assert result.timings_seconds["on"] > 0
+    assert "tiny" in report_results(results)[0]
     path = tmp_path / "baseline.json"
-    record_obs_baseline(results, path)
+    record(results, path)
     data = json.loads(path.read_text())
     assert "tiny" in data["_obs"]["points"]
 
@@ -119,7 +121,7 @@ def test_bench_guard_flags_obs_violations(tmp_path, capsys):
     }
     path = tmp_path / "BENCH_engine.json"
     path.write_text(json.dumps(baseline))
-    violations, _ = validate_engine_baseline(path)
+    violations, _ = guard_file(path, BENCH_ENGINE_FILENAME)
     assert len(violations) == 3
     assert all(v.startswith("obs:bad:") for v in violations)
     assert main(["bench", "guard", "--record", str(path)]) == 1
@@ -130,9 +132,9 @@ def test_bench_guard_flags_obs_violations(tmp_path, capsys):
 
 
 def test_bench_guard_passes_healthy_obs_section(tmp_path, capsys):
-    results = run_obs_overhead(points=(TINY_POINT,), repeats=1)
+    results = run_section("obs", points=(TINY_POINT,), repeats=1)
     path = tmp_path / "BENCH_engine.json"
-    record_obs_baseline(results, path)
+    record(results, path)
     # A freshly recorded section may legitimately report speedup_off < 1
     # on a tiny 300-cycle point (timer noise); pin the floor fields so
     # the test asserts the guard logic, not the machine's clock.

@@ -1,22 +1,43 @@
 """Runtime executor baseline: recording, floors and guard validation."""
 
 import json
+import os
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.runtime.bench import (
+    BENCH_ENGINE_FILENAME,
     RUNTIME_BENCH_FILENAME,
-    RuntimeBenchResult,
-    format_runtime_markdown,
-    record_runtime_bench,
-    validate_runtime_baseline,
+    bench_result,
+    format_file,
+    guard_file,
+    record,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _result(serial=1.0, pool=0.8, spawn=1.2, dispatch=1.1, equal=True):
-    return RuntimeBenchResult(
-        jobs=2, batches=8, specs_per_batch=2,
-        serial_seconds=serial, pool_seconds=pool, spawn_seconds=spawn,
-        dispatch_seconds=dispatch, results_equal=equal,
+    return bench_result(
+        "runtime", "runtime_pool",
+        {"serial": serial, "pool": pool, "spawn_per_batch": spawn,
+         "dispatch": dispatch},
+        equal, jobs=2, batches=8, specs_per_batch=2,
     )
+
+
+def record_runtime_bench(result, path):
+    record([result], path)
+
+
+def validate_runtime_baseline(path):
+    return guard_file(path, RUNTIME_BENCH_FILENAME)
+
+
+def format_runtime_markdown(data):
+    return format_file(data, RUNTIME_BENCH_FILENAME)
 
 
 def test_ratios_derive_from_the_timings():
@@ -35,7 +56,7 @@ def test_dispatch_floor_violations_are_reported(tmp_path):
     violations, data = validate_runtime_baseline(path)
     assert any("dispatch_vs_serial" in violation for violation in violations)
     assert data["_floors"]["dispatch_vs_serial"] == 0.70
-    assert "disp/serial" in format_runtime_markdown(data)
+    assert "dispatch_vs_serial" in format_runtime_markdown(data)
 
 
 def test_record_then_validate_round_trips_cleanly(tmp_path):
@@ -45,7 +66,7 @@ def test_record_then_validate_round_trips_cleanly(tmp_path):
     assert violations == []
     assert data["runtime_pool"]["results_equal"] is True
     assert data["_floors"]["pool_vs_spawn"] == 1.0
-    assert "cpu_count" in data["_meta"]
+    assert data["runtime_pool"]["cpu_count"] == os.cpu_count()
     markdown = format_runtime_markdown(data)
     assert "runtime_pool" in markdown and "|" in markdown
 
@@ -102,9 +123,57 @@ def test_missing_runtime_pool_section_is_flagged(tmp_path):
 
 
 def test_committed_runtime_baseline_passes_the_guard():
-    from pathlib import Path
-
-    committed = Path(__file__).resolve().parents[1] / RUNTIME_BENCH_FILENAME
+    committed = ROOT / RUNTIME_BENCH_FILENAME
     violations, data = validate_runtime_baseline(committed)
     assert violations == []
     assert data["runtime_pool"]["results_equal"] is True
+
+
+# -- each row is judged by the host that recorded it ---------------------
+
+
+def test_recording_a_sweep_keeps_the_pool_rows_single_core_host(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / RUNTIME_BENCH_FILENAME
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    record_runtime_bench(_result(serial=1.0, pool=1.05), path)  # 0.952x
+    assert validate_runtime_baseline(path)[0] == []  # 0.85 clamp
+    # A sweep recorded later on two CPUs must not re-host the pool row.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    record([bench_result("sweeps", "fig4_sweep",
+                         {"serial": 2.0, "parallel[2]": 1.0})], path)
+    violations, data = validate_runtime_baseline(path)
+    assert violations == []
+    assert data["runtime_pool"]["cpu_count"] == 1
+    assert data["fig4_sweep"]["cpu_count"] == 2
+
+
+def test_recording_the_pool_keeps_a_legacy_sweeps_host(tmp_path, monkeypatch):
+    # The layout before rows carried their own host: one file-wide
+    # ``_meta.cpu_count`` written by whichever recorder ran last.
+    path = tmp_path / RUNTIME_BENCH_FILENAME
+    path.write_text(json.dumps({
+        "_meta": {"cpu_count": 1, "engine_version": "1.8.0", "jobs": 2},
+        "fig4_40_point_sweep": {
+            "speedup": 0.996,
+            "timings_seconds": {"parallel[2]": 6.803, "serial": 6.778},
+        },
+    }))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    record_runtime_bench(_result(serial=1.79, pool=1.0), path)
+    violations, data = validate_runtime_baseline(path)
+    assert violations == []  # the sweep is still judged as a 1-CPU row
+    assert data["_meta"]["cpu_count"] == 1
+    # The same sweep recorded on two CPUs is held to the full floor.
+    data["fig4_40_point_sweep"]["cpu_count"] = 2
+    path.write_text(json.dumps(data))
+    violations, _ = validate_runtime_baseline(path)
+    assert any("fig4_40_point_sweep: speedup 0.996" in v for v in violations)
+
+
+@pytest.mark.parametrize("filename",
+                         [BENCH_ENGINE_FILENAME, RUNTIME_BENCH_FILENAME])
+def test_committed_bench_files_carry_the_current_version(filename):
+    data = json.loads((ROOT / filename).read_text(encoding="utf-8"))
+    assert data["_meta"]["engine_version"] == repro.__version__
