@@ -136,29 +136,29 @@ compares every stage's rows against the committed
 ``CAMPAIGN_baseline.json``.  CLI: ``repro campaign
 list|run|status|resume|report|diff``.
 
-Resilience (:mod:`repro.resilience`) — supervised parallel execution
-and reproducible chaos::
+Resilience (:mod:`repro.resilience`) — fault-tolerant parallel
+execution and reproducible chaos::
 
     from repro import ParallelExecutor, RetryPolicy, run_chaos
 
     executor = ParallelExecutor(jobs=4, retry=RetryPolicy(max_attempts=3),
-                                timeout=60.0)   # per-spec watchdog
+                                timeout=60.0)   # per-spec budget
     results = executor.map(specs)   # crashes/hangs retried, not fatal
 
     report = run_chaos("smoke", chaos_dir="chaos/smoke")
     assert report.converged         # disturbed run == clean run, bit-exact
 
-The parallel executor runs on persistent supervised workers: crashed
-or hung workers are detected and their specs deterministically retried
-(seeded backoff, no wall-clock randomness); specs that exhaust the
-budget raise :class:`ExecutionFailed` with structured
+The parallel executor is an in-parent lease broker plus persistent
+forked agents: a crashed or hung agent is replaced and its lease
+charged against the retry budget; specs that exhaust the budget raise
+:class:`ExecutionFailed` with structured
 :class:`~repro.resilience.FailureRecord`\\ s *after* the rest of the
 batch completed.  Cache blobs are sha256-sealed and quarantined when
 corrupt; campaign manifests survive torn writes via a last-good
 backup.  :func:`run_chaos` proves it end to end under a seeded
 :class:`~repro.resilience.FaultPlan`.  CLI: ``repro chaos run|plan``,
 ``repro doctor``, ``--retries/--timeout/--chaos`` on any parallel
-target.  See ``docs/resilience.md``.
+target.  See ``docs/failures.md``.
 
 Distributed dispatch (:mod:`repro.dispatch`) — lease-based work
 claiming for multi-host campaigns::
@@ -178,11 +178,11 @@ complete); abandoned leases expire and requeue, completions are
 idempotent on the spec hash, and every result is sha256-verified
 before ingestion.  :class:`DispatchExecutor` is a drop-in executor
 over the protocol (``--dispatch URL|DIR|local`` on any batch target)
-that degrades to the supervised local pool when the broker is
+that degrades to a local :class:`ParallelExecutor` when the broker is
 unreachable.  The chaos harness (``repro chaos run --dispatch local``)
 drops, duplicates, delays and partitions broker calls and vanishes
 workers mid-lease, then asserts byte-identical convergence.  See
-``docs/dispatch.md``.
+``docs/failures.md``.
 """
 
 from repro.analysis.fairness import fairness_report, max_min_allocation

@@ -54,6 +54,7 @@ from repro.campaign.spec import (
 from repro.campaign.stages import get_adapter
 from repro.errors import CampaignError, CampaignInterrupted, ExecutionFailed
 from repro.obs.fleet.spans import stage_trace_id, trace_id
+from repro.obs.telemetry import TelemetryExecutor
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import Executor, SerialExecutor
 
@@ -88,91 +89,6 @@ def _engine_version() -> str:
     import repro
 
     return repro.__version__
-
-
-class _RecordingExecutor(Executor):
-    """Pass-through executor that logs what a shard actually ran.
-
-    Records the content hashes of every spec submitted plus the
-    simulated/cache-hit counters, giving the manifest its "compiled
-    RunSpecs" provenance without duplicating spec construction.
-    """
-
-    def __init__(
-        self, inner: Executor, *, heartbeat: CampaignHeartbeat | None = None
-    ) -> None:
-        self.inner = inner
-        self.jobs = inner.jobs
-        self.heartbeat = heartbeat
-        self.stage = ""
-        self.reset()
-
-    def describe(self) -> str:
-        return self.inner.describe()
-
-    def run(self, specs, *, cache=None, progress=None):
-        heartbeat = self.heartbeat
-        if heartbeat is not None:
-            stage, inner_progress = self.stage, progress
-
-            def progress(done, total, spec, cached):  # noqa: F811
-                heartbeat(stage, done, total, spec.label(), cached)
-                if inner_progress is not None:
-                    inner_progress(done, total, spec, cached)
-
-        try:
-            outcome = self.inner.run(specs, cache=cache, progress=progress)
-        except ExecutionFailed as error:
-            # Keep the partial batch's counters honest before the
-            # failure propagates into the shard retry loop.
-            if error.outcome is not None:
-                self._absorb(error.outcome)
-            self.spec_failures += len(error.failures)
-            raise
-        self.spec_hashes.extend(spec.content_hash for spec in specs)
-        self._absorb(outcome)
-        return outcome
-
-    def _absorb(self, outcome) -> None:
-        self.simulated += outcome.simulated
-        self.cache_hits += outcome.cache_hits
-        self.retries += getattr(outcome, "retries", 0)
-        self.worker_deaths += getattr(outcome, "worker_deaths", 0)
-        self.timeouts += getattr(outcome, "timeouts", 0)
-        self.degraded = self.degraded or getattr(outcome, "degraded", False)
-        for key, value in getattr(outcome, "dispatch", {}).items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.dispatch[key] = self.dispatch.get(key, 0) + value
-            elif isinstance(value, dict):
-                # Gauges (e.g. the ``fleet`` health snapshot) are
-                # point-in-time, not cumulative — last batch wins.
-                self.dispatch[key] = dict(value)
-
-    def reset(self) -> None:
-        self.spec_hashes: list[str] = []
-        self.simulated = 0
-        self.cache_hits = 0
-        self.retries = 0
-        self.worker_deaths = 0
-        self.timeouts = 0
-        self.spec_failures = 0
-        self.degraded = False
-        self.dispatch: dict[str, int] = {}
-
-    def snapshot(self) -> dict:
-        snapshot = {
-            "spec_hashes": list(self.spec_hashes),
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "retries": self.retries,
-            "worker_deaths": self.worker_deaths,
-            "timeouts": self.timeouts,
-            "spec_failures": self.spec_failures,
-            "degraded": self.degraded,
-        }
-        if self.dispatch:
-            snapshot["dispatch"] = dict(self.dispatch)
-        return snapshot
 
 
 @dataclass
@@ -549,12 +465,11 @@ class CampaignRunner:
         }
 
     def _set_trace_context(self, trace: str) -> None:
-        """Pin the shard trace on the dispatch executor, if one is there.
+        """Pin the shard trace on the broker-backed executor, if any.
 
-        Walks the ``inner`` chain (telemetry/recording wrappers) to the
-        first executor exposing ``set_trace_context``; executors without
-        the seam are silently skipped — trace propagation is a dispatch
-        concept, serial/parallel executors have nothing to stamp.
+        Walks the ``inner`` chain (telemetry wrappers) to the first
+        executor exposing ``set_trace_context``; the serial executor
+        has no broker and nothing to stamp, so it is skipped.
         """
         target = self.executor
         while target is not None:
@@ -577,7 +492,7 @@ class CampaignRunner:
         entry["status"] = "running"
         entry.pop("error", None)
         entry.pop("failed_specs", None)
-        recorder = _RecordingExecutor(self.executor, heartbeat=heartbeat)
+        recorder = TelemetryExecutor(self.executor, heartbeat=heartbeat)
         recorder.stage = stage.name
         shard_rows: list[list[dict]] = []
         for index, params in enumerate(stage.shard_params):
@@ -653,13 +568,14 @@ class CampaignRunner:
                     "rows": rows,
                 },
             )
+            counters = recorder.shard_record()
             entry["shards"][index] = {
                 "status": "complete",
                 "sha256": digest,
                 "path": f"{ARTIFACT_DIR}/{SHARD_DIR}/{stage.name}.{index}.json",
                 "elapsed_seconds": time.perf_counter() - started,
                 "rows": len(rows),
-                **recorder.snapshot(),
+                **counters,
             }
             shard_rows.append(rows)
             self._save_manifest(manifest)
@@ -671,8 +587,8 @@ class CampaignRunner:
                     shard=index,
                     status="complete",
                     rows=len(rows),
-                    simulated=recorder.simulated,
-                    cache_hits=recorder.cache_hits,
+                    simulated=counters["simulated"],
+                    cache_hits=counters["cache_hits"],
                     elapsed_s=round(time.perf_counter() - started, 6),
                 )
             if progress is not None:

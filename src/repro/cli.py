@@ -22,7 +22,7 @@ Usage (after installation)::
     repro bench engine --record B.json   # ... and persist the baseline
     repro bench engine --regimes saturation --topologies mesh_x1,mecs
     repro bench guard                    # regression-check BENCH_*.json
-    repro bench runtime                  # serial vs pooled executor timings
+    repro bench runtime                  # serial vs parallel executor timings
     repro fig4 --profile                 # cProfile top-20 for any target
     repro campaign list                  # declared reproduction campaigns
     repro campaign run paper --jobs 4    # the whole paper, resumably
@@ -108,15 +108,15 @@ def _executor(args) -> Executor:
     """``--jobs 1`` → serial; ``--jobs 0`` → all cores; else N workers.
 
     ``--retries``/``--timeout``/``--chaos`` configure the parallel
-    executor's supervision (deterministic retry policy, per-spec
-    watchdog, fault plan); they are inert under ``--jobs 1``, which
-    must stay the honest serial baseline.
+    executor's broker and agents (deterministic retry policy, per-spec
+    wall-clock budget, fault plan); they are inert under ``--jobs 1``,
+    which must stay the honest serial baseline.
 
     ``--dispatch URL|DIR|local`` routes the batch through the
     lease-based broker/worker layer instead: an HTTP broker at a URL,
     or an in-process broker (``local``, or a directory that also
     receives sha256-addressed result artifacts).  The dispatch
-    executor degrades to the supervised pool when the broker is
+    executor degrades to a local parallel executor when the broker is
     unreachable.
 
     With ``--obs`` the executor is wrapped in a recording
@@ -1141,7 +1141,7 @@ def _chaos_run(args, name: str) -> int:
     if jobs == 0:
         jobs = _os.cpu_count() or 2
     if jobs < 2:
-        jobs = 2  # worker kill/hang faults need a real pool
+        jobs = 2  # agent kill/hang faults need forked agents
     chaos_dir = args.out or _os.path.join("chaos", name)
     progress = None
     if args.progress:
@@ -1662,14 +1662,14 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="retry budget: parallel runs retry crashed/hung/erroring "
-        "specs up to N times (deterministic seeded backoff); campaign "
+        "specs up to N times (charged per attempt by the broker); campaign "
         "runs additionally retry failing shards N times (default 0; "
         "'chaos run' defaults to 2)",
     )
     resilience.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-simulation wall-clock budget for parallel runs: a "
-        "worker running past it is killed and the spec retried "
+        help="per-simulation wall-clock budget for parallel runs: an "
+        "agent running past it is killed and the spec retried "
         "(default: no timeout; 'chaos run' defaults to 3.0)",
     )
     resilience.add_argument(

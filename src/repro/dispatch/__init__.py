@@ -17,7 +17,7 @@ worker agents through a lease-granting broker:
   process runs (``repro dispatch serve`` / ``repro dispatch work``);
 * :class:`DispatchExecutor` — all of the above behind the standard
   Executor interface, selected with ``--dispatch URL|DIR`` on batch
-  and campaign verbs, degrading to the local supervised pool when the
+  and campaign verbs, degrading to a local parallel executor when the
   broker is unreachable.
 
 Because results are sha256-sealed and ingestion is keyed on spec

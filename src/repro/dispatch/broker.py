@@ -96,6 +96,9 @@ class _Task:
 
     spec_json: dict
     label: str
+    #: Submission serial: global, in submit order, never reused.
+    #: Agent-side chaos faults key on it (plus ``attempts``).
+    serial: int
     status: str = "queued"  # queued | leased | done | failed
     attempts: int = 0
     lease_token: str | None = None
@@ -104,7 +107,8 @@ class _Task:
     deadline: float | None = None
     result: dict | None = None
     digest: str | None = None
-    failure: dict | None = None
+    #: One record per error completion, retried or not.
+    failures: list[dict] = field(default_factory=list)
     trace: str | None = None  # trace id stamped at submit, echoed on claim
 
 
@@ -135,6 +139,7 @@ class Broker:
         self._tasks: dict[str, _Task] = {}
         self._queue: list[str] = []  # FIFO of queued spec hashes
         self._lease_serial = 0
+        self._submit_serial = 0
         self._workers: dict[str, float] = {}  # worker id -> last-contact clock
         self.counters: dict[str, int] = {
             "submitted": 0,
@@ -232,8 +237,10 @@ class Broker:
             task = _Task(
                 spec_json=spec_json,
                 label=entry.get("label", spec_hash[:12]),
+                serial=self._submit_serial,
                 trace=entry.get("trace"),
             )
+            self._submit_serial += 1
             self._tasks[spec_hash] = task
             self._queue.append(spec_hash)
             accepted += 1
@@ -277,6 +284,7 @@ class Broker:
                 "label": task.label,
                 "lease": task.lease_token,
                 "lease_index": index,
+                "serial": task.serial,
                 "attempt": task.attempts,
                 "lease_seconds": self.lease_seconds,
                 "trace": task.trace,
@@ -381,11 +389,10 @@ class Broker:
             "kind": payload.get("kind", "error"),
             "attempt": task.attempts - 1,
             "detail": payload.get("detail", "worker reported failure"),
-            "retried": False,
+            "retried": self.retry.should_retry(task.attempts - 1),
         }
-        if self.retry.should_retry(task.attempts - 1):
-            failure["retried"] = True
-            task.failure = failure
+        task.failures.append(failure)
+        if failure["retried"]:
             self.counters["task_retries"] += 1
             if self.journal is not None:
                 self._record(
@@ -397,7 +404,6 @@ class Broker:
             self._requeue(spec_hash, task)
             return {"ok": True, "requeued": True}
         task.status = "failed"
-        task.failure = failure
         task.lease_token = None
         task.deadline = None
         self.counters["failed_tasks"] += 1
@@ -412,6 +418,11 @@ class Broker:
         return {"ok": True, "failed": True}
 
     def _op_results(self, payload: dict) -> dict:
+        """Finished tasks' results plus every attempt's failure record.
+
+        A task's records are reported once it is done or failed, never
+        while it is still queued or leased.
+        """
         hashes = payload.get("hashes")
         if hashes is None:
             hashes = list(self._tasks)
@@ -430,8 +441,9 @@ class Broker:
                         "payload_sha256": task.digest,
                     }
                 )
+                failures.extend(task.failures)
             elif task.status == "failed":
-                failures.append(task.failure)
+                failures.extend(task.failures)
             else:
                 pending += 1
         return {
@@ -512,7 +524,7 @@ class Broker:
     # -- reset for reuse ------------------------------------------------
 
     def reset(self) -> None:
-        """Forget all tasks (counters survive — they span a campaign)."""
+        """Forget all tasks (counters and serials survive a campaign)."""
         with self._lock:
             self._tasks.clear()
             self._queue.clear()

@@ -1,11 +1,10 @@
 """``DispatchExecutor`` — the Executor face of the dispatch layer.
 
-Satisfies the exact contract of
-:class:`~repro.runtime.executor.SerialExecutor` /
+It shares :meth:`~repro.runtime.executor.LeaseExecutor.run` with
 :class:`~repro.runtime.executor.ParallelExecutor` (dedup, cache
-consultation and write-back, spec-ordered results, deterministic
-outcomes), so ``run_batch``, the campaign runner and the CLI can use it
-unchanged.  Two modes, selected by the ``target``:
+consultation and write-back, spec-ordered results, every attempt's
+failure record), so ``run_batch``, the campaign runner and the CLI can
+use it unchanged.  Two modes, selected by the ``target``:
 
 ``None`` or a directory path — **local mode**: an in-process
     :class:`~repro.dispatch.broker.Broker` on a :class:`ManualClock`
@@ -21,36 +20,32 @@ unchanged.  Two modes, selected by the ``target``:
     back; worker agents run elsewhere (``repro dispatch work``).
 
 Graceful degradation: when the broker is unreachable (transport retry
-budget exhausted on submit, or results stop flowing for
-``stall_timeout`` seconds in HTTP mode), the remaining specs run on
-the local ``fallback`` executor — by default the supervised
-:class:`~repro.runtime.executor.ParallelExecutor` pool — and the
-outcome is flagged ``degraded``.  Every lease / requeue / duplicate /
-degrade counter lands in ``ExecutionOutcome.dispatch`` for the
-campaign telemetry rollup.
-
-The broker and its lease serial persist across batches (like the
-parallel executor's pool), so counter-keyed chaos faults such as
-``worker_vanish at=3`` hit a well-defined global lease index even when
-a campaign issues many small batches.
+budget exhausted), or results stop flowing for :data:`STALL_SECONDS`
+in HTTP mode, the remaining specs run on a local
+:class:`~repro.runtime.executor.ParallelExecutor` and the outcome is
+flagged ``degraded``.  Every lease / requeue / duplicate / degrade
+counter lands in ``ExecutionOutcome.dispatch`` for the campaign
+telemetry rollup.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
-from repro.errors import ExecutionFailed, TransportError
-from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.resilience.policy import FailureRecord, RetryPolicy
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import ExecutionOutcome, Executor, ParallelExecutor
-from repro.runtime.spec import RunResult, RunSpec
-from repro.dispatch.broker import Broker, ManualClock
+from repro.errors import TransportError
+from repro.resilience.faults import FaultPlan
+from repro.resilience.policy import RetryPolicy
+from repro.runtime.executor import LeaseExecutor
+from repro.dispatch.broker import Broker
 from repro.dispatch.transport import HttpTransport, LocalTransport
 
+#: HTTP mode: seconds without a settled spec before the rest of the
+#: batch is taken back in-process, and the results poll interval.
+STALL_SECONDS = 120.0
+POLL_SECONDS = 0.1
 
-class DispatchExecutor(Executor):
+
+class DispatchExecutor(LeaseExecutor):
     """Executor over the broker/worker dispatch protocol."""
 
     def __init__(
@@ -61,57 +56,24 @@ class DispatchExecutor(Executor):
         retry: RetryPolicy | None = None,
         timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
-        lease_seconds: float = 30.0,
-        fallback: Executor | None = None,
-        stall_timeout: float = 120.0,
-        poll_seconds: float = 0.1,
         journal_dir: str | None = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
+        super().__init__(jobs or 2, retry, timeout, fault_plan)
         self.target = target
-        self.jobs = jobs or 2
-        self.retry = retry or RetryPolicy()
-        self.timeout = timeout
-        self.fault_plan = fault_plan
-        self.lease_seconds = lease_seconds
-        self.stall_timeout = stall_timeout
-        self.poll_seconds = poll_seconds
         #: When set, the local broker and every recruited agent journal
         #: their lifecycle events under this directory (one
         #: ``<actor>.journal.jsonl`` per actor).  ``None`` — the
         #: default — records nothing.
         self.journal_dir = journal_dir
-        self.failure_listener = None
-        self._trace_context: str | None = None
-        self.injector = (
-            FaultInjector(plan=fault_plan) if fault_plan is not None else None
-        )
         self.remote = target is not None and target.startswith(("http://", "https://"))
-        self._fallback = fallback
-        self._broker: Broker | None = None
-        self._clock: ManualClock | None = None
-        self._agents: list = []
-        self._agent_serial = 0
         if self.remote:
             self._transport = HttpTransport(target)
-        else:
-            self._transport = None  # created with the broker, lazily
 
     def describe(self) -> str:
         mode = self.target if self.remote else "local"
         return f"dispatch[{mode}, jobs={self.jobs}]"
-
-    # -- trace context --------------------------------------------------
-
-    def set_trace_context(self, trace: str | None) -> None:
-        """Pin the trace id stamped on subsequent submits.
-
-        The campaign runner sets this to the stage/shard-derived trace
-        before each shard, so journal records on every actor share one
-        id per shard.  ``None`` reverts to per-batch trace derivation.
-        """
-        self._trace_context = trace
 
     def _journal_writer(self, actor: str):
         if self.journal_dir is None:
@@ -128,317 +90,66 @@ class DispatchExecutor(Executor):
     @property
     def broker(self) -> Broker:
         """The persistent in-process broker (local mode only)."""
-        if self._broker is None:
-            self._clock = ManualClock()
-            self._broker = Broker(
-                lease_seconds=self.lease_seconds,
-                retry=self.retry,
-                clock=self._clock,
-                artifact_dir=None if self.target is None else self.target,
-                journal=self._journal_writer("broker"),
-            )
-            self._transport = LocalTransport(self._broker, faults=self.injector)
+        self._connect()
         return self._broker
 
-    @property
-    def fallback(self) -> Executor:
-        """The degradation executor, created on first need."""
-        if self._fallback is None:
-            self._fallback = ParallelExecutor(
-                jobs=self.jobs, retry=self.retry, timeout=self.timeout
-            )
-        return self._fallback
+    def _connect(self) -> None:
+        if self.remote or self._broker is not None:
+            return
+        self._local_broker(
+            faults=self.injector,
+            artifact_dir=self.target,
+            journal=self._journal_writer("broker"),
+        )
 
-    def _recruit_agent(self):
+    def _recruit(self):
         from repro.dispatch.worker import WorkerAgent
 
-        worker_id = f"local-{self._agent_serial}"
-        agent = WorkerAgent(
-            LocalTransport(self.broker, faults=self.injector),
+        worker_id = f"local-{len(self._agents)}"
+        return WorkerAgent(
+            LocalTransport(self._broker, faults=self.injector),
             worker_id=worker_id,
             faults=self.injector,
             journal=self._journal_writer(worker_id),
         )
-        self._agent_serial += 1
-        self._agents.append(agent)
-        return agent
 
     def close(self, *, force: bool = False) -> None:
         """Drop broker state and agents (counters reset with them)."""
         if self._broker is not None and self._broker.journal is not None:
             self._broker.journal.close()
         for agent in self._agents:
-            if getattr(agent, "journal", None) is not None:
+            if agent.journal is not None:
                 agent.journal.close()
-        self._broker = None
-        self._clock = None
-        self._transport = None if not self.remote else self._transport
-        self._agents = []
-        if self._fallback is not None and hasattr(self._fallback, "close"):
-            self._fallback.close(force=force)
-
-    def __enter__(self) -> DispatchExecutor:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(force=exc_type is not None)
+        super().close(force=force)
 
     # -- execution ------------------------------------------------------
 
-    def run(self, specs, *, cache=None, progress=None):
-        started = time.perf_counter()
-        resolved, pending, hits, done, total = self._resolve_cached(
-            specs, cache, progress
-        )
-        counters: dict[str, int] = {}
-        failures: list[FailureRecord] = []
-        degraded_specs: list[RunSpec] = []
-        state = {"done": done}
+    def _collect(self, batch) -> None:
+        if not self.remote:
+            while len(self._agents) < self.jobs:
+                self._agents.append(self._recruit())
+            self._run_agents(batch)
+            return
+        last_progress = time.monotonic()
+        while batch.outstanding:
+            if batch.collect(self._transport):
+                last_progress = time.monotonic()
+            elif time.monotonic() - last_progress > STALL_SECONDS:
+                # Workers stopped delivering (all dead? broker wedged?)
+                # — take the rest of the batch back in-process.
+                return
+            if batch.outstanding:
+                time.sleep(POLL_SECONDS)
 
-        def absorb(spec: RunSpec, result: RunResult) -> None:
-            resolved[spec.content_hash] = result
-            if cache is not None:
-                cache.put(spec, result)
-            state["done"] += 1
-            if progress is not None:
-                progress(state["done"], total, spec, False)
-
-        if pending:
-            before = self._counters_snapshot()
-            try:
-                if self.remote:
-                    degraded_specs = self._run_remote(pending, absorb, failures)
-                else:
-                    degraded_specs = self._run_local(pending, absorb, failures)
-            except TransportError:
-                # Broker unreachable before any work was placed: the
-                # whole pending set degrades to the local fallback.
-                degraded_specs = [
-                    s for s in pending if s.content_hash not in resolved
-                ]
-            counters = self._counters_delta(before)
-
-        degraded = bool(degraded_specs)
-        if degraded_specs:
-            self._run_fallback(degraded_specs, absorb, failures, cache)
-
-        permanent = [record for record in failures if not record.retried]
+    def _dispatch_telemetry(self, counters: dict, leftovers: list) -> dict:
+        """Counter deltas, plus ``fleet``: point-in-time health gauges
+        that the campaign rollup keeps from the last batch, not sums."""
         dispatch = dict(counters)
-        dispatch["degraded_specs"] = len(degraded_specs)
-        if pending:
-            fleet = self._fleet_gauges()
-            if fleet:
-                dispatch["fleet"] = fleet
-        elapsed = time.perf_counter() - started
-        if permanent:
-            outcome = ExecutionOutcome(
-                results=[],  # order unsatisfiable with holes
-                cache_hits=hits,
-                simulated=len(pending) - len(permanent),
-                elapsed_seconds=elapsed,
-                failures=failures,
-                retries=counters.get("task_retries", 0),
-                degraded=degraded,
-                dispatch=dispatch,
-            )
-            names = ", ".join(
-                f"{record.label} ({record.kind})" for record in permanent[:4]
-            )
-            more = len(permanent) - 4
-            raise ExecutionFailed(
-                f"{len(permanent)} spec(s) failed permanently after "
-                f"retries: {names}{f' (+{more} more)' if more > 0 else ''}",
-                failures=permanent,
-                outcome=outcome,
-            )
-        return ExecutionOutcome(
-            results=self._ordered(specs, resolved),
-            cache_hits=hits,
-            simulated=len(pending),
-            elapsed_seconds=elapsed,
-            failures=failures,
-            retries=counters.get("task_retries", 0),
-            degraded=degraded,
-            dispatch=dispatch,
-        )
-
-    # -- counters -------------------------------------------------------
-
-    def _fleet_gauges(self) -> dict:
-        """Instantaneous fleet health for the outcome's telemetry.
-
-        Unlike the counter *deltas*, these are point-in-time gauges —
-        the campaign rollup keeps the last batch's values rather than
-        summing them.
-        """
-        if self._transport is None:
-            return {}
+        dispatch["degraded_specs"] = len(leftovers)
         try:
             status = self._transport.call("status", {})
         except TransportError:
-            return {}
-        gauges = dict(status.get("gauges", {}))
-        gauges["workers"] = len(status.get("workers", {}))
-        return gauges
-
-    def _counters_snapshot(self) -> dict[str, int]:
-        """Broker counters now — deltas keep per-batch telemetry honest."""
-        try:
-            if self.remote:
-                status = self._transport.call("status", {})
-                return dict(status.get("counters", {}))
-            return dict(self.broker.counters)
-        except TransportError:
-            return {}
-
-    def _counters_delta(self, before: dict[str, int]) -> dict[str, int]:
-        try:
-            now = (
-                dict(self._transport.call("status", {}).get("counters", {}))
-                if self.remote
-                else dict(self.broker.counters)
-            )
-        except TransportError:
-            return {}
-        return {
-            key: value - before.get(key, 0)
-            for key, value in now.items()
-            if value - before.get(key, 0)
-        }
-
-    # -- local drive loop ----------------------------------------------
-
-    def _run_local(self, pending, absorb, failures) -> list[RunSpec]:
-        by_hash = {spec.content_hash: spec for spec in pending}
-        self._submit(pending)
-        while len(self._agents) < self.jobs:
-            self._recruit_agent()
-        outstanding = set(by_hash)
-        recruits = clock_advances = 0
-        max_rounds = 100 + 20 * len(pending)
-        for _ in range(max_rounds):
-            progressed = False
-            for agent in list(self._agents):
-                if agent.vanished:
-                    continue
-                try:
-                    outcome = agent.step()
-                except TransportError:
-                    # This agent is (transiently) partitioned off; the
-                    # work it may have claimed recovers by lease expiry.
-                    continue
-                if outcome in ("done", "error"):
-                    progressed = True
-            progressed |= self._absorb_ready(outstanding, by_hash, absorb, failures)
-            if not outstanding:
-                break
-            if progressed:
-                continue
-            live = [agent for agent in self._agents if not agent.vanished]
-            if not live:
-                # Every agent vanished with work outstanding: recruit a
-                # replacement — the batch must not depend on any single
-                # worker surviving.
-                self._recruit_agent()
-                recruits += 1
-            else:
-                # Idle agents + outstanding work means a lease is held
-                # by a vanished/partitioned worker.  Advance the manual
-                # clock past the deadline so the broker requeues it.
-                self._clock.advance(self.lease_seconds + 1.0)
-                clock_advances += 1
-        if recruits:
-            self.broker.counters["recruited_agents"] = (
-                self.broker.counters.get("recruited_agents", 0) + recruits
-            )
-        if clock_advances:
-            self.broker.counters["lease_clock_advances"] = (
-                self.broker.counters.get("lease_clock_advances", 0) + clock_advances
-            )
-        return [by_hash[h] for h in outstanding]
-
-    def _submit(self, pending: Sequence[RunSpec]) -> None:
-        from repro.obs.fleet.spans import batch_trace_id
-
-        # Trace propagation is always on (it is just a string riding
-        # the protocol); *recording* it is the opt-in part.  A campaign
-        # pins the shard-derived trace via ``set_trace_context``.
-        trace = self._trace_context or batch_trace_id(
-            [spec.content_hash for spec in pending]
-        )
-        self._transport.call(
-            "submit",
-            {
-                "specs": [
-                    {"spec": spec.to_json(), "label": spec.label(), "trace": trace}
-                    for spec in pending
-                ]
-            },
-        )
-
-    def _absorb_ready(self, outstanding, by_hash, absorb, failures) -> bool:
-        """Pull finished work out of the broker; True if any landed."""
-        try:
-            response = self._transport.call("results", {"hashes": list(outstanding)})
-        except TransportError:
-            return False
-        progressed = False
-        for entry in response.get("results", ()):
-            spec_hash = entry["spec_hash"]
-            if spec_hash not in outstanding:
-                continue
-            outstanding.discard(spec_hash)
-            absorb(by_hash[spec_hash], RunResult.from_json(entry["result"]))
-            progressed = True
-        for payload in response.get("failures", ()):
-            spec_hash = payload.get("spec_hash", "")
-            if spec_hash not in outstanding:
-                continue
-            outstanding.discard(spec_hash)
-            record = FailureRecord.from_json(payload)
-            failures.append(record)
-            if self.failure_listener is not None:
-                self.failure_listener(record)
-            progressed = True
-        return progressed
-
-    # -- remote (HTTP) loop --------------------------------------------
-
-    def _run_remote(self, pending, absorb, failures) -> list[RunSpec]:
-        by_hash = {spec.content_hash: spec for spec in pending}
-        self._transport.call("ping", {})
-        self._submit(pending)
-        outstanding = set(by_hash)
-        last_progress = time.monotonic()
-        while outstanding:
-            progressed = self._absorb_ready(outstanding, by_hash, absorb, failures)
-            if progressed:
-                last_progress = time.monotonic()
-            elif time.monotonic() - last_progress > self.stall_timeout:
-                # Workers stopped delivering (all dead? broker wedged?)
-                # — take the rest of the batch back in-process.
-                break
-            if outstanding:
-                time.sleep(self.poll_seconds)
-        return [by_hash[h] for h in outstanding]
-
-    # -- degradation ----------------------------------------------------
-
-    def _run_fallback(self, degraded_specs, absorb, failures, cache) -> None:
-        # The fallback's own progress is suppressed: ``absorb`` replays
-        # each result onto the batch-wide progress counter instead.
-        try:
-            outcome = self.fallback.run(degraded_specs, cache=cache, progress=None)
-        except ExecutionFailed as error:
-            failures.extend(error.failures)
-            if error.outcome is not None:
-                for record in error.outcome.failures:
-                    if record not in failures:
-                        failures.append(record)
-            # Partial results from the fallback still count.
-            partial = error.outcome.results if error.outcome else []
-            for spec, result in zip(degraded_specs, partial):
-                absorb(spec, result)
-            return
-        for spec, result in zip(degraded_specs, outcome.results):
-            absorb(spec, result)
+            return dispatch
+        dispatch["fleet"] = dict(status.get("gauges", {}))
+        dispatch["fleet"]["workers"] = len(status.get("workers", {}))
+        return dispatch

@@ -1,6 +1,6 @@
 """Transports: how dispatch participants reach the broker.
 
-Both transports present one method — ``call(op, payload) -> response``
+Every transport presents one method — ``call(op, payload) -> response``
 — mirroring :meth:`~repro.dispatch.broker.Broker.handle`, so the
 worker agent and the executor are transport-agnostic.
 
@@ -18,6 +18,9 @@ call behave exactly like a lost datagram — retried under the
 call) raise :class:`~repro.errors.DispatchError` immediately; network
 errors (timeouts, refused connections, 5xx) are retried with the same
 deterministic backoff before giving up.
+
+:class:`PipeTransport` is a forked agent's end of the pipe to the
+parallel executor, which answers each call from its in-parent broker.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ class LocalTransport(Transport):
         self.broker = broker
         self.faults = faults
         self.retry = retry or LOCAL_RETRY
-        self.dropped_calls = 0
 
     def describe(self) -> str:
         return "local"
@@ -87,7 +89,6 @@ class LocalTransport(Transport):
                 self.broker.handle(op, payload)
                 return response
             # drop_request / partition_worker: the call never arrives.
-            self.dropped_calls += 1
             if not self.retry.should_retry(attempt):
                 raise TransportError(
                     f"broker call {op!r} lost after {attempt + 1} attempts "
@@ -98,8 +99,28 @@ class LocalTransport(Transport):
                 time.sleep(delay)
             attempt += 1
 
-    def reset(self) -> None:
-        self.dropped_calls = 0
+
+class PipeTransport(Transport):
+    """A forked agent's calls to the executor's broker, over a pipe.
+
+    The executor holds a claim against an empty queue until work is
+    submitted, so an idle agent blocks here instead of polling.  A
+    ``None`` reply means the executor has released the agent.  There
+    is no fault seam: network chaos stays on :class:`LocalTransport`.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+
+    def describe(self) -> str:
+        return "pipe"
+
+    def call(self, op: str, payload: dict) -> dict:
+        self.conn.send((op, payload))
+        reply = self.conn.recv()
+        if reply is None:
+            raise EOFError("the executor released this agent")
+        return reply
 
 
 class HttpTransport(Transport):
@@ -115,7 +136,6 @@ class HttpTransport(Transport):
         self.url = url.rstrip("/")
         self.retry = retry or HTTP_RETRY
         self.timeout = timeout
-        self.dropped_calls = 0
 
     def describe(self) -> str:
         return self.url
@@ -144,7 +164,6 @@ class HttpTransport(Transport):
                 last = f"HTTP {error.code}: {detail}"
             except (urllib.error.URLError, TimeoutError, ConnectionError) as error:
                 last = str(error)
-            self.dropped_calls += 1
             if not self.retry.should_retry(attempt):
                 raise TransportError(
                     f"broker call {op!r} to {self.url} failed after "

@@ -19,6 +19,10 @@ Results are also written into the agent's local
 :class:`~repro.runtime.cache.ResultCache` (when given), so a worker
 that claims a spec it has seen before answers from cache without
 re-simulating — the same location-independence the executors rely on.
+
+Chaos plans reach the agent as a :class:`FaultInjector`: right after a
+claim it fires the agent faults keyed on the task's submission serial
+and attempt (kill and hang only in a forked agent).
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from __future__ import annotations
 import time
 
 from repro.errors import TransportError
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import FaultInjector, InjectedFault
+from repro.runtime import executor as runtime_executor
 from repro.runtime.cache import ResultCache, payload_sha256
-from repro.runtime.spec import RunSpec, execute_spec
+from repro.runtime.spec import RunSpec
 
 
 class WorkerAgent:
@@ -85,16 +90,20 @@ class WorkerAgent:
         if task is None:
             return "idle"
         self.counters["claims"] += 1
-        if self.faults is not None and self.faults.should_vanish(
-            task["lease_index"]
-        ):
-            # The agent dies holding the lease: no completion, no
-            # heartbeat.  Recovery is the broker's job (lease expiry).
-            self.vanished = True
-            return "vanished"
         spec_hash = task["spec_hash"]
         lease = task["lease"]
         trace = task.get("trace")
+        if self.faults is not None:
+            try:
+                if self.faults.fire_task_faults(task["serial"], task["attempt"]):
+                    # The agent dies holding the lease: no completion, no
+                    # heartbeat.  Recovery is the broker's job (lease
+                    # expiry), or the executor's when the agent is forked.
+                    self.vanished = True
+                    return "vanished"
+            except InjectedFault as error:
+                self._complete_error(spec_hash, lease, repr(error), trace)
+                return "error"
         if self.journal is not None:
             self._record("worker.claim", trace, spec_hash, lease=lease)
         try:
@@ -105,7 +114,7 @@ class WorkerAgent:
                     f"payload hashes to {spec.content_hash[:12]}"
                 )
         except Exception as error:
-            self._complete_error(spec_hash, lease, "error", repr(error), trace)
+            self._complete_error(spec_hash, lease, repr(error), trace)
             return "error"
         if self.journal is not None:
             self._record("worker.verify", trace, spec_hash, lease=lease)
@@ -127,11 +136,11 @@ class WorkerAgent:
                 return "abandoned"
             started = time.perf_counter()
             try:
-                result = execute_spec(spec)
+                # Looked up on the executor module at call time, so a
+                # wrapped entry point also reaches forked agents.
+                result = runtime_executor.execute_spec(spec)
             except Exception as error:
-                self._complete_error(
-                    spec_hash, lease, "error", repr(error), trace
-                )
+                self._complete_error(spec_hash, lease, repr(error), trace)
                 return "error"
             if self.journal is not None:
                 self._record(
@@ -160,22 +169,11 @@ class WorkerAgent:
             self._record("worker.complete", trace, spec_hash, lease=lease)
         return "done"
 
-    def _complete_error(
-        self,
-        spec_hash: str,
-        lease: str,
-        kind: str,
-        detail: str,
-        trace=None,
-    ) -> None:
+    def _complete_error(self, spec_hash: str, lease: str, detail: str, trace) -> None:
         self.counters["errors"] += 1
         if self.journal is not None:
             self._record(
-                "worker.error",
-                trace,
-                spec_hash,
-                lease=lease,
-                kind=kind,
+                "worker.error", trace, spec_hash, lease=lease, kind="error",
                 detail=detail,
             )
         try:
@@ -186,7 +184,7 @@ class WorkerAgent:
                     "lease": lease,
                     "worker": self.worker_id,
                     "status": "error",
-                    "kind": kind,
+                    "kind": "error",
                     "detail": detail,
                 },
             )

@@ -51,12 +51,12 @@ class TraceOverflowError(SimulationError):
 class ExecutionFailed(SimulationError):
     """One or more specs in a batch exhausted their retry budget.
 
-    Raised by :class:`~repro.runtime.executor.ParallelExecutor` *after*
-    the rest of the batch has completed (no batch abort): ``failures``
-    holds one :class:`~repro.resilience.FailureRecord` per permanently
-    failed spec, and ``outcome`` the partial
+    Raised by the broker-backed executors *after* the rest of the batch
+    has completed (no batch abort): ``failures`` holds one
+    :class:`~repro.resilience.FailureRecord` per permanently failed
+    spec, and ``outcome`` the partial
     :class:`~repro.runtime.executor.ExecutionOutcome` covering
-    everything that did succeed.
+    everything that did succeed, with every attempt's record.
     """
 
     def __init__(self, message: str, *, failures=(), outcome=None) -> None:
@@ -83,7 +83,7 @@ class TransportError(DispatchError):
     Raised by the dispatch transports (in-process or HTTP) once the
     :class:`~repro.resilience.RetryPolicy` driving the call gives up.
     :class:`~repro.dispatch.DispatchExecutor` treats it as "broker
-    unreachable" and degrades to the local fallback executor.
+    unreachable" and degrades to a local parallel executor.
     """
 
 

@@ -1,11 +1,15 @@
-"""Runtime telemetry: executor wrapping and campaign heartbeats.
+"""Runtime telemetry: the recording executor wrapper and heartbeats.
 
 :class:`TelemetryExecutor` wraps any :class:`~repro.runtime.executor.
 Executor` and records, per batch, what the runtime actually did —
-simulated vs cache-hit counts, wall time, and a per-spec completion log
-with offsets from batch start.  Results pass through untouched, so the
-wrapped executor stays bit-compatible with the bare one; the collected
-snapshot is written next to reports by the CLI's ``--obs`` flag.
+simulated vs cache-hit counts, wall time, the resilience counters, and
+a per-spec completion log with offsets from batch start.  Results pass
+through untouched, so the wrapped executor stays bit-compatible with
+the bare one.  The CLI's ``--obs`` flag keeps one wrapper per command
+and writes its :meth:`~TelemetryExecutor.snapshot` next to reports;
+the campaign runner keeps one per stage and stores
+:meth:`~TelemetryExecutor.shard_record` in the manifest after every
+shard.
 
 :func:`heartbeat_printer` builds the per-simulation progress callback
 behind ``repro campaign run --progress``: campaign stages batch dozens
@@ -22,24 +26,47 @@ import os
 import time
 from collections.abc import Callable
 
+from repro.errors import ExecutionFailed
 from repro.runtime.executor import Executor
 
 TELEMETRY_FORMAT = "repro-obs-telemetry"
 TELEMETRY_VERSION = 1
 
+#: Per-batch counters summed into ``snapshot()["totals"]``.
+_SUMMED = ("simulated", "cache_hits", "elapsed_seconds", "retries", "failures",
+           "worker_deaths", "timeouts")
+
 
 class TelemetryExecutor(Executor):
-    """Pass-through executor wrapper that records batch telemetry."""
+    """Pass-through executor wrapper that records batch telemetry.
 
-    def __init__(self, inner: Executor) -> None:
+    A batch that raises :class:`~repro.errors.ExecutionFailed` is still
+    logged, from the error's partial outcome, before the error
+    propagates.  ``heartbeat(stage, done, total, label, cached)``, when
+    given, is called once per completed spec with the current
+    ``stage``.
+    """
+
+    def __init__(self, inner: Executor, *, heartbeat=None) -> None:
         self.inner = inner
         self.jobs = inner.jobs
-        self.batches: list[dict] = []
-        self.completions: list[dict] = []
-        self._created = time.perf_counter()
+        self.heartbeat = heartbeat
+        self.stage = ""
+        self.reset()
 
     def describe(self) -> str:
         return f"telemetry({self.inner.describe()})"
+
+    def reset(self) -> None:
+        """Forget everything recorded so far (the runner's per shard)."""
+        self.batches: list[dict] = []
+        self.completions: list[dict] = []
+        #: Content hashes of every spec in a batch that succeeded.
+        self.spec_hashes: list[str] = []
+        self.spec_failures = 0
+        #: Broker counters summed over batches; nested gauges (the
+        #: ``fleet`` snapshot) are point-in-time, so the last one wins.
+        self.dispatch: dict = {}
 
     def run(self, specs, *, cache=None, progress=None):
         batch_index = len(self.batches)
@@ -55,10 +82,23 @@ class TelemetryExecutor(Executor):
                     "at_seconds": round(time.perf_counter() - started, 6),
                 }
             )
+            if self.heartbeat is not None:
+                self.heartbeat(self.stage, done, total, spec.label(), cached)
             if progress is not None:
                 progress(done, total, spec, cached)
 
-        outcome = self.inner.run(specs, cache=cache, progress=observe)
+        try:
+            outcome = self.inner.run(specs, cache=cache, progress=observe)
+        except ExecutionFailed as error:
+            if error.outcome is not None:
+                self._log(specs, error.outcome)
+            self.spec_failures += len(error.failures)
+            raise
+        self.spec_hashes.extend(spec.content_hash for spec in specs)
+        self._log(specs, outcome)
+        return outcome
+
+    def _log(self, specs, outcome) -> None:
         self.batches.append(
             {
                 "specs": len(specs),
@@ -66,14 +106,28 @@ class TelemetryExecutor(Executor):
                 "simulated": outcome.simulated,
                 "cache_hits": outcome.cache_hits,
                 "elapsed_seconds": round(outcome.elapsed_seconds, 6),
-                "retries": getattr(outcome, "retries", 0),
-                "failures": len(getattr(outcome, "failures", ())),
-                "worker_deaths": getattr(outcome, "worker_deaths", 0),
-                "timeouts": getattr(outcome, "timeouts", 0),
-                "degraded": getattr(outcome, "degraded", False),
+                "retries": outcome.retries,
+                "failures": len(outcome.failures),
+                "worker_deaths": outcome.worker_deaths,
+                "timeouts": outcome.timeouts,
+                "degraded": outcome.degraded,
             }
         )
-        return outcome
+        for key, value in outcome.dispatch.items():
+            if isinstance(value, dict):
+                self.dispatch[key] = dict(value)
+            else:
+                self.dispatch[key] = self.dispatch.get(key, 0) + value
+
+    def _totals(self) -> dict:
+        totals = {
+            "batches": len(self.batches),
+            "specs": sum(batch["specs"] for batch in self.batches),
+        }
+        for key in _SUMMED:
+            totals[key] = sum(batch[key] for batch in self.batches)
+        totals["elapsed_seconds"] = round(totals["elapsed_seconds"], 6)
+        return totals
 
     def snapshot(self) -> dict:
         """Aggregated counters plus the raw batch/completion logs."""
@@ -82,22 +136,20 @@ class TelemetryExecutor(Executor):
             "jobs": self.jobs,
             "batches": list(self.batches),
             "completions": list(self.completions),
-            "totals": {
-                "batches": len(self.batches),
-                "specs": sum(batch["specs"] for batch in self.batches),
-                "simulated": sum(batch["simulated"] for batch in self.batches),
-                "cache_hits": sum(batch["cache_hits"] for batch in self.batches),
-                "elapsed_seconds": round(
-                    sum(batch["elapsed_seconds"] for batch in self.batches), 6
-                ),
-                "retries": sum(batch.get("retries", 0) for batch in self.batches),
-                "failures": sum(batch.get("failures", 0) for batch in self.batches),
-                "worker_deaths": sum(
-                    batch.get("worker_deaths", 0) for batch in self.batches
-                ),
-                "timeouts": sum(batch.get("timeouts", 0) for batch in self.batches),
-            },
+            "totals": self._totals(),
         }
+
+    def shard_record(self) -> dict:
+        """The counters a campaign manifest keeps for one shard."""
+        totals = self._totals()
+        record = {"spec_hashes": list(self.spec_hashes)}
+        for key in ("simulated", "cache_hits", "retries", "worker_deaths", "timeouts"):
+            record[key] = totals[key]
+        record["spec_failures"] = self.spec_failures
+        record["degraded"] = any(batch["degraded"] for batch in self.batches)
+        if self.dispatch:
+            record["dispatch"] = dict(self.dispatch)
+        return record
 
 
 def write_runtime_telemetry(

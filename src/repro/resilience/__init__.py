@@ -2,15 +2,13 @@
 
 The paper's mechanism treats loss as a protocol event (PVC discards
 preempted packets and retransmits); this package gives the *runtime*
-the same stance.  Four pieces:
+the same stance.  Three pieces:
 
 * :mod:`~repro.resilience.policy` — deterministic
   :class:`RetryPolicy` (seeded exponential backoff, no wall-clock
-  randomness) and structured :class:`FailureRecord`\\ s.
-* :mod:`~repro.resilience.pool` — the :class:`SupervisedWorkerPool`
-  behind :class:`~repro.runtime.executor.ParallelExecutor`: persistent
-  workers, per-spec timeouts, crash/hang detection, degradation to
-  in-process serial execution.
+  randomness) and structured :class:`FailureRecord`\\ s.  The lease
+  broker behind every parallel executor charges crashes, timeouts and
+  spec errors against the policy's attempt budget.
 * :mod:`~repro.resilience.faults` — seeded, counter-keyed
   :class:`FaultPlan`\\ s (worker kill/hang, spec/adapter errors,
   cache corruption, torn manifest writes) so chaos is reproducible.
@@ -32,7 +30,6 @@ from repro.resilience.faults import (
     load_plan,
 )
 from repro.resilience.policy import FailureRecord, RetryPolicy
-from repro.resilience.pool import PoolOutcome, SupervisedWorkerPool
 
 __all__ = [
     "BUILTIN_PLANS",
@@ -43,9 +40,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "InjectedFault",
-    "PoolOutcome",
     "RetryPolicy",
-    "SupervisedWorkerPool",
     "load_plan",
     "run_chaos",
 ]

@@ -3,7 +3,7 @@
 The harness runs one campaign three ways inside a chaos directory:
 
 1. **reference** — serial, no cache, no faults: the ground truth.
-2. **chaos** — parallel under a :class:`FaultPlan`: workers are
+2. **chaos** — parallel under a :class:`FaultPlan`: forked agents are
    SIGKILLed and hung, specs and adapters raise, cache blobs are
    corrupted as they are written, a manifest save is torn, and the run
    is interrupted mid-campaign.  Between the legs the harness also
@@ -14,9 +14,9 @@ The harness runs one campaign three ways inside a chaos directory:
 Convergence means :func:`~repro.campaign.runner.stage_digests` of the
 resumed chaos manifest equals the reference's, byte for byte — every
 retry, quarantine and checkpoint fallback notwithstanding.  Because
-fault plans and retry backoff are deterministic (counter-keyed faults,
-seeded delays), a converging chaos run converges every time, which is
-what lets CI assert it.
+fault plans are deterministic (every fault keys on a counter, never on
+the clock), a converging chaos run converges every time, which is what
+lets CI assert it.
 """
 
 from __future__ import annotations
@@ -176,12 +176,7 @@ def run_chaos(
         plan = load_plan(plan)
     base = Path(chaos_dir)
     started = time.perf_counter()
-    retry = RetryPolicy(
-        max_attempts=retries + 1,
-        backoff_base=0.02,
-        backoff_max=0.5,
-        seed=plan.seed,
-    )
+    retry = RetryPolicy(max_attempts=retries + 1)
 
     # Leg 1 — undisturbed serial reference, no cache: ground truth.
     reference = CampaignRunner(
@@ -291,7 +286,7 @@ def run_chaos(
             for kind, count in dinjector.summary().items():
                 fired[kind] = fired.get(kind, 0) + count
             if not resuming:
-                # Same at-rest damage the pool legs get between runs.
+                # Same at-rest damage the parallel legs get between runs.
                 _corrupt_at_rest(base / "dispatch_cache", base / "dispatch")
         dispatch_complete = dfinal is not None and dfinal.complete
         if dfinal is not None:

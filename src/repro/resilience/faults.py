@@ -2,18 +2,18 @@
 
 A :class:`FaultPlan` is pure, seeded, JSON-round-trippable data: each
 :class:`Fault` names a *kind* and the deterministic index at which it
-fires.  Worker-side faults (``worker_kill``, ``worker_hang``,
-``spec_error``) key on the pool's global task submission index — which
-is assigned in spec order, so it does not depend on scheduling — plus
-the attempt number (a fault with ``attempts=1`` fires on attempt 0
-only, so the retry succeeds).  Parent-side faults (``adapter_error``,
+fires.  Agent-side faults (``worker_kill``, ``worker_hang``,
+``spec_error``, ``worker_vanish``) key on the broker's task submission
+serial — assigned in spec order, so it does not depend on scheduling —
+plus the attempt number (a fault with ``attempts=1`` fires on attempt
+0 only, so the retry succeeds).  Parent-side faults (``adapter_error``,
 ``corrupt_cache``, ``torn_manifest``) key on the runner's shard
 execution / cache put / manifest save counters.
 
 :class:`FaultInjector` is the mutable activation of a plan: the
-executor serialises the plan to each worker (which builds its own
-injector with ``in_worker=True``), while the campaign runner and
-``ResultCache.put_hook`` consult a parent-side injector directly.
+parallel executor hands the plan to each forked agent (which builds
+its own injector with ``in_worker=True``), while the campaign runner
+and ``ResultCache.put_hook`` consult a parent-side injector directly.
 Because every trigger is a counter, not a clock, the same plan against
 the same campaign fires the same faults every run.
 """
@@ -30,9 +30,9 @@ from repro.errors import ReproError
 
 #: Everything the harness knows how to break, in one place.
 FAULT_KINDS = (
-    "worker_kill",  # SIGKILL the worker process before executing task `at`
-    "worker_hang",  # sleep `seconds` in the worker before task `at`
-    "spec_error",  # raise InjectedFault instead of executing task `at`
+    "worker_kill",  # SIGKILL the agent process that claims task `at`
+    "worker_hang",  # sleep `seconds` in the agent that claims task `at`
+    "spec_error",  # report an error instead of executing task `at`
     "adapter_error",  # raise InjectedFault in shard execution `at`
     "corrupt_cache",  # overwrite the blob written by cache put `at`
     "torn_manifest",  # truncate the manifest written by save `at`
@@ -40,16 +40,21 @@ FAULT_KINDS = (
     "duplicate_result",  # deliver dispatch completion `at` twice
     "delay_response",  # sleep `seconds` before transport call `at` lands
     "partition_worker",  # drop `attempts` consecutive calls from call `at`
-    "worker_vanish",  # the agent holding dispatch lease `at` disappears
+    "worker_vanish",  # the agent that claims task `at` disappears with it
 )
 
-_WORKER_KINDS = frozenset({"worker_kill", "worker_hang", "spec_error"})
+#: Faults a :class:`~repro.dispatch.WorkerAgent` fires right after a
+#: claim, keyed on the task's submission serial plus its attempt.
+_WORKER_KINDS = frozenset(
+    {"worker_kill", "worker_hang", "spec_error", "worker_vanish"}
+)
 
-#: Faults that fire on the dispatch layer's broker/worker protocol.
+#: Faults the dispatch legs of a chaos run exist to absorb.
 #: ``drop_request``/``delay_response``/``partition_worker`` key on the
-#: transport's global call counter, ``duplicate_result`` on the
-#: completion-call counter, and ``worker_vanish`` on the broker's lease
-#: grant index — all counters, so network chaos replays bit-for-bit.
+#: transport's global call counter and ``duplicate_result`` on the
+#: completion-call counter — all counters, so network chaos replays
+#: bit-for-bit.  ``worker_vanish`` is an agent fault, recovered by
+#: lease expiry.
 _NETWORK_KINDS = frozenset(
     {
         "drop_request",
@@ -161,9 +166,10 @@ BUILTIN_PLANS: dict[str, FaultPlan] = {
             Fault(kind="adapter_error", at=1),
             Fault(kind="corrupt_cache", at=2),
             Fault(kind="torn_manifest", at=2),
-            # Network kinds are inert in the pool legs (no transport
-            # seam); the dispatch legs of `chaos run --dispatch` fire
-            # them.  Same values as the focused "dispatch" plan below.
+            # Network kinds are inert in the parallel legs (the pipe
+            # transport has no fault seam); the dispatch legs of `chaos
+            # run --dispatch` fire them.  Same values as the focused
+            # "dispatch" plan below.
             Fault(kind="drop_request", at=2),
             Fault(kind="duplicate_result", at=1),
             Fault(kind="delay_response", at=6, seconds=0.01),
@@ -214,9 +220,9 @@ class FaultInjector:
     """Mutable activation of a :class:`FaultPlan`.
 
     One injector lives in the parent (adapter/cache/manifest faults +
-    the interrupt hook); each worker process builds its own from the
-    serialised plan with ``in_worker=True`` so SIGKILL and hangs only
-    ever hit worker processes.  ``fired`` logs every activation for
+    the interrupt hook); each forked agent builds its own from the plan
+    with ``in_worker=True`` so SIGKILL and hangs only ever hit agent
+    processes.  ``fired`` logs every activation for
     telemetry.
     """
 
@@ -229,6 +235,7 @@ class FaultInjector:
     _checkpoints: int = 0
     _transport_calls: int = 0
     _complete_calls: int = 0
+    _vanished: set = field(default_factory=set)
 
     def _record(self, fault: Fault, where: str, attempt: int | None = None) -> None:
         event = {"kind": fault.kind, "at": fault.at, "where": where}
@@ -236,19 +243,24 @@ class FaultInjector:
             event["attempt"] = attempt
         self.fired.append(event)
 
-    # -- worker-side (task) faults ------------------------------------
+    # -- agent-side (task) faults -------------------------------------
 
-    def fire_task_faults(self, task_index: int, attempt: int) -> None:
-        """Apply kill/hang/error faults for one task attempt.
+    def fire_task_faults(self, serial: int, attempt: int) -> bool:
+        """Apply the agent faults for one claimed task attempt.
 
-        Called in the worker just before :func:`execute_spec` (and on
-        the in-process degraded path, where kill/hang are skipped —
-        degradation exists precisely to stop losing processes).
+        Called by a :class:`~repro.dispatch.WorkerAgent` right after a
+        claim.  Kill and hang fire only in a forked agent
+        (``in_worker``); in-process agents skip them, since the
+        degraded path exists precisely to stop losing processes.
+        ``spec_error`` raises :class:`InjectedFault`.  Returns True when
+        the agent vanishes holding the lease; a vanish fires once per
+        ``(serial, attempt)``, because its lease expires without
+        charging an attempt.
         """
         for fault in self.plan.faults:
             if fault.kind not in _WORKER_KINDS:
                 continue
-            if fault.at != task_index or attempt >= fault.attempts:
+            if fault.at != serial or attempt >= fault.attempts:
                 continue
             if fault.kind == "worker_kill":
                 if self.in_worker:
@@ -258,11 +270,16 @@ class FaultInjector:
                 if self.in_worker:
                     self._record(fault, "worker", attempt)
                     time.sleep(fault.seconds)
-            else:  # spec_error — fires in-process too
+            elif fault.kind == "spec_error":
                 self._record(fault, "worker" if self.in_worker else "task", attempt)
                 raise InjectedFault(
-                    f"injected spec_error at task {task_index} attempt {attempt}"
+                    f"injected spec_error at task {serial} attempt {attempt}"
                 )
+            elif (serial, attempt) not in self._vanished:
+                self._vanished.add((serial, attempt))
+                self._record(fault, f"task#{serial}", attempt)
+                return True
+        return False
 
     # -- parent-side (campaign/store) faults --------------------------
 
@@ -340,20 +357,6 @@ class FaultInjector:
                     self._record(fault, f"{op}#{index}")
                     return fault
         return None
-
-    def should_vanish(self, lease_index: int) -> bool:
-        """Whether the agent granted lease ``lease_index`` disappears.
-
-        Checked by :class:`~repro.dispatch.WorkerAgent` right after a
-        claim: a vanished agent abandons the task without completing or
-        heartbeating, so recovery must come from lease expiry.  Lease
-        indices are never reused, so each fault fires exactly once.
-        """
-        for fault in self.plan.faults:
-            if fault.kind == "worker_vanish" and fault.at == lease_index:
-                self._record(fault, f"lease#{lease_index}")
-                return True
-        return False
 
     # -- interrupt hook ------------------------------------------------
 

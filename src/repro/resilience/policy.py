@@ -1,4 +1,4 @@
-"""Retry policy and failure records for the supervised runtime.
+"""Retry policy and failure records for the fault-tolerant runtime.
 
 :class:`RetryPolicy` is fully deterministic: the backoff delay for a
 given ``(spec_hash, attempt)`` pair is a pure function of the policy's

@@ -364,10 +364,10 @@ SECTIONS: tuple[Section, ...] = (
         "runtime", "Runtime executors (serial vs pool vs spawn vs dispatch)",
         RUNTIME_BENCH_FILENAME,
         (Metric("pool_vs_spawn", "spawn_per_batch", "pool", 1.0,
-                "persistent pool lost to per-batch spawning",
+                "persistent agents lost to per-batch forking",
                 stored="_floors.pool_vs_spawn"),
          Metric("parallel_vs_serial", "serial", "pool", 1.0,
-                "pooled execution regressed vs serial",
+                "parallel execution regressed vs serial",
                 stored="_floors.parallel_vs_serial", clamp=True),
          # In-process dispatch is single-process like serial, so the
          # ratio prices the lease protocol alone on any machine.
@@ -377,8 +377,8 @@ SECTIONS: tuple[Section, ...] = (
          Metric("dispatch_vs_pool", "pool", "dispatch")),
         equal="results_equal", diverged="executor variants diverged",
         row="runtime_pool", history="runtime:{metric}", required=True,
-        # ``pool`` keeps one pool's workers across batches,
-        # ``spawn_per_batch`` pays a fresh pool per batch, and
+        # ``pool`` keeps one executor's forked agents across batches,
+        # ``spawn_per_batch`` forks fresh agents per batch, and
         # ``dispatch`` prices the broker/lease protocol (no network).
         run=partial(_run_executors, "runtime", "runtime_pool", 8, {
             "serial": ("serial", False), "pool": ("pool", False),

@@ -202,7 +202,8 @@ def test_error_completions_consume_the_retry_budget_then_fail():
     assert broker.counters["task_retries"] == 1
     assert broker.counters["failed_tasks"] == 1
     response = broker.handle("results", {"hashes": [spec.content_hash]})
-    [failure] = response["failures"]
+    retried, failure = response["failures"]  # every attempt's record
+    assert retried["attempt"] == 0 and retried["retried"]
     assert failure["kind"] == "error" and not failure["retried"]
 
 

@@ -106,6 +106,39 @@ def test_duplicate_result_delivery_is_absorbed():
     assert outcome.dispatch["completions"] == len(specs)
 
 
+def test_dropped_and_delayed_calls_are_retried():
+    specs = _specs(2)
+    serial = SerialExecutor().map(specs)
+    plan = FaultPlan(
+        name="lossy",
+        faults=(Fault(kind="drop_request", at=1),
+                Fault(kind="delay_response", at=3, seconds=0.01)),
+    )
+    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+        outcome = ex.run(specs)
+        fired = ex.injector.summary()
+    assert outcome.results == serial
+    assert fired == {"drop_request": 1, "delay_response": 1}
+    assert outcome.dispatch["completions"] == len(specs)
+    assert outcome.dispatch.get("leases_expired", 0) == 0
+
+
+def test_partitioned_worker_loses_its_lease_to_expiry():
+    # Calls 2-5 are all dropped: the first agent's heartbeat exhausts
+    # its transport retries, so it is cut off holding a lease.
+    specs = _specs(2)
+    serial = SerialExecutor().map(specs)
+    plan = FaultPlan(
+        name="cut", faults=(Fault(kind="partition_worker", at=2, attempts=4),)
+    )
+    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+        outcome = ex.run(specs)
+    assert outcome.results == serial
+    assert outcome.dispatch["leases_expired"] == 1
+    assert outcome.dispatch["lease_clock_advances"] >= 1
+    assert outcome.failures == [] and not outcome.degraded
+
+
 def test_unreachable_broker_degrades_to_the_local_pool():
     specs = _specs(2)
     serial = SerialExecutor().map(specs)
@@ -122,13 +155,11 @@ def test_spec_errors_exhaust_retries_and_raise_execution_failed(monkeypatch):
     def boom(spec):
         raise RuntimeError("synthetic execution failure")
 
-    monkeypatch.setattr("repro.dispatch.worker.execute_spec", boom)
+    monkeypatch.setattr("repro.runtime.executor.execute_spec", boom)
     specs = _specs(2)
-    observed = []
     ex = DispatchExecutor(
         jobs=2, retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
     )
-    ex.failure_listener = observed.append
     with ex:
         with pytest.raises(ExecutionFailed) as excinfo:
             ex.run(specs)
@@ -140,7 +171,10 @@ def test_spec_errors_exhaust_retries_and_raise_execution_failed(monkeypatch):
     assert error.outcome is not None
     assert error.outcome.dispatch["task_retries"] == 2
     assert error.outcome.dispatch["failed_tasks"] == 2
-    assert [record.retried for record in observed] == [False, False]
+    # The outcome keeps every attempt of both specs, retried or not.
+    assert [record.retried for record in error.outcome.failures] == [
+        True, False, True, False,
+    ]
 
 
 def test_dispatch_counters_are_per_batch_deltas():

@@ -65,7 +65,7 @@ def test_dispatch_executor_over_http_matches_serial(tmp_path):
             daemon=True,
         )
         thread.start()
-        with DispatchExecutor(server.url, poll_seconds=0.01) as ex:
+        with DispatchExecutor(server.url) as ex:
             outcome = ex.run(specs)
         thread.join(timeout=10.0)
     assert outcome.results == serial

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.campaign import CampaignSpec, StageSpec, run_campaign
+from repro.errors import ExecutionFailed
 from repro.network.config import SimulationConfig
 from repro.obs import (
     TELEMETRY_FORMAT,
@@ -11,7 +14,8 @@ from repro.obs import (
     heartbeat_printer,
     write_runtime_telemetry,
 )
-from repro.runtime.executor import SerialExecutor
+from repro.resilience import Fault, FaultPlan, RetryPolicy
+from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 
@@ -58,6 +62,29 @@ def test_telemetry_progress_still_forwarded():
             seen.append((done, total, cached)),
     )
     assert seen == [(1, 2, False), (2, 2, False)]
+
+
+def test_a_batch_that_raises_is_still_recorded():
+    # The failing batch's partial outcome is logged before the error
+    # propagates, so --obs totals agree with the campaign manifest.
+    plan = FaultPlan(
+        name="err", faults=(Fault(kind="spec_error", at=0, attempts=5),)
+    )
+    with ParallelExecutor(
+        jobs=2, retry=RetryPolicy(max_attempts=2), fault_plan=plan
+    ) as inner:
+        wrapper = TelemetryExecutor(inner)
+        with pytest.raises(ExecutionFailed):
+            wrapper.run(tiny_specs(3))
+    snapshot = wrapper.snapshot()
+    assert snapshot["totals"]["batches"] == 1
+    assert snapshot["totals"]["simulated"] == 2
+    assert snapshot["totals"]["retries"] == 1
+    assert snapshot["totals"]["failures"] == 2  # both attempts, in order
+    assert len(snapshot["completions"]) == 2
+    shard = wrapper.shard_record()
+    assert shard["spec_failures"] == 1
+    assert shard["simulated"] == 2 and shard["spec_hashes"] == []
 
 
 def test_write_runtime_telemetry_document(tmp_path):

@@ -1,11 +1,13 @@
-"""Supervised pool under injected faults: retry, watchdog, degradation."""
+"""Forked agents under injected faults: retry, timeout, degradation."""
+
+import multiprocessing
 
 import pytest
 
 from repro.errors import ExecutionFailed
 from repro.network.config import SimulationConfig
 from repro.resilience import Fault, FaultPlan, RetryPolicy
-from repro.resilience.pool import SupervisedWorkerPool
+from repro.runtime import executor as executor_module
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.spec import RunSpec
 
@@ -13,6 +15,11 @@ _CFG = SimulationConfig(frame_cycles=2000, seed=4)
 
 #: Backoff tuned for tests: retries are immediate, determinism intact.
 _FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
+
+
+def _agents_since(before):
+    """Forked children that were not alive at ``before``."""
+    return set(multiprocessing.active_children()) - before
 
 
 def _specs(count=2, cycles=300):
@@ -37,6 +44,19 @@ def test_worker_kill_is_retried_to_the_serial_answer():
     assert outcome.failures[0].retried
 
 
+def test_a_vanished_forked_agent_reads_as_a_crash():
+    specs = _specs()
+    serial = SerialExecutor().map(specs)
+    plan = FaultPlan(name="gone", faults=(Fault(kind="worker_vanish", at=1),))
+    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+        outcome = ex.run(specs)
+    assert outcome.results == serial
+    assert outcome.worker_deaths == 1
+    assert [(f.kind, f.attempt, f.retried) for f in outcome.failures] == [
+        ("crash", 0, True),
+    ]
+
+
 def test_hung_worker_is_killed_by_the_watchdog_and_the_spec_retried():
     specs = _specs()
     serial = SerialExecutor().map(specs)
@@ -57,14 +77,11 @@ def test_exhausted_retries_raise_execution_failed_with_partial_outcome():
     plan = FaultPlan(
         name="err", faults=(Fault(kind="spec_error", at=0, attempts=5),)
     )
-    observed = []
-    ex = ParallelExecutor(
+    with ParallelExecutor(
         jobs=2,
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0),
         fault_plan=plan,
-    )
-    ex.failure_listener = observed.append
-    with ex:
+    ) as ex:
         with pytest.raises(ExecutionFailed) as excinfo:
             ex.run(specs)
     error = excinfo.value
@@ -73,8 +90,30 @@ def test_exhausted_retries_raise_execution_failed_with_partial_outcome():
     assert "InjectedFault" in error.failures[0].detail
     # The rest of the batch completed before the failure surfaced.
     assert error.outcome is not None and error.outcome.simulated == 1
-    # attempt 0 (retried) + attempt 1 (permanent), both observed live.
-    assert [r.retried for r in observed] == [True, False]
+    # The outcome keeps every attempt: 0 (retried), then 1 (permanent).
+    assert [r.retried for r in error.outcome.failures] == [True, False]
+
+
+def test_a_spec_that_kills_its_worker_every_attempt_ends_as_a_crash():
+    # A dead agent's lease is charged against the retry budget, so the
+    # spec cannot be requeued for free forever.
+    plan = FaultPlan(
+        name="killer", faults=(Fault(kind="worker_kill", at=0, attempts=5),)
+    )
+    with ParallelExecutor(
+        jobs=2, retry=RetryPolicy(max_attempts=2), fault_plan=plan
+    ) as ex:
+        with pytest.raises(ExecutionFailed) as excinfo:
+            ex.run(_specs())
+    outcome = excinfo.value.outcome
+    assert [(f.kind, f.attempt, f.retried) for f in outcome.failures] == [
+        ("crash", 0, True), ("crash", 1, False),
+    ]
+    assert [(f.kind, f.attempt) for f in excinfo.value.failures] == [
+        ("crash", 1),
+    ]
+    assert outcome.simulated == 1
+    assert outcome.worker_deaths == 2
 
 
 def test_repeated_deaths_degrade_to_in_process_and_still_finish():
@@ -89,56 +128,59 @@ def test_repeated_deaths_degrade_to_in_process_and_still_finish():
         jobs=2,
         retry=RetryPolicy(max_attempts=10, backoff_base=0.0, jitter=0.0),
         fault_plan=plan,
-        max_worker_deaths=2,
     ) as ex:
         outcome = ex.run(specs)
     assert outcome.degraded
-    assert outcome.worker_deaths == 2
+    assert outcome.worker_deaths == 4  # max(3, 2 * jobs)
     assert outcome.results == serial  # in-process path skips kill faults
 
 
-def test_keyboard_interrupt_force_closes_the_pool():
-    closed = {}
+def test_keyboard_interrupt_force_closes_the_pool(monkeypatch):
+    before = set(multiprocessing.active_children())
+    with ParallelExecutor(jobs=2) as ex:
+        ex.run(_specs(cycles=200))
+        agents = _agents_since(before)
+        assert len(agents) == 2
 
-    class InterruptingPool:
-        def execute(self, *args, **kwargs):
+        def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        def shutdown(self, *, force=False):
-            closed["force"] = force
-
-    ex = ParallelExecutor(jobs=2)
-    ex._pool = InterruptingPool()
-    with pytest.raises(KeyboardInterrupt):
-        ex.run(_specs())
-    assert closed == {"force": True}
-    assert ex._pool is None  # a later run would respawn cleanly
+        monkeypatch.setattr(executor_module, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ex.run(_specs(cycles=250))
+        assert not any(agent.is_alive() for agent in agents)
+        monkeypatch.undo()
+        # A later run forks new agents cleanly.
+        assert ex.run(_specs(cycles=250)).simulated == 2
 
 
 def test_pool_workers_persist_across_batches():
-    pool = SupervisedWorkerPool(2, retry=_FAST_RETRY)
-    try:
-        first = pool.execute(_specs(cycles=200))
-        pids = {worker.process.pid for worker in pool._workers}
-        assert pids and all(first.results.values())
-        second = pool.execute(_specs(cycles=250))
-        assert {w.process.pid for w in pool._workers} == pids
-        assert len(second.results) == 2
+    before = set(multiprocessing.active_children())
+    with ParallelExecutor(jobs=2, retry=_FAST_RETRY) as ex:
+        first = ex.run(_specs(cycles=200))
+        agents = _agents_since(before)
+        assert len(agents) == 2 and first.simulated == 2
+        second = ex.run(_specs(cycles=250))
+        assert _agents_since(before) == agents  # same processes, same pids
+        assert second.simulated == 2
         assert second.worker_deaths == 0 and second.retries == 0
-    finally:
-        pool.shutdown()
-    assert pool.active_workers == 0
+    assert not any(agent.is_alive() for agent in agents)
 
 
 def test_pool_validation_and_outcome_properties():
     with pytest.raises(ValueError):
-        SupervisedWorkerPool(0)
-    from repro.resilience.pool import PoolOutcome
-    from repro.resilience.policy import FailureRecord
-
-    retried = FailureRecord(spec_hash="a" * 64, label="x", kind="crash",
-                            attempt=0, detail="", retried=True)
-    permanent = FailureRecord(spec_hash="b" * 64, label="y", kind="error",
-                              attempt=1, detail="", retried=False)
-    outcome = PoolOutcome(results={}, failures=[retried, permanent])
-    assert outcome.permanent_failures == [permanent]
+        ParallelExecutor(jobs=0)
+    plan = FaultPlan(
+        name="err", faults=(Fault(kind="spec_error", at=1, attempts=5),)
+    )
+    with ParallelExecutor(
+        jobs=2, retry=RetryPolicy(max_attempts=2), fault_plan=plan
+    ) as ex:
+        with pytest.raises(ExecutionFailed) as excinfo:
+            ex.run(_specs(3))
+    error = excinfo.value
+    # The error names the permanent failures; the outcome keeps them all.
+    assert error.failures == [
+        record for record in error.outcome.failures if not record.retried
+    ]
+    assert error.outcome.results == []

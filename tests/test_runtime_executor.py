@@ -105,18 +105,16 @@ def test_parallel_jobs_default_and_validation():
 
 
 def _forbid_pool(monkeypatch):
-    """Make any worker-pool spawn fail loudly."""
+    """Make any agent fork fail loudly."""
 
     def boom(*args, **kwargs):  # pragma: no cover - failure reporter
-        raise AssertionError("SupervisedWorkerPool must not be spawned")
+        raise AssertionError("no agent may be forked")
 
-    import repro.runtime.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "SupervisedWorkerPool", boom)
+    monkeypatch.setattr(ParallelExecutor, "_fork", boom)
 
 
 def test_jobs_1_degrades_to_in_process_serial(monkeypatch):
-    # Pool overhead at jobs=1 was a measured 0.787x slowdown
+    # Worker overhead at jobs=1 was a measured 0.787x slowdown
     # (BENCH_runtime.json); the executor must not pay it.
     _forbid_pool(monkeypatch)
     specs = _fig4_style_specs()
@@ -125,8 +123,8 @@ def test_jobs_1_degrades_to_in_process_serial(monkeypatch):
 
 
 def test_single_pending_spec_degrades_to_in_process_serial(monkeypatch, tmp_path):
-    # jobs >= pending batch size == 1: a pool for one spec is pure
-    # overhead, so the un-cached remainder runs in-process too.
+    # jobs >= pending batch size == 1: forking agents for one spec is
+    # pure overhead, so the un-cached remainder runs in-process too.
     cache = ResultCache(tmp_path)
     specs = _fig4_style_specs()
     ParallelExecutor(jobs=1).run(specs[:-1], cache=cache)
