@@ -185,125 +185,7 @@ workers mid-lease, then asserts byte-identical convergence.  See
 ``docs/failures.md``.
 """
 
-from repro.analysis.fairness import fairness_report, max_min_allocation
-from repro.analysis.sweep import latency_throughput_sweep
-from repro.campaign import (
-    CAMPAIGNS,
-    CampaignResult,
-    CampaignRunner,
-    CampaignSpec,
-    ReportCard,
-    StageReport,
-    StageSpec,
-    get_campaign,
-    run_campaign,
-)
-from repro.core.chip import Chip, ChipConfig
-from repro.core.domain import Domain, is_convex, xy_path
-from repro.core.hypervisor import Hypervisor, VirtualMachine
-from repro.core.memctrl import MemoryController
-from repro.core.system import TopologyAwareSystem
-from repro.dispatch import (
-    Broker,
-    BrokerServer,
-    DispatchExecutor,
-    HttpTransport,
-    LocalTransport,
-    WorkerAgent,
-)
-from repro.errors import (
-    AllocationError,
-    CampaignError,
-    CampaignInterrupted,
-    ConfigurationError,
-    ConvexityError,
-    DispatchError,
-    ExecutionFailed,
-    IsolationError,
-    ModelError,
-    ReproError,
-    SimulationError,
-    TopologyError,
-    TraceOverflowError,
-    TrafficError,
-    TransportError,
-)
-from repro.models.area import RouterAreaModel
-from repro.models.energy import RouterEnergyModel
-from repro.models.technology import TechnologyParameters
-from repro.network.config import SimulationConfig
-from repro.network.engine import ColumnSimulator
-from repro.network.packet import ClosedLoopSpec, FlowSpec, Packet
-from repro.network.trace import InjectionCapture, TraceRecorder
-from repro.obs import (
-    ObsSession,
-    ProbeBus,
-    TelemetryExecutor,
-    WindowedMetrics,
-    read_metrics,
-    render_report,
-)
-from repro.qos import (
-    GsfPolicy,
-    NoQosPolicy,
-    PolicyCapabilities,
-    PolicyEntry,
-    QosPolicy,
-    available_policies,
-    create_policy,
-    get_policy,
-    policy_entries,
-    register_policy,
-)
-from repro.resilience import (
-    ChaosReport,
-    FailureRecord,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-    load_plan,
-    run_chaos,
-)
-from repro.qos.perflow import PerFlowQueuedPolicy
-from repro.qos.pvc import PvcPolicy
-from repro.runtime import (
-    BatchResult,
-    GridResult,
-    ParallelExecutor,
-    ResultCache,
-    RunManifest,
-    RunResult,
-    RunSpec,
-    SerialExecutor,
-    execute_spec,
-    run_batch,
-    run_grid,
-)
-from repro.scenarios import (
-    InjectionProcess,
-    OnOffProcess,
-    ParetoBurstProcess,
-    Phase,
-    PhasedProcess,
-    ScenarioTrace,
-    bursty_workload,
-    closed_loop_workload,
-    pareto_workload,
-    phased_workload,
-    read_trace,
-    replayed_workload,
-    write_trace,
-)
-from repro.topologies.registry import TOPOLOGY_NAMES, get_topology
-from repro.traffic.workloads import (
-    full_column_workload,
-    hotspot_all_injectors,
-    tornado_workload,
-    uniform_workload,
-    workload1,
-    workload2,
-)
+from repro._lazy import lazy_exports
 
 # 1.2.0: activity-tracked engine (geometric inter-arrival sampling +
 # cycle skipping).  1.3.0: saturation hot path — incremental PVC
@@ -356,116 +238,103 @@ from repro.traffic.workloads import (
 # the new pvc_vs_gsf stage and GSF bench regime.
 __version__ = "1.10.0"
 
-__all__ = [
-    "AllocationError",
-    "BatchResult",
-    "Broker",
-    "BrokerServer",
-    "CAMPAIGNS",
-    "CampaignError",
-    "CampaignInterrupted",
-    "CampaignResult",
-    "CampaignRunner",
-    "CampaignSpec",
-    "Chip",
-    "ChipConfig",
-    "ClosedLoopSpec",
-    "ColumnSimulator",
-    "ChaosReport",
-    "ConfigurationError",
-    "ConvexityError",
-    "DispatchError",
-    "DispatchExecutor",
-    "Domain",
-    "ExecutionFailed",
-    "FailureRecord",
-    "Fault",
-    "FaultInjector",
-    "FaultPlan",
-    "FlowSpec",
-    "GridResult",
-    "GsfPolicy",
-    "HttpTransport",
-    "Hypervisor",
-    "InjectionCapture",
-    "InjectionProcess",
-    "IsolationError",
-    "LocalTransport",
-    "MemoryController",
-    "ModelError",
-    "NoQosPolicy",
-    "ObsSession",
-    "OnOffProcess",
-    "Packet",
-    "ParallelExecutor",
-    "ParetoBurstProcess",
-    "PerFlowQueuedPolicy",
-    "Phase",
-    "PhasedProcess",
-    "PolicyCapabilities",
-    "PolicyEntry",
-    "ProbeBus",
-    "PvcPolicy",
-    "QosPolicy",
-    "ReportCard",
-    "ReproError",
-    "ResultCache",
-    "RetryPolicy",
-    "RouterAreaModel",
-    "RouterEnergyModel",
-    "RunManifest",
-    "RunResult",
-    "RunSpec",
-    "ScenarioTrace",
-    "SerialExecutor",
-    "SimulationConfig",
-    "SimulationError",
-    "StageReport",
-    "StageSpec",
-    "TOPOLOGY_NAMES",
-    "TechnologyParameters",
-    "TelemetryExecutor",
-    "TopologyAwareSystem",
-    "TopologyError",
-    "TraceOverflowError",
-    "TraceRecorder",
-    "TrafficError",
-    "TransportError",
-    "VirtualMachine",
-    "WindowedMetrics",
-    "WorkerAgent",
-    "available_policies",
-    "bursty_workload",
-    "closed_loop_workload",
-    "create_policy",
-    "execute_spec",
-    "fairness_report",
-    "full_column_workload",
-    "get_campaign",
-    "get_policy",
-    "get_topology",
-    "hotspot_all_injectors",
-    "is_convex",
-    "latency_throughput_sweep",
-    "load_plan",
-    "max_min_allocation",
-    "pareto_workload",
-    "phased_workload",
-    "policy_entries",
-    "read_metrics",
-    "read_trace",
-    "register_policy",
-    "render_report",
-    "replayed_workload",
-    "run_batch",
-    "run_campaign",
-    "run_chaos",
-    "run_grid",
-    "tornado_workload",
-    "uniform_workload",
-    "workload1",
-    "workload2",
-    "write_trace",
-    "xy_path",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".analysis.fairness": ("fairness_report", "max_min_allocation"),
+        ".analysis.sweep": ("latency_throughput_sweep",),
+        ".campaign.builtin": ("CAMPAIGNS", "get_campaign"),
+        ".campaign.report": ("ReportCard", "StageReport"),
+        ".campaign.runner": ("CampaignResult", "CampaignRunner", "run_campaign"),
+        ".campaign.spec": ("CampaignSpec", "StageSpec"),
+        ".core.chip": ("Chip", "ChipConfig"),
+        ".core.domain": ("Domain", "is_convex", "xy_path"),
+        ".core.hypervisor": ("Hypervisor", "VirtualMachine"),
+        ".core.memctrl": ("MemoryController",),
+        ".core.system": ("TopologyAwareSystem",),
+        ".dispatch.broker": ("Broker",),
+        ".dispatch.executor": ("DispatchExecutor",),
+        ".dispatch.httpd": ("BrokerServer",),
+        ".dispatch.transport": ("HttpTransport", "LocalTransport"),
+        ".dispatch.worker": ("WorkerAgent",),
+        ".errors": (
+            "AllocationError",
+            "CampaignError",
+            "CampaignInterrupted",
+            "ConfigurationError",
+            "ConvexityError",
+            "DispatchError",
+            "ExecutionFailed",
+            "IsolationError",
+            "ModelError",
+            "ReproError",
+            "SimulationError",
+            "TopologyError",
+            "TraceOverflowError",
+            "TrafficError",
+            "TransportError",
+        ),
+        ".models.area": ("RouterAreaModel",),
+        ".models.energy": ("RouterEnergyModel",),
+        ".models.technology": ("TechnologyParameters",),
+        ".network.config": ("SimulationConfig",),
+        ".network.engine": ("ColumnSimulator",),
+        ".network.packet": ("ClosedLoopSpec", "FlowSpec", "Packet"),
+        ".network.trace": ("InjectionCapture", "TraceRecorder"),
+        ".obs.collect": ("ObsSession", "WindowedMetrics"),
+        ".obs.metricsfmt": ("read_metrics",),
+        ".obs.probes": ("ProbeBus",),
+        ".obs.report": ("render_report",),
+        ".obs.telemetry": ("TelemetryExecutor",),
+        ".qos.base": ("NoQosPolicy", "PolicyCapabilities", "QosPolicy"),
+        ".qos.gsf": ("GsfPolicy",),
+        ".qos.perflow": ("PerFlowQueuedPolicy",),
+        ".qos.pvc": ("PvcPolicy",),
+        ".qos.registry": (
+            "PolicyEntry",
+            "available_policies",
+            "create_policy",
+            "get_policy",
+            "policy_entries",
+            "register_policy",
+        ),
+        ".resilience.chaos": ("ChaosReport", "run_chaos"),
+        ".resilience.faults": ("Fault", "FaultInjector", "FaultPlan", "load_plan"),
+        ".resilience.policy": ("FailureRecord", "RetryPolicy"),
+        ".runtime.cache": ("ResultCache",),
+        ".runtime.executor": ("ParallelExecutor", "SerialExecutor"),
+        ".runtime.runner": (
+            "BatchResult",
+            "GridResult",
+            "RunManifest",
+            "run_batch",
+            "run_grid",
+        ),
+        ".runtime.spec": ("RunResult", "RunSpec", "execute_spec"),
+        ".scenarios.injection": (
+            "InjectionProcess",
+            "OnOffProcess",
+            "ParetoBurstProcess",
+            "Phase",
+            "PhasedProcess",
+        ),
+        ".scenarios.tracefmt": ("ScenarioTrace", "read_trace", "write_trace"),
+        ".scenarios.workloads": (
+            "bursty_workload",
+            "closed_loop_workload",
+            "pareto_workload",
+            "phased_workload",
+            "replayed_workload",
+        ),
+        ".topologies.registry": ("TOPOLOGY_NAMES", "get_topology"),
+        ".traffic.workloads": (
+            "full_column_workload",
+            "hotspot_all_injectors",
+            "tornado_workload",
+            "uniform_workload",
+            "workload1",
+            "workload2",
+        ),
+    },
+)
+__all__.append("__version__")

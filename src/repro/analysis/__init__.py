@@ -6,24 +6,14 @@ and the Section 5.2 saturation-preemption statistics); each returns
 structured results and can render the same rows the paper reports.
 """
 
-from repro.analysis.chip_study import format_chip_study, run_chip_study
-from repro.analysis.fairness import (
-    FairnessReport,
-    fairness_report,
-    max_min_allocation,
-)
-from repro.analysis.report import ReportOptions, generate_report, write_report
-from repro.analysis.sweep import LatencyPoint, latency_throughput_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FairnessReport",
-    "LatencyPoint",
-    "ReportOptions",
-    "fairness_report",
-    "format_chip_study",
-    "generate_report",
-    "latency_throughput_sweep",
-    "max_min_allocation",
-    "run_chip_study",
-    "write_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".chip_study": ("format_chip_study", "run_chip_study"),
+        ".fairness": ("FairnessReport", "fairness_report", "max_min_allocation"),
+        ".report": ("ReportOptions", "generate_report", "write_report"),
+        ".sweep": ("LatencyPoint", "latency_throughput_sweep"),
+    },
+)

@@ -21,39 +21,17 @@ module                 question
 =====================  ====================================================
 """
 
-from repro.analysis.ablations.frame import format_frame_ablation, run_frame_ablation
-from repro.analysis.ablations.patience import (
-    format_patience_ablation,
-    run_patience_ablation,
-)
-from repro.analysis.ablations.quota import format_quota_ablation, run_quota_ablation
-from repro.analysis.ablations.replica_policy import (
-    format_replica_ablation,
-    run_replica_ablation,
-)
-from repro.analysis.ablations.reserved_vc import (
-    format_reserved_vc_ablation,
-    run_reserved_vc_ablation,
-)
-from repro.analysis.ablations.topology_extension import (
-    format_fbfly_study,
-    run_fbfly_study,
-)
-from repro.analysis.ablations.window import format_window_ablation, run_window_ablation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_fbfly_study",
-    "format_frame_ablation",
-    "format_patience_ablation",
-    "format_quota_ablation",
-    "format_replica_ablation",
-    "format_reserved_vc_ablation",
-    "format_window_ablation",
-    "run_fbfly_study",
-    "run_frame_ablation",
-    "run_patience_ablation",
-    "run_quota_ablation",
-    "run_replica_ablation",
-    "run_reserved_vc_ablation",
-    "run_window_ablation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".frame": ("format_frame_ablation", "run_frame_ablation"),
+        ".patience": ("format_patience_ablation", "run_patience_ablation"),
+        ".quota": ("format_quota_ablation", "run_quota_ablation"),
+        ".replica_policy": ("format_replica_ablation", "run_replica_ablation"),
+        ".reserved_vc": ("format_reserved_vc_ablation", "run_reserved_vc_ablation"),
+        ".topology_extension": ("format_fbfly_study", "run_fbfly_study"),
+        ".window": ("format_window_ablation", "run_window_ablation"),
+    },
+)

@@ -15,36 +15,19 @@ module                 paper result
 =====================  =============================================
 """
 
-from repro.analysis.experiments.burst_fairness import (
-    format_burst_fairness,
-    run_burst_fairness,
-)
-from repro.analysis.experiments.fig3_area import format_fig3, run_fig3
-from repro.analysis.experiments.fig4_latency import format_fig4, run_fig4
-from repro.analysis.experiments.fig5_preemption import format_fig5, run_fig5
-from repro.analysis.experiments.fig6_slowdown import format_fig6, run_fig6
-from repro.analysis.experiments.fig7_energy import format_fig7, run_fig7
-from repro.analysis.experiments.pvc_vs_gsf import format_pvc_vs_gsf, run_pvc_vs_gsf
-from repro.analysis.experiments.saturation import format_saturation, run_saturation
-from repro.analysis.experiments.table2_fairness import format_table2, run_table2
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_burst_fairness",
-    "format_fig3",
-    "format_fig4",
-    "format_fig5",
-    "format_fig6",
-    "format_fig7",
-    "format_pvc_vs_gsf",
-    "format_saturation",
-    "format_table2",
-    "run_burst_fairness",
-    "run_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "run_pvc_vs_gsf",
-    "run_saturation",
-    "run_table2",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".burst_fairness": ("format_burst_fairness", "run_burst_fairness"),
+        ".fig3_area": ("format_fig3", "run_fig3"),
+        ".fig4_latency": ("format_fig4", "run_fig4"),
+        ".fig5_preemption": ("format_fig5", "run_fig5"),
+        ".fig6_slowdown": ("format_fig6", "run_fig6"),
+        ".fig7_energy": ("format_fig7", "run_fig7"),
+        ".pvc_vs_gsf": ("format_pvc_vs_gsf", "run_pvc_vs_gsf"),
+        ".saturation": ("format_saturation", "run_saturation"),
+        ".table2_fairness": ("format_table2", "run_table2"),
+    },
+)

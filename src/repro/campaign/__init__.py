@@ -23,44 +23,28 @@ continues from the manifest checkpoint and produces byte-identical
 artifacts.  CLI: ``repro campaign list|run|status|resume|report|diff``.
 """
 
-from repro.campaign.builtin import CAMPAIGNS, get_campaign
-from repro.campaign.doctor import CampaignFsckReport, fsck_campaign
-from repro.campaign.report import (
-    BASELINE_FILENAME,
-    ReportCard,
-    StageReport,
-    compare_rows,
-    load_baseline,
-    update_baseline,
-)
-from repro.campaign.runner import (
-    CampaignResult,
-    CampaignRunner,
-    run_campaign,
-    stage_digests,
-)
-from repro.campaign.spec import CampaignSpec, StageSpec, stage_hash
-from repro.campaign.stages import STAGE_ADAPTERS, STAGE_KINDS, get_adapter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BASELINE_FILENAME",
-    "CAMPAIGNS",
-    "CampaignFsckReport",
-    "CampaignResult",
-    "CampaignRunner",
-    "CampaignSpec",
-    "ReportCard",
-    "STAGE_ADAPTERS",
-    "STAGE_KINDS",
-    "StageReport",
-    "StageSpec",
-    "compare_rows",
-    "fsck_campaign",
-    "get_adapter",
-    "get_campaign",
-    "load_baseline",
-    "run_campaign",
-    "stage_digests",
-    "stage_hash",
-    "update_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".builtin": ("CAMPAIGNS", "get_campaign"),
+        ".doctor": ("CampaignFsckReport", "fsck_campaign"),
+        ".report": (
+            "BASELINE_FILENAME",
+            "ReportCard",
+            "StageReport",
+            "compare_rows",
+            "load_baseline",
+            "update_baseline",
+        ),
+        ".runner": (
+            "CampaignResult",
+            "CampaignRunner",
+            "run_campaign",
+            "stage_digests",
+        ),
+        ".spec": ("CampaignSpec", "StageSpec", "stage_hash"),
+        ".stages": ("STAGE_ADAPTERS", "STAGE_KINDS", "get_adapter"),
+    },
+)

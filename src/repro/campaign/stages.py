@@ -7,29 +7,17 @@ comparable summary rows.  This registry maps the campaign-facing kind
 names onto those adapters and versions them: bumping an adapter's
 ``version`` changes every dependent stage hash, invalidating manifests
 and baselines recorded against the old row shape.
+
+An adapter's module is imported on its first ``run``; stage hashes read
+only this table, so building a campaign runner imports no experiment.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from importlib import import_module
 
-from repro.analysis.ablations import frame as _frame
-from repro.analysis.ablations import patience as _patience
-from repro.analysis.ablations import quota as _quota
-from repro.analysis.ablations import replica_policy as _replica
-from repro.analysis.ablations import reserved_vc as _reserved_vc
-from repro.analysis.ablations import topology_extension as _fbfly
-from repro.analysis.ablations import window as _window
-from repro.analysis.experiments import burst_fairness as _burst
-from repro.analysis.experiments import fig3_area as _fig3
-from repro.analysis.experiments import fig4_latency as _fig4
-from repro.analysis.experiments import fig5_preemption as _fig5
-from repro.analysis.experiments import fig6_slowdown as _fig6
-from repro.analysis.experiments import fig7_energy as _fig7
-from repro.analysis.experiments import pvc_vs_gsf as _pvc_vs_gsf
-from repro.analysis.experiments import saturation as _saturation
-from repro.analysis.experiments import table2_fairness as _table2
 from repro.errors import CampaignError
 
 #: ``stage_rows(params, *, seed, executor, cache) -> list[dict]``.
@@ -47,87 +35,96 @@ class StageAdapter:
     simulated: bool = True
 
 
+def _stage_rows(module: str) -> StageRunner:
+    """``stage_rows`` of ``repro.analysis.<module>``, imported on first call."""
+
+    def run(*args, **kwargs):
+        return import_module(f"repro.analysis.{module}").stage_rows(*args, **kwargs)
+
+    return run
+
+
 _ADAPTERS: tuple[StageAdapter, ...] = (
     StageAdapter(
         "fig3",
-        _fig3.stage_rows,
+        _stage_rows("experiments.fig3_area"),
         "Figure 3: router area overhead (analytical)",
         simulated=False,
     ),
     StageAdapter(
         "fig4",
-        _fig4.stage_rows,
+        _stage_rows("experiments.fig4_latency"),
         "Figure 4: latency/throughput, uniform + tornado",
     ),
     StageAdapter(
         "table2",
-        _table2.stage_rows,
+        _stage_rows("experiments.table2_fairness"),
         "Table 2: hotspot throughput fairness",
     ),
     StageAdapter(
         "fig5",
-        _fig5.stage_rows,
+        _stage_rows("experiments.fig5_preemption"),
         "Figure 5: adversarial preemption rates",
     ),
     StageAdapter(
         "fig6",
-        _fig6.stage_rows,
+        _stage_rows("experiments.fig6_slowdown"),
         "Figure 6: slowdown + max-min deviation",
     ),
     StageAdapter(
         "fig7",
-        _fig7.stage_rows,
+        _stage_rows("experiments.fig7_energy"),
         "Figure 7: router energy per flit (analytical)",
         simulated=False,
     ),
     StageAdapter(
         "saturation",
-        _saturation.stage_rows,
+        _stage_rows("experiments.saturation"),
         "Section 5.2: saturation replay rates",
     ),
     StageAdapter(
         "burst_fairness",
-        _burst.stage_rows,
+        _stage_rows("experiments.burst_fairness"),
         "extension: QoS under bursty/replayed traffic",
     ),
     StageAdapter(
         "pvc_vs_gsf",
-        _pvc_vs_gsf.stage_rows,
+        _stage_rows("experiments.pvc_vs_gsf"),
         "extension: PVC vs GSF head-to-head (fairness, throttling cost)",
     ),
     StageAdapter(
         "ablation_quota",
-        _quota.stage_rows,
+        _stage_rows("ablations.quota"),
         "ablation: reserved per-frame quota",
     ),
     StageAdapter(
         "ablation_reserved_vc",
-        _reserved_vc.stage_rows,
+        _stage_rows("ablations.reserved_vc"),
         "ablation: rate-compliant reserved VC",
     ),
     StageAdapter(
         "ablation_patience",
-        _patience.stage_rows,
+        _stage_rows("ablations.patience"),
         "ablation: preemption patience window",
     ),
     StageAdapter(
         "ablation_frame",
-        _frame.stage_rows,
+        _stage_rows("ablations.frame"),
         "ablation: PVC frame length",
     ),
     StageAdapter(
         "ablation_window",
-        _window.stage_rows,
+        _stage_rows("ablations.window"),
         "ablation: source retransmission window",
     ),
     StageAdapter(
         "ablation_replica",
-        _replica.stage_rows,
+        _stage_rows("ablations.replica_policy"),
         "ablation: replica arbitration policy",
     ),
     StageAdapter(
         "ablation_fbfly",
-        _fbfly.stage_rows,
+        _stage_rows("ablations.topology_extension"),
         "ablation: flattened-butterfly extension",
     ),
 )

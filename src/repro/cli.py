@@ -74,13 +74,18 @@ import argparse
 import sys
 import time
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
+# Lazy packages: each experiment module is imported by the first
+# handler that reads a name from it.
 from repro.analysis import ablations as ab
 from repro.analysis import experiments as ex
 from repro.network.config import SimulationConfig
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import Executor, ParallelExecutor, SerialExecutor
-from repro.runtime.runner import RunManifest
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.executor import Executor
+    from repro.runtime.runner import RunManifest
 
 
 def _config(args, frame: int) -> SimulationConfig:
@@ -124,6 +129,8 @@ def _executor(args) -> Executor:
     every ``_executor`` call inside one command shares its counters);
     the collected snapshot is written as JSON when the target finishes.
     """
+    from repro.runtime.executor import ParallelExecutor, SerialExecutor
+
     if getattr(args, "dispatch", None):
         import os as _os
 
@@ -200,6 +207,8 @@ def _journal_writer(args, actor: str):
 
 
 def _cache(args) -> ResultCache | None:
+    from repro.runtime.cache import ResultCache
+
     if args.no_cache:
         return None
     cache = ResultCache(args.cache_dir)
@@ -211,6 +220,8 @@ def _cache(args) -> ResultCache | None:
 
 def _with_manifest(text: str, manifests: list[RunManifest]) -> str:
     """Append the runtime footer recording simulated-vs-cached work."""
+    from repro.runtime.runner import RunManifest
+
     if not manifests:
         return text
     return f"{text}\n[runtime: {RunManifest.merge(manifests).summary()}]"
@@ -1172,6 +1183,8 @@ def _run_doctor(args) -> int:
     mismatches.  With ``--check`` the exit code is 1 whenever anything
     is, or already was, quarantined.
     """
+    from repro.runtime.cache import ResultCache
+
     cache = ResultCache(args.cache_dir)
     report = cache.fsck()
     print(f"cache root: {cache.root} (v{cache.version})")
@@ -1390,6 +1403,8 @@ def _fleet_trace(args, directory: str) -> int:
 
 def _run_cache(args) -> int:
     """``repro cache [info|clear]`` — inspect or empty the result store."""
+    from repro.runtime.cache import ResultCache
+
     action = args.targets[1] if len(args.targets) > 1 else "info"
     cache = ResultCache(args.cache_dir)
     if action == "info":

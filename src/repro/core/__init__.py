@@ -18,41 +18,29 @@ region that :mod:`repro.network` simulates at cycle level:
 * a QoS-aware memory-controller endpoint model.
 """
 
-from repro.core.allocator import DomainAllocator
-from repro.core.cache import (
-    CacheOrganisation,
-    domain_cache_analysis,
-    miss_ratio,
-    shared_wins,
-)
-from repro.core.chip import Chip, ChipConfig, NodeKind
-from repro.core.domain import Domain, is_convex, xy_path
-from repro.core.hypervisor import Hypervisor, VirtualMachine
-from repro.core.isolation import IsolationViolation, verify_isolation
-from repro.core.memctrl import MemoryController
-from repro.core.routing import RouterPath, route_inter_vm, route_intra_domain, route_to_shared
-from repro.core.system import TopologyAwareSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheOrganisation",
-    "Chip",
-    "ChipConfig",
-    "Domain",
-    "DomainAllocator",
-    "Hypervisor",
-    "IsolationViolation",
-    "MemoryController",
-    "NodeKind",
-    "RouterPath",
-    "TopologyAwareSystem",
-    "VirtualMachine",
-    "domain_cache_analysis",
-    "is_convex",
-    "miss_ratio",
-    "shared_wins",
-    "route_inter_vm",
-    "route_intra_domain",
-    "route_to_shared",
-    "verify_isolation",
-    "xy_path",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".allocator": ("DomainAllocator",),
+        ".cache": (
+            "CacheOrganisation",
+            "domain_cache_analysis",
+            "miss_ratio",
+            "shared_wins",
+        ),
+        ".chip": ("Chip", "ChipConfig", "NodeKind"),
+        ".domain": ("Domain", "is_convex", "xy_path"),
+        ".hypervisor": ("Hypervisor", "VirtualMachine"),
+        ".isolation": ("IsolationViolation", "verify_isolation"),
+        ".memctrl": ("MemoryController",),
+        ".routing": (
+            "RouterPath",
+            "route_inter_vm",
+            "route_intra_domain",
+            "route_to_shared",
+        ),
+        ".system": ("TopologyAwareSystem",),
+    },
+)

@@ -26,28 +26,21 @@ digests no matter how the network misbehaves — which is exactly what
 the ``repro chaos run --dispatch`` leg asserts.
 """
 
-from repro.dispatch.broker import (
-    BROKER_OPS,
-    Broker,
-    ManualClock,
-    MonotonicClock,
-    spec_hash_of,
-)
-from repro.dispatch.executor import DispatchExecutor
-from repro.dispatch.httpd import BrokerServer
-from repro.dispatch.transport import HttpTransport, LocalTransport, Transport
-from repro.dispatch.worker import WorkerAgent
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BROKER_OPS",
-    "Broker",
-    "BrokerServer",
-    "DispatchExecutor",
-    "HttpTransport",
-    "LocalTransport",
-    "ManualClock",
-    "MonotonicClock",
-    "Transport",
-    "WorkerAgent",
-    "spec_hash_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".broker": (
+            "BROKER_OPS",
+            "Broker",
+            "ManualClock",
+            "MonotonicClock",
+            "spec_hash_of",
+        ),
+        ".executor": ("DispatchExecutor",),
+        ".httpd": ("BrokerServer",),
+        ".transport": ("HttpTransport", "LocalTransport", "Transport"),
+        ".worker": ("WorkerAgent",),
+    },
+)

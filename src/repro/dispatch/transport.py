@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 
 from repro.errors import DispatchError, TransportError
 from repro.resilience.faults import FaultInjector
@@ -141,6 +139,11 @@ class HttpTransport(Transport):
         return self.url
 
     def call(self, op: str, payload: dict) -> dict:
+        # Imported here: urllib pulls in http.client, which only the
+        # HTTP transport needs.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(payload).encode("utf-8")
         attempt = 0
         while True:

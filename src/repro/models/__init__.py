@@ -10,18 +10,14 @@ stage is the most energy-hungry because of its long input lines, and DPS
 intermediate hops cost only a buffer access.
 """
 
-from repro.models.area import AreaBreakdown, RouterAreaModel
-from repro.models.energy import EnergyBreakdown, HopType, RouterEnergyModel
-from repro.models.geometry import BufferBank, RouterGeometry
-from repro.models.technology import TechnologyParameters
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AreaBreakdown",
-    "BufferBank",
-    "EnergyBreakdown",
-    "HopType",
-    "RouterAreaModel",
-    "RouterEnergyModel",
-    "RouterGeometry",
-    "TechnologyParameters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".area": ("AreaBreakdown", "RouterAreaModel"),
+        ".energy": ("EnergyBreakdown", "HopType", "RouterEnergyModel"),
+        ".geometry": ("BufferBank", "RouterGeometry"),
+        ".technology": ("TechnologyParameters",),
+    },
+)

@@ -12,24 +12,16 @@ banks), output ports (serialised link/ejection resources), and per-packet
 routes.
 """
 
-from repro.network.config import SimulationConfig
-from repro.network.engine import ColumnSimulator
-from repro.network.fabric import FabricBuild, OutputPort, Station, VirtualChannel
-from repro.network.metrics import NetworkStats
-from repro.network.packet import FlowSpec, Packet
-from repro.network.trace import TraceEvent, TraceKind, TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ColumnSimulator",
-    "FabricBuild",
-    "FlowSpec",
-    "NetworkStats",
-    "OutputPort",
-    "Packet",
-    "SimulationConfig",
-    "Station",
-    "TraceEvent",
-    "TraceKind",
-    "TraceRecorder",
-    "VirtualChannel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".config": ("SimulationConfig",),
+        ".engine": ("ColumnSimulator",),
+        ".fabric": ("FabricBuild", "OutputPort", "Station", "VirtualChannel"),
+        ".metrics": ("NetworkStats",),
+        ".packet": ("FlowSpec", "Packet"),
+        ".trace": ("TraceEvent", "TraceKind", "TraceRecorder"),
+    },
+)

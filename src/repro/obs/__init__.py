@@ -22,87 +22,55 @@ See ``docs/observability.md`` for the probe catalogue and schemas,
 and ``docs/fleet.md`` for the journal format and span derivation.
 """
 
-from repro.obs.chrometrace import (
-    build_fleet_trace_events,
-    build_trace_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.fleet import (
-    FleetTimeline,
-    JournalDoc,
-    JournalWriter,
-    check_timeline,
-    export_fleet_trace,
-    journal_digest,
-    merge_journals,
-    read_journal,
-    strip_wall,
-)
-from repro.obs.collect import (
-    DEFAULT_WINDOW,
-    EngineActivityCollector,
-    LifecycleCollector,
-    ObsSession,
-    WindowedMetrics,
-)
-from repro.obs.metricsfmt import (
-    DEFAULT_LATENCY_BUCKETS,
-    METRICS_FORMAT,
-    METRICS_VERSION,
-    MetricsDoc,
-    read_metrics,
-    read_run,
-    write_metrics,
-    write_run,
-)
-from repro.obs.probes import ENGINE_EVENTS, PACKET_EVENTS, PROBE_EVENTS, ProbeBus
-from repro.obs.report import discover_metrics, render_metrics_report, render_report
-from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
-    TELEMETRY_VERSION,
-    TelemetryExecutor,
-    heartbeat_printer,
-    write_runtime_telemetry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_WINDOW",
-    "ENGINE_EVENTS",
-    "FleetTimeline",
-    "JournalDoc",
-    "JournalWriter",
-    "METRICS_FORMAT",
-    "METRICS_VERSION",
-    "MetricsDoc",
-    "ObsSession",
-    "PACKET_EVENTS",
-    "PROBE_EVENTS",
-    "TELEMETRY_FORMAT",
-    "TELEMETRY_VERSION",
-    "ProbeBus",
-    "EngineActivityCollector",
-    "LifecycleCollector",
-    "TelemetryExecutor",
-    "WindowedMetrics",
-    "build_fleet_trace_events",
-    "build_trace_events",
-    "check_timeline",
-    "discover_metrics",
-    "export_fleet_trace",
-    "heartbeat_printer",
-    "journal_digest",
-    "merge_journals",
-    "read_journal",
-    "strip_wall",
-    "read_metrics",
-    "read_run",
-    "render_metrics_report",
-    "render_report",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_metrics",
-    "write_run",
-    "write_runtime_telemetry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".chrometrace": (
+            "build_fleet_trace_events",
+            "build_trace_events",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+        ),
+        ".fleet.fleetcollect": (
+            "FleetTimeline",
+            "check_timeline",
+            "export_fleet_trace",
+            "merge_journals",
+        ),
+        ".fleet.journal": (
+            "JournalDoc",
+            "JournalWriter",
+            "journal_digest",
+            "read_journal",
+            "strip_wall",
+        ),
+        ".collect": (
+            "DEFAULT_WINDOW",
+            "EngineActivityCollector",
+            "LifecycleCollector",
+            "ObsSession",
+            "WindowedMetrics",
+        ),
+        ".metricsfmt": (
+            "DEFAULT_LATENCY_BUCKETS",
+            "METRICS_FORMAT",
+            "METRICS_VERSION",
+            "MetricsDoc",
+            "read_metrics",
+            "read_run",
+            "write_metrics",
+            "write_run",
+        ),
+        ".probes": ("ENGINE_EVENTS", "PACKET_EVENTS", "PROBE_EVENTS", "ProbeBus"),
+        ".report": ("discover_metrics", "render_metrics_report", "render_report"),
+        ".telemetry": (
+            "TELEMETRY_FORMAT",
+            "TELEMETRY_VERSION",
+            "TelemetryExecutor",
+            "heartbeat_printer",
+            "write_runtime_telemetry",
+        ),
+    },
+)

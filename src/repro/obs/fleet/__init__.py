@@ -19,56 +19,35 @@ hook site is a ``journal is not None`` guard on a ``None`` default,
 and enabling it is bit-neutral to results and stage digests.
 """
 
-from repro.obs.fleet.fleetcollect import (
-    FleetTimeline,
-    check_timeline,
-    export_fleet_trace,
-    journal_paths,
-    merge_journals,
-)
-from repro.obs.fleet.journal import (
-    JOURNAL_EVENTS,
-    JOURNAL_FORMAT,
-    JOURNAL_VERSION,
-    JournalDoc,
-    JournalWriter,
-    journal_digest,
-    read_journal,
-    strip_wall,
-)
-from repro.obs.fleet.monitor import (
-    render_campaign_dashboard,
-    render_fleet_dashboard,
-    watch,
-)
-from repro.obs.fleet.spans import (
-    batch_trace_id,
-    lease_span_id,
-    span_id,
-    stage_trace_id,
-    trace_id,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FleetTimeline",
-    "JOURNAL_EVENTS",
-    "JOURNAL_FORMAT",
-    "JOURNAL_VERSION",
-    "JournalDoc",
-    "JournalWriter",
-    "batch_trace_id",
-    "check_timeline",
-    "export_fleet_trace",
-    "journal_digest",
-    "journal_paths",
-    "lease_span_id",
-    "merge_journals",
-    "read_journal",
-    "render_campaign_dashboard",
-    "render_fleet_dashboard",
-    "span_id",
-    "stage_trace_id",
-    "strip_wall",
-    "trace_id",
-    "watch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".fleetcollect": (
+            "FleetTimeline",
+            "check_timeline",
+            "export_fleet_trace",
+            "journal_paths",
+            "merge_journals",
+        ),
+        ".journal": (
+            "JOURNAL_EVENTS",
+            "JOURNAL_FORMAT",
+            "JOURNAL_VERSION",
+            "JournalDoc",
+            "JournalWriter",
+            "journal_digest",
+            "read_journal",
+            "strip_wall",
+        ),
+        ".monitor": ("render_campaign_dashboard", "render_fleet_dashboard", "watch"),
+        ".spans": (
+            "batch_trace_id",
+            "lease_span_id",
+            "span_id",
+            "stage_trace_id",
+            "trace_id",
+        ),
+    },
+)

@@ -20,33 +20,23 @@ and campaigns.  See ``docs/qos.md`` for the policy contract and a
 walkthrough of adding a policy.
 """
 
-from repro.qos.base import NoQosPolicy, PolicyCapabilities, QosPolicy
-from repro.qos.flow_table import FlowTable
-from repro.qos.gsf import GsfPolicy
-from repro.qos.perflow import PerFlowQueuedPolicy
-from repro.qos.pvc import PROVISIONED_INJECTORS, PvcPolicy
-from repro.qos.registry import (
-    PolicyEntry,
-    available_policies,
-    create_policy,
-    get_policy,
-    policy_entries,
-    register_policy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowTable",
-    "GsfPolicy",
-    "NoQosPolicy",
-    "PerFlowQueuedPolicy",
-    "PolicyCapabilities",
-    "PolicyEntry",
-    "PROVISIONED_INJECTORS",
-    "PvcPolicy",
-    "QosPolicy",
-    "available_policies",
-    "create_policy",
-    "get_policy",
-    "policy_entries",
-    "register_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".base": ("NoQosPolicy", "PolicyCapabilities", "QosPolicy"),
+        ".flow_table": ("FlowTable",),
+        ".gsf": ("GsfPolicy",),
+        ".perflow": ("PerFlowQueuedPolicy",),
+        ".pvc": ("PROVISIONED_INJECTORS", "PvcPolicy"),
+        ".registry": (
+            "PolicyEntry",
+            "available_policies",
+            "create_policy",
+            "get_policy",
+            "policy_entries",
+            "register_policy",
+        ),
+    },
+)

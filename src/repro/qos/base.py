@@ -12,9 +12,11 @@ The engine delegates every QoS decision to a policy object:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.network.fabric import Station
-from repro.network.packet import FlowSpec, Packet
+if TYPE_CHECKING:
+    from repro.network.fabric import Station
+    from repro.network.packet import FlowSpec, Packet
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,16 @@ measures exactly this trade.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
-from repro.network.fabric import Station
-from repro.network.packet import FlowSpec, Packet
 from repro.qos.base import PolicyCapabilities, QosPolicy
 from repro.qos.flow_table import FlowTable
 from repro.qos.pvc import PROVISIONED_INJECTORS
+
+if TYPE_CHECKING:
+    from repro.network.fabric import Station
+    from repro.network.packet import FlowSpec, Packet
 
 
 class GsfPolicy(QosPolicy):

@@ -17,11 +17,15 @@ allocation is identical in intent) but:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
-from repro.network.fabric import Station
-from repro.network.packet import FlowSpec, Packet
 from repro.qos.base import PolicyCapabilities, QosPolicy
 from repro.qos.flow_table import FlowTable
+
+if TYPE_CHECKING:
+    from repro.network.fabric import Station
+    from repro.network.packet import FlowSpec, Packet
 
 
 class PerFlowQueuedPolicy(QosPolicy):

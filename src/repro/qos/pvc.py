@@ -26,12 +26,15 @@ Preemption throttles built in (Section 5.3):
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.network.fabric import Station
-from repro.network.packet import FlowSpec, Packet
 from repro.qos.base import PolicyCapabilities, QosPolicy
 from repro.qos.flow_table import FlowTable
+
+if TYPE_CHECKING:
+    from repro.network.fabric import Station
+    from repro.network.packet import FlowSpec, Packet
 
 #: Provisioned injector population of the shared column: 8 routers x
 #: (1 terminal + 7 row inputs).  The reserved quota is sized for this

@@ -15,42 +15,23 @@ the same stance.  Three pieces:
 * :mod:`~repro.resilience.chaos` — the three-leg harness proving a
   killed/corrupted/hung campaign converges to digests byte-identical
   to an undisturbed serial run.
-
-``chaos`` is imported lazily: it depends on :mod:`repro.campaign`,
-which itself (via the executor) imports this package.
 """
 
-from repro.resilience.faults import (
-    BUILTIN_PLANS,
-    FAULT_KINDS,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    InjectedFault,
-    load_plan,
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".chaos": ("ChaosReport", "run_chaos"),
+        ".faults": (
+            "BUILTIN_PLANS",
+            "FAULT_KINDS",
+            "Fault",
+            "FaultInjector",
+            "FaultPlan",
+            "InjectedFault",
+            "load_plan",
+        ),
+        ".policy": ("FailureRecord", "RetryPolicy"),
+    },
 )
-from repro.resilience.policy import FailureRecord, RetryPolicy
-
-__all__ = [
-    "BUILTIN_PLANS",
-    "ChaosReport",
-    "FAULT_KINDS",
-    "FailureRecord",
-    "Fault",
-    "FaultInjector",
-    "FaultPlan",
-    "InjectedFault",
-    "RetryPolicy",
-    "load_plan",
-    "run_chaos",
-]
-
-_LAZY = {"ChaosReport", "run_chaos"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.resilience import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,60 +20,40 @@ Typical use::
     print(grid.manifest.summary())   # "... 0 simulated, 21 cached ..."
 """
 
-from repro.runtime.bench import (
-    EnginePoint,
-    EngineResult,
-    format_engine_bench,
-    record_engine_baseline,
-    run_engine_bench,
-)
-from repro.runtime.cache import CacheInfo, ResultCache, default_cache_dir
-from repro.runtime.executor import (
-    ExecutionOutcome,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-)
-from repro.runtime.runner import (
-    BatchResult,
-    GridResult,
-    RunManifest,
-    run_batch,
-    run_grid,
-)
-from repro.runtime.spec import (
-    PATTERNS,
-    POLICIES,
-    WORKLOAD_BUILDERS,
-    RunResult,
-    RunSpec,
-    build_flows,
-    execute_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchResult",
-    "CacheInfo",
-    "EnginePoint",
-    "EngineResult",
-    "ExecutionOutcome",
-    "Executor",
-    "GridResult",
-    "PATTERNS",
-    "POLICIES",
-    "ParallelExecutor",
-    "ResultCache",
-    "RunManifest",
-    "RunResult",
-    "RunSpec",
-    "SerialExecutor",
-    "WORKLOAD_BUILDERS",
-    "build_flows",
-    "default_cache_dir",
-    "execute_spec",
-    "format_engine_bench",
-    "record_engine_baseline",
-    "run_batch",
-    "run_engine_bench",
-    "run_grid",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".bench": (
+            "EnginePoint",
+            "EngineResult",
+            "format_engine_bench",
+            "record_engine_baseline",
+            "run_engine_bench",
+        ),
+        ".cache": ("CacheInfo", "ResultCache", "default_cache_dir"),
+        ".executor": (
+            "ExecutionOutcome",
+            "Executor",
+            "ParallelExecutor",
+            "SerialExecutor",
+        ),
+        ".runner": (
+            "BatchResult",
+            "GridResult",
+            "RunManifest",
+            "run_batch",
+            "run_grid",
+        ),
+        ".spec": (
+            "PATTERNS",
+            "POLICIES",
+            "WORKLOAD_BUILDERS",
+            "RunResult",
+            "RunSpec",
+            "build_flows",
+            "execute_spec",
+        ),
+    },
+)

@@ -34,6 +34,7 @@ import time
 import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from importlib import import_module
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 
@@ -41,7 +42,7 @@ from repro.errors import ExecutionFailed, TransportError
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.policy import FailureRecord, RetryPolicy
 from repro.runtime.cache import ResultCache
-from repro.runtime.spec import RunResult, RunSpec, execute_spec
+from repro.runtime.spec import EXECUTE_SPEC_IMPORTS, RunResult, RunSpec, execute_spec
 
 #: ``progress(done, total, spec, cached)`` — invoked once per spec as
 #: its result becomes available (cache hits first, then simulations).
@@ -588,6 +589,10 @@ class ParallelExecutor(LeaseExecutor):
             self._run_agents(batch)
 
     def _fork(self) -> None:
+        # An agent inherits the parent's imports: import what it runs
+        # here, once, rather than in every agent.
+        for module in (*EXECUTE_SPEC_IMPORTS, "repro.dispatch.worker"):
+            import_module(module)
         context = get_context("fork")
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(

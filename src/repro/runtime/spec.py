@@ -572,6 +572,17 @@ def build_flows(spec: RunSpec):
     return entry.builder(spec.rate, dict(spec.workload_params))
 
 
+#: What :func:`execute_spec` imports on first use: the engine, the policy
+#: registry, the scenario builders and the obs collectors.  A parallel
+#: executor imports them before it forks, so no agent compiles them.
+EXECUTE_SPEC_IMPORTS = (
+    "repro.network.engine",
+    "repro.qos.registry",
+    "repro.scenarios.workloads",
+    "repro.obs.collect",
+)
+
+
 def execute_spec(spec: RunSpec) -> RunResult:
     """Run one spec to completion (the unit of work for executors).
 

@@ -18,54 +18,37 @@ Three families beyond the paper's open-loop Bernoulli workloads:
 See ``docs/scenarios.md`` for the contracts and the file format.
 """
 
-from repro.scenarios.injection import (
-    BernoulliProcess,
-    InjectionProcess,
-    OnOffProcess,
-    ParetoBurstProcess,
-    Phase,
-    PhasedProcess,
-)
-from repro.scenarios.tracefmt import (
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    ScenarioTrace,
-    TraceFlow,
-    capture_to_trace,
-    file_sha256,
-    read_trace,
-    snapshot_digest,
-    write_trace,
-)
-from repro.scenarios.workloads import (
-    bursty_workload,
-    closed_loop_workload,
-    pareto_workload,
-    parse_phases,
-    phased_workload,
-    replayed_workload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BernoulliProcess",
-    "InjectionProcess",
-    "OnOffProcess",
-    "ParetoBurstProcess",
-    "Phase",
-    "PhasedProcess",
-    "ScenarioTrace",
-    "TRACE_FORMAT",
-    "TRACE_VERSION",
-    "TraceFlow",
-    "bursty_workload",
-    "capture_to_trace",
-    "closed_loop_workload",
-    "file_sha256",
-    "pareto_workload",
-    "parse_phases",
-    "phased_workload",
-    "read_trace",
-    "replayed_workload",
-    "snapshot_digest",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".injection": (
+            "BernoulliProcess",
+            "InjectionProcess",
+            "OnOffProcess",
+            "ParetoBurstProcess",
+            "Phase",
+            "PhasedProcess",
+        ),
+        ".tracefmt": (
+            "TRACE_FORMAT",
+            "TRACE_VERSION",
+            "ScenarioTrace",
+            "TraceFlow",
+            "capture_to_trace",
+            "file_sha256",
+            "read_trace",
+            "snapshot_digest",
+            "write_trace",
+        ),
+        ".workloads": (
+            "bursty_workload",
+            "closed_loop_workload",
+            "pareto_workload",
+            "parse_phases",
+            "phased_workload",
+            "replayed_workload",
+        ),
+    },
+)

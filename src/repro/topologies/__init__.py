@@ -15,25 +15,16 @@ dps       Destination Partitioned Subnets — a dedicated          4x
 ========  =====================================================  ==========
 """
 
-from repro.topologies.base import COLUMN_NODES, ColumnTopology
-from repro.topologies.dps import DpsTopology
-from repro.topologies.flattened_butterfly import FlattenedButterflyTopology
-from repro.topologies.mecs import MecsTopology
-from repro.topologies.mesh import MeshTopology
-from repro.topologies.registry import (
-    EXTENDED_TOPOLOGY_NAMES,
-    TOPOLOGY_NAMES,
-    get_topology,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COLUMN_NODES",
-    "ColumnTopology",
-    "DpsTopology",
-    "EXTENDED_TOPOLOGY_NAMES",
-    "FlattenedButterflyTopology",
-    "MecsTopology",
-    "MeshTopology",
-    "TOPOLOGY_NAMES",
-    "get_topology",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".base": ("COLUMN_NODES", "ColumnTopology"),
+        ".dps": ("DpsTopology",),
+        ".flattened_butterfly": ("FlattenedButterflyTopology",),
+        ".mecs": ("MecsTopology",),
+        ".mesh": ("MeshTopology",),
+        ".registry": ("EXTENDED_TOPOLOGY_NAMES", "TOPOLOGY_NAMES", "get_topology"),
+    },
+)

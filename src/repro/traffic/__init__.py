@@ -6,36 +6,27 @@ two crafted adversarial workloads that defeat PVC's preemption throttles
 (Section 5.3).
 """
 
-from repro.traffic.patterns import (
-    bit_reversal,
-    hotspot,
-    nearest_neighbor,
-    tornado,
-    uniform_random,
-)
-from repro.traffic.workloads import (
-    WORKLOAD1_RATES,
-    WORKLOAD2_EXTRA_RATE,
-    full_column_workload,
-    hotspot_all_injectors,
-    tornado_workload,
-    uniform_workload,
-    workload1,
-    workload2,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WORKLOAD1_RATES",
-    "WORKLOAD2_EXTRA_RATE",
-    "bit_reversal",
-    "full_column_workload",
-    "hotspot",
-    "hotspot_all_injectors",
-    "nearest_neighbor",
-    "tornado",
-    "tornado_workload",
-    "uniform_random",
-    "uniform_workload",
-    "workload1",
-    "workload2",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".patterns": (
+            "bit_reversal",
+            "hotspot",
+            "nearest_neighbor",
+            "tornado",
+            "uniform_random",
+        ),
+        ".workloads": (
+            "WORKLOAD1_RATES",
+            "WORKLOAD2_EXTRA_RATE",
+            "full_column_workload",
+            "hotspot_all_injectors",
+            "tornado_workload",
+            "uniform_workload",
+            "workload1",
+            "workload2",
+        ),
+    },
+)

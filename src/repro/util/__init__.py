@@ -1,13 +1,12 @@
 """Small shared helpers: deterministic RNG, stats, and ASCII tables."""
 
-from repro.util.rng import DeterministicRng
-from repro.util.stats import RunningStats, mean, population_std
-from repro.util.tables import format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeterministicRng",
-    "RunningStats",
-    "mean",
-    "population_std",
-    "format_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".rng": ("DeterministicRng",),
+        ".stats": ("RunningStats", "mean", "population_std"),
+        ".tables": ("format_table",),
+    },
+)

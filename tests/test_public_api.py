@@ -1,6 +1,19 @@
 """Public API surface: imports, __all__, and the README quickstart."""
 
+import importlib
+import pkgutil
+import re
+
+import pytest
+
 import repro
+
+#: ``repro`` and every subpackage; each exports through a lazy table.
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+)
 
 
 def test_version():
@@ -8,8 +21,27 @@ def test_version():
 
 
 def test_all_names_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+    for package in PACKAGES:
+        module = importlib.import_module(package)
+        listed = dir(module)
+        assert module.__all__, package
+        for name in module.__all__:
+            getattr(module, name)
+            assert name in listed, f"{package}.{name}"
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_unknown_names_raise_attribute_error_naming_the_package(package):
+    module = importlib.import_module(package)
+    with pytest.raises(AttributeError, match=re.escape(repr(package))):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
 
 
 def test_quickstart_snippet_runs():
