@@ -76,7 +76,7 @@ Scenario traffic
 
 Three emission drivers beyond the rate-driven Bernoulli injector (see
 :mod:`repro.scenarios`), all flowing through one creation point
-(``_admit_packet``) so packet ids, quota charges and capture records
+(``_admit_packet``) so packet ids, quota charges and ``admit`` events
 share a single global creation order:
 
 * **Injection processes** (``FlowSpec.injection``) supply emission
@@ -93,8 +93,9 @@ share a single global creation order:
   destination's reply flow emit a reply, and the reply's arrival
   triggers the client's next request after its think time.
 
-An attached :class:`~repro.network.trace.InjectionCapture` records every
-creation for replay; it observes and never perturbs.
+Every creation leaves as an ``admit`` probe event, which an
+:class:`~repro.network.trace.InjectionCapture` (a probe subscriber, on
+either engine) records for replay; it observes and never perturbs.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ from repro.network.config import SimulationConfig
 from repro.network.fabric import FabricBuild, OutputPort, Station, VirtualChannel
 from repro.network.metrics import NetworkStats
 from repro.network.packet import FlowSpec, Packet, RouteRequest
-from repro.network.trace import TraceKind
 from repro.qos.base import QosPolicy
 from repro.util.rng import DeterministicRng
 
@@ -237,16 +237,11 @@ class ColumnSimulator:
         self.stats = NetworkStats(len(flows))
         self._timeline: dict[int, list[tuple]] = {}
         self._next_pid = 0
-        #: Optional TraceRecorder (see repro.network.trace); None = off.
-        self.trace = None
-        #: Optional InjectionCapture recording every packet creation in
-        #: creation order (record-and-replay); None = off.
-        self.capture = None
-        #: Optional ProbeBus (see repro.obs.probes); None = off.  Every
-        #: hook site is guarded by a single `is not None` check, so the
-        #: disabled path costs one attribute load per site and
-        #: allocates nothing; probes observe after state changes and
-        #: never perturb (enforced by tests/test_obs_probes.py).
+        #: Optional ProbeBus (see repro.obs.probes), the one channel of
+        #: packet events; None = off.  Every hook site is guarded by a
+        #: single `is not None` check, so the disabled path costs one
+        #: attribute load per site and allocates nothing; probes observe
+        #: after state changes and never perturb (tests/test_obs_probes.py).
         self._probes = None
         self._root_rng = DeterministicRng(self.config.seed)
 
@@ -580,11 +575,6 @@ class ColumnSimulator:
                 self.stats.record_delivery(
                     packet.flow_id, packet.size, latency, tail_cycle
                 )
-                if self.trace is not None:
-                    self.trace.record(
-                        now, TraceKind.DELIVER, packet.pid, packet.flow_id,
-                        f"node{packet.dst}", f"latency={latency:.0f}",
-                    )
                 if self._probes is not None:
                     self._probes.deliver(
                         now, packet.pid, packet.flow_id, packet.dst,
@@ -621,11 +611,6 @@ class ColumnSimulator:
                 injector = self._injectors[packet.flow_id]
                 injector.replay.append(packet)
                 self._note_live(injector)
-                if self.trace is not None:
-                    self.trace.record(
-                        now, TraceKind.NACK, packet.pid, packet.flow_id,
-                        f"node{packet.src}", f"attempt={packet.attempt}",
-                    )
                 if self._probes is not None:
                     self._probes.nack(
                         now, packet.pid, packet.flow_id, packet.attempt
@@ -734,7 +719,6 @@ class ColumnSimulator:
         window = self.config.window_packets
         injectors = self._injectors
         stats = self.stats
-        trace = self.trace
         probes = self._probes
         marked = 0
         # Inline two-pointer merge of the two sorted id lists (arms
@@ -800,12 +784,6 @@ class ColumnSimulator:
                     stats.injected_packets += 1
                 self._build_route(injector, packet)
                 self._place(vc, packet, now + station.va_wait)
-                if trace is not None:
-                    trace.record(
-                        now, TraceKind.INJECT, packet.pid, packet.flow_id,
-                        station.label,
-                        f"attempt={packet.attempt}",
-                    )
                 if probes is not None:
                     probes.inject(
                         now, packet.pid, packet.flow_id, station.label,
@@ -868,7 +846,7 @@ class ColumnSimulator:
         The single creation point for every emission driver — rate and
         process draws, scripted replays, closed-loop requests and
         destination-generated replies — so packet-id assignment, quota
-        charging and capture recording always happen in one global
+        charging and the ``admit`` event always happen in one global
         creation order.
         """
         spec = injector.spec
@@ -881,18 +859,10 @@ class ColumnSimulator:
         packet.protected = self.policy.on_packet_created(injector.flow_id, size, now)
         injector.pending.append(packet)
         self._note_live(injector)
-        if self.capture is not None:
-            self.capture.record_emission(now, injector.flow_id, dst, size)
-        if self.trace is not None:
-            self.trace.record(
-                now, TraceKind.CREATE, packet.pid, packet.flow_id,
-                f"node{packet.src}",
-                f"dst={packet.dst} size={size}"
-                + (" protected" if packet.protected else ""),
-            )
         if self._probes is not None:
             self._probes.admit(
-                now, packet.pid, packet.flow_id, packet.src, packet.dst, size
+                now, packet.pid, packet.flow_id, packet.src, packet.dst, size,
+                packet.protected,
             )
 
     # ------------------------------------------------------------------
@@ -940,7 +910,12 @@ class ColumnSimulator:
 
     def _place(self, vc: VirtualChannel, packet: Packet, ready_at: int) -> None:
         if self._release is not None:
-            ready_at = self._release(packet, ready_at)
+            released_at = self._release(packet, ready_at)
+            if released_at > ready_at and self._probes is not None:
+                self._probes.release(
+                    self.cycle, packet.pid, packet.flow_id, ready_at, released_at
+                )
+            ready_at = released_at
         vc.packet = packet
         vc.ready_at = ready_at
         vc.arriving_until = -1
@@ -1621,11 +1596,6 @@ class ColumnSimulator:
         packet = vc.packet
         self.stats.record_preemption(packet.pid, packet.tiles_done)
         self.stats.replays += 1
-        if self.trace is not None:
-            self.trace.record(
-                now, TraceKind.PREEMPT, packet.pid, packet.flow_id,
-                vc.station.label, f"wasted_tiles={packet.tiles_done}",
-            )
         if self._probes is not None:
             self._probes.preempt(
                 now, packet.pid, packet.flow_id, vc.station.label,
@@ -1688,15 +1658,10 @@ class ColumnSimulator:
         if vc.station.qos:
             self.policy.on_forward(vc.station, packet, now)
         self.stats.record_hop(vc.station.kind, tile_span)
-        if self.trace is not None:
-            self.trace.record(
-                now, TraceKind.WIN, packet.pid, packet.flow_id,
-                port.label, f"hop={packet.hop_index}",
-            )
         if self._probes is not None:
             self._probes.hop(
                 now, packet.pid, packet.flow_id, port.index, port.label,
-                packet.size, next_station_index < 0,
+                packet.size, next_station_index < 0, packet.hop_index,
             )
         if next_station_index < 0:
             header_at = now + 1 + wire_delay

@@ -25,12 +25,13 @@ Closed-loop flows, scripted replays and weight schedules are *not*
 modelled here; constructing this engine with them raises.
 
 A second deliberate extension: the *packet-level* probe events of
-:mod:`repro.obs.probes` (admit/inject/hop/deliver/preempt/nack/frame)
-are emitted behind the same ``if self._probes is not None`` guard as
-the optimised engine, with identical arguments at the equivalent state
-transitions, so probe-driven collectors can be cross-checked between
-engines.  The optimised engine's *internal* events (arb_block, arm,
-sleep, skip) describe machinery this engine does not have and are
+:mod:`repro.obs.probes` (admit/inject/release/hop/deliver/preempt/nack/
+frame) are emitted behind the same ``if self._probes is not None``
+guard as the optimised engine, with identical arguments at the
+equivalent state transitions, so probe-driven collectors — the trace
+recorder and the injection capture among them — can be cross-checked
+between engines.  The optimised engine's *internal* events (arb_block,
+arm, sleep, skip) describe machinery this engine does not have and are
 deliberately absent.
 """
 
@@ -43,7 +44,6 @@ from repro.network.config import SimulationConfig
 from repro.network.fabric import FabricBuild, OutputPort, Station, VirtualChannel
 from repro.network.metrics import NetworkStats
 from repro.network.packet import FlowSpec, Packet, RouteRequest
-from repro.network.trace import TraceKind
 from repro.qos.base import QosPolicy
 from repro.util.rng import DeterministicRng
 
@@ -143,8 +143,6 @@ class GoldenColumnSimulator:
         self.stats = NetworkStats(len(flows))
         self._timeline: dict[int, list[tuple]] = {}
         self._next_pid = 0
-        #: Optional TraceRecorder (see repro.network.trace); None = off.
-        self.trace = None
         #: Optional ProbeBus (packet-level events only); None = off.
         self._probes = None
         self._root_rng = DeterministicRng(self.config.seed)
@@ -280,11 +278,6 @@ class GoldenColumnSimulator:
                 self.stats.record_delivery(
                     packet.flow_id, packet.size, latency, tail_cycle
                 )
-                if self.trace is not None:
-                    self.trace.record(
-                        now, TraceKind.DELIVER, packet.pid, packet.flow_id,
-                        f"node{packet.dst}", f"latency={latency:.0f}",
-                    )
                 if self._probes is not None:
                     self._probes.deliver(
                         now, packet.pid, packet.flow_id, packet.dst,
@@ -297,11 +290,6 @@ class GoldenColumnSimulator:
                 _, packet = event
                 packet.reset_for_replay()
                 self._injectors[packet.flow_id].replay.append(packet)
-                if self.trace is not None:
-                    self.trace.record(
-                        now, TraceKind.NACK, packet.pid, packet.flow_id,
-                        f"node{packet.src}", f"attempt={packet.attempt}",
-                    )
                 if self._probes is not None:
                     self._probes.nack(
                         now, packet.pid, packet.flow_id, packet.attempt
@@ -347,12 +335,6 @@ class GoldenColumnSimulator:
                     self.stats.injected_packets += 1
                 self._build_route(injector, packet)
                 self._place(vc, packet, now + injector.station.va_wait)
-                if self.trace is not None:
-                    self.trace.record(
-                        now, TraceKind.INJECT, packet.pid, packet.flow_id,
-                        injector.station.label,
-                        f"attempt={packet.attempt}",
-                    )
                 if self._probes is not None:
                     self._probes.inject(
                         now, packet.pid, packet.flow_id,
@@ -379,16 +361,10 @@ class GoldenColumnSimulator:
         self.stats.created_flits += size
         packet.protected = self.policy.on_packet_created(injector.flow_id, size, now)
         injector.pending.append(packet)
-        if self.trace is not None:
-            self.trace.record(
-                now, TraceKind.CREATE, packet.pid, packet.flow_id,
-                f"node{packet.src}",
-                f"dst={packet.dst} size={size}"
-                + (" protected" if packet.protected else ""),
-            )
         if self._probes is not None:
             self._probes.admit(
-                now, packet.pid, packet.flow_id, packet.src, packet.dst, size
+                now, packet.pid, packet.flow_id, packet.src, packet.dst, size,
+                packet.protected,
             )
 
     def _build_route(self, injector: _Injector, packet: Packet) -> None:
@@ -403,7 +379,12 @@ class GoldenColumnSimulator:
 
     def _place(self, vc: VirtualChannel, packet: Packet, ready_at: int) -> None:
         if self._release is not None:
-            ready_at = self._release(packet, ready_at)
+            released_at = self._release(packet, ready_at)
+            if released_at > ready_at and self._probes is not None:
+                self._probes.release(
+                    self.cycle, packet.pid, packet.flow_id, ready_at, released_at
+                )
+            ready_at = released_at
         vc.packet = packet
         vc.ready_at = ready_at
         vc.arriving_until = -1
@@ -497,11 +478,6 @@ class GoldenColumnSimulator:
         packet = vc.packet
         self.stats.record_preemption(packet.pid, packet.tiles_done)
         self.stats.replays += 1
-        if self.trace is not None:
-            self.trace.record(
-                now, TraceKind.PREEMPT, packet.pid, packet.flow_id,
-                vc.station.label, f"wasted_tiles={packet.tiles_done}",
-            )
         if self._probes is not None:
             self._probes.preempt(
                 now, packet.pid, packet.flow_id, vc.station.label,
@@ -547,15 +523,10 @@ class GoldenColumnSimulator:
         if vc.station.qos:
             self.policy.on_forward(vc.station, packet, now)
         self.stats.record_hop(vc.station.kind, tile_span)
-        if self.trace is not None:
-            self.trace.record(
-                now, TraceKind.WIN, packet.pid, packet.flow_id,
-                port.label, f"hop={packet.hop_index}",
-            )
         if self._probes is not None:
             self._probes.hop(
                 now, packet.pid, packet.flow_id, port.index, port.label,
-                packet.size, next_station_index < 0,
+                packet.size, next_station_index < 0, packet.hop_index,
             )
         if next_station_index < 0:
             header_at = now + 1 + wire_delay

@@ -1,11 +1,12 @@
-"""Optional event tracing for the column simulator.
+"""Packet-event tracing and injection capture, as probe-bus subscribers.
 
-A :class:`TraceRecorder` attached to a :class:`ColumnSimulator` captures
-packet-level events — creation, injection, hop wins, preemptions,
-replays, deliveries — into a bounded ring buffer.  Traces make
-scheduling bugs visible ("who preempted whom, where, and why") without
-slowing untraced runs: the engine only calls the recorder through thin
-hook methods that default to no-ops when tracing is off.
+A :class:`TraceRecorder` attached to a simulator (either engine)
+captures packet-level events — creation, injection, hop wins,
+preemptions, replays, deliveries — into a bounded ring buffer.  Traces
+make scheduling bugs visible ("who preempted whom, where, and why")
+without slowing untraced runs: like :class:`InjectionCapture`, the
+recorder joins the simulator's probe bus, which costs one guard per
+engine hook site while no observer has joined it.
 
 Usage::
 
@@ -24,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, TraceOverflowError
+from repro.obs.probes import ProbeBus
 
 
 class TraceKind(enum.Enum):
@@ -95,12 +97,46 @@ class TraceRecorder:
         self.events: deque[TraceEvent] = deque(maxlen=maxlen)
         self.dropped = 0
         self._counts: dict[TraceKind, int] = {kind: 0 for kind in TraceKind}
+        self._simulator = None
+        self._flow_node: list[int] = []
 
     # -- attachment ----------------------------------------------------
 
     def attach(self, simulator) -> None:
-        """Hook this recorder into a simulator (idempotent per sim)."""
-        simulator.trace = self
+        """Join ``simulator``'s probe bus (idempotent; one simulator)."""
+        if self._simulator not in (None, simulator):
+            raise ConfigurationError("a TraceRecorder follows one simulator")
+        bus = ProbeBus.of(simulator)
+        self._simulator = simulator
+        # NACK lines name the packet's source, which is its flow's node.
+        self._flow_node = [spec.node for spec in simulator.flows]
+        bus.join(self)
+
+    # -- probe handlers ------------------------------------------------
+
+    def on_admit(self, cycle, pid, flow, src, dst, size, protected):
+        self.record(cycle, TraceKind.CREATE, pid, flow, f"node{src}",
+                    f"dst={dst} size={size}" + (" protected" if protected else ""))
+
+    def on_inject(self, cycle, pid, flow, station_label, attempt):
+        self.record(cycle, TraceKind.INJECT, pid, flow, station_label,
+                    f"attempt={attempt}")
+
+    def on_hop(self, cycle, pid, flow, port_index, port_label, size, is_ejection,
+               hop_index):
+        self.record(cycle, TraceKind.WIN, pid, flow, port_label, f"hop={hop_index}")
+
+    def on_deliver(self, cycle, pid, flow, dst, size, latency):
+        self.record(cycle, TraceKind.DELIVER, pid, flow, f"node{dst}",
+                    f"latency={latency:.0f}")
+
+    def on_preempt(self, cycle, pid, flow, station_label, tiles_done):
+        self.record(cycle, TraceKind.PREEMPT, pid, flow, station_label,
+                    f"wasted_tiles={tiles_done}")
+
+    def on_nack(self, cycle, pid, flow, attempt):
+        self.record(cycle, TraceKind.NACK, pid, flow,
+                    f"node{self._flow_node[flow]}", f"attempt={attempt}")
 
     # -- recording -----------------------------------------------------
 
@@ -154,31 +190,24 @@ class InjectionCapture:
     """Structured record of every packet creation, in creation order.
 
     The capture API behind scenario record-and-replay
-    (:mod:`repro.scenarios.tracefmt`): the engine appends ``(cycle,
-    flow_id, dst, size)`` for each packet it creates — open-loop
-    emissions, closed-loop requests and destination-generated replies
-    alike — in exactly the order packet ids are assigned.  Unlike
-    :class:`TraceRecorder` it is unbounded (a truncated capture cannot
-    be replayed) and purely observational: attaching it perturbs
-    nothing about the run.
+    (:mod:`repro.scenarios.tracefmt`): every ``admit`` probe event —
+    open-loop emissions, closed-loop requests and destination-generated
+    replies alike, in exactly the order packet ids are assigned —
+    appends ``(cycle, flow_id, dst, size)``.  Either engine can be
+    captured.  Unlike :class:`TraceRecorder` it is unbounded (a
+    truncated capture cannot be replayed) and purely observational:
+    attaching it perturbs nothing about the run.
     """
 
     def __init__(self) -> None:
         self.emissions: list[tuple[int, int, int, int]] = []
 
     def attach(self, simulator) -> None:
-        """Hook this capture into a simulator that supports capturing."""
-        if not hasattr(simulator, "capture"):
-            raise ConfigurationError(
-                "this simulator does not support injection capture"
-            )
-        simulator.capture = self
+        """Join ``simulator``'s probe bus (idempotent per sim)."""
+        ProbeBus.of(simulator).join(self)
 
-    def record_emission(
-        self, cycle: int, flow_id: int, dst: int, size: int
-    ) -> None:
-        """Append one creation (called by the engine)."""
-        self.emissions.append((cycle, flow_id, dst, size))
+    def on_admit(self, cycle, pid, flow, src, dst, size, protected) -> None:
+        self.emissions.append((cycle, flow, dst, size))
 
     def __len__(self) -> int:
         return len(self.emissions)

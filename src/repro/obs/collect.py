@@ -1,5 +1,8 @@
 """Collectors over the probe bus: windowed series, lifecycles, activity.
 
+Each collector's ``on_<event>`` methods are its probe handlers, which
+:meth:`~repro.obs.probes.ProbeBus.join` subscribes.
+
 :class:`WindowedMetrics` folds packet-level probe events into
 fixed-width cycle windows — per-flow throughput, per-port busy flits,
 fixed-bucket latency histograms, preemption/NACK counts and a
@@ -11,9 +14,11 @@ rows; ``tests/test_obs_metrics.py`` pins this.
 
 :class:`LifecycleCollector` keeps one record per packet (creation,
 every injection attempt, every hop, preemptions, NACKs, delivery) for
-the Chrome-trace exporter.  :class:`EngineActivityCollector` counts the
-optimised-engine internals (arbitration blocks, injector arm/sleep) and
-keeps the cycle-skip and frame timelines.
+the Chrome-trace exporter, plus the frame deferrals it does not draw
+(``releases``: ``(cycle, ready_at, released_at)``).
+:class:`EngineActivityCollector` counts the optimised-engine internals
+(arbitration blocks, injector arm/sleep) and keeps the cycle-skip and
+frame timelines.
 
 :class:`ObsSession` bundles the standard set: construct, ``attach`` to
 a simulator, run, ``finalize``, then ``write`` the artifact set —
@@ -83,14 +88,6 @@ class WindowedMetrics:
         self._preempts = 0
         self._nacks = 0
 
-    def subscribe(self, bus: ProbeBus) -> None:
-        bus.subscribe("admit", self.on_admit)
-        bus.subscribe("inject", self.on_inject)
-        bus.subscribe("hop", self.on_hop)
-        bus.subscribe("deliver", self.on_deliver)
-        bus.subscribe("preempt", self.on_preempt)
-        bus.subscribe("nack", self.on_nack)
-
     # -- window bookkeeping ------------------------------------------
 
     def _advance(self, cycle: int) -> None:
@@ -144,7 +141,7 @@ class WindowedMetrics:
 
     # -- probe handlers ----------------------------------------------
 
-    def on_admit(self, cycle, pid, flow, src, dst, size):
+    def on_admit(self, cycle, pid, flow, src, dst, size, protected):
         self._advance(cycle)
         self._created[flow] += 1
 
@@ -153,7 +150,9 @@ class WindowedMetrics:
         self._injected += 1
         self._inflight += 1
 
-    def on_hop(self, cycle, pid, flow, port_index, port_label, size, is_ejection):
+    def on_hop(
+        self, cycle, pid, flow, port_index, port_label, size, is_ejection, hop_index
+    ):
         self._advance(cycle)
         self._hops += 1
         self._port_busy[port_index] = self._port_busy.get(port_index, 0) + size
@@ -190,15 +189,7 @@ class LifecycleCollector:
         self.records: dict[int, dict] = {}
         self.truncated = 0
 
-    def subscribe(self, bus: ProbeBus) -> None:
-        bus.subscribe("admit", self.on_admit)
-        bus.subscribe("inject", self.on_inject)
-        bus.subscribe("hop", self.on_hop)
-        bus.subscribe("deliver", self.on_deliver)
-        bus.subscribe("preempt", self.on_preempt)
-        bus.subscribe("nack", self.on_nack)
-
-    def on_admit(self, cycle, pid, flow, src, dst, size):
+    def on_admit(self, cycle, pid, flow, src, dst, size, protected):
         if self.max_packets is not None and len(self.records) >= self.max_packets:
             self.truncated += 1
             return
@@ -210,6 +201,7 @@ class LifecycleCollector:
             "size": size,
             "created": cycle,
             "injects": [],
+            "releases": [],
             "hops": [],
             "preempts": [],
             "nacks": [],
@@ -222,7 +214,14 @@ class LifecycleCollector:
         if record is not None:
             record["injects"].append((cycle, station_label, attempt))
 
-    def on_hop(self, cycle, pid, flow, port_index, port_label, size, is_ejection):
+    def on_release(self, cycle, pid, flow, ready_at, released_at):
+        record = self.records.get(pid)
+        if record is not None:
+            record["releases"].append((cycle, ready_at, released_at))
+
+    def on_hop(
+        self, cycle, pid, flow, port_index, port_label, size, is_ejection, hop_index
+    ):
         record = self.records.get(pid)
         if record is not None:
             record["hops"].append((cycle, port_label))
@@ -253,13 +252,6 @@ class EngineActivityCollector:
         self.arb_blocks = 0
         self.arms = 0
         self.sleeps = 0
-
-    def subscribe(self, bus: ProbeBus) -> None:
-        bus.subscribe("skip", self.on_skip)
-        bus.subscribe("frame", self.on_frame)
-        bus.subscribe("arb_block", self.on_arb_block)
-        bus.subscribe("arm", self.on_arm)
-        bus.subscribe("sleep", self.on_sleep)
 
     def on_skip(self, cycle, target):
         self.skips.append((cycle, target))
@@ -316,7 +308,7 @@ class ObsSession:
         self.simulator = None
 
     def attach(self, simulator) -> None:
-        """Build collectors sized to ``simulator`` and enable the bus."""
+        """Build collectors sized to ``simulator`` and join its bus."""
         if self.bus is not None:
             raise ConfigurationError("ObsSession is already attached")
         fabric = simulator.fabric
@@ -331,15 +323,14 @@ class ObsSession:
             n_ports=len(fabric.ports),
             latency_buckets=self.latency_buckets,
         )
-        bus = ProbeBus()
-        self.metrics.subscribe(bus)
-        self.activity.subscribe(bus)
+        bus = ProbeBus.of(simulator)
+        bus.join(self.metrics)
+        bus.join(self.activity)
         if self.timeline:
             self.lifecycle = LifecycleCollector(
                 max_packets=self.max_timeline_packets
             )
-            self.lifecycle.subscribe(bus)
-        bus.attach(simulator)
+            bus.join(self.lifecycle)
         self.bus = bus
         self.simulator = simulator
 

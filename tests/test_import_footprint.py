@@ -56,6 +56,8 @@ def test_a_simulation_only_import_loads_no_outer_layer():
     ]
     assert outer == []
     assert "http.client" not in loaded
+    # Trace recorders are probe subscribers: the engines never import them.
+    assert "repro.network.trace" not in loaded
 
 
 def test_a_bare_package_import_loads_only_the_export_helper():

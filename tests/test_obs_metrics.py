@@ -25,11 +25,11 @@ def hand_driven_metrics():
     metrics = WindowedMetrics(
         window=10, n_flows=2, n_ports=3, latency_buckets=(4, 8)
     )
-    metrics.on_admit(1, 0, 0, 0, 3, 4)
+    metrics.on_admit(1, 0, 0, 0, 3, 4, False)
     metrics.on_inject(1, 0, 0, "inj", 0)
-    metrics.on_hop(3, 0, 0, 2, "MS", 4, False)
+    metrics.on_hop(3, 0, 0, 2, "MS", 4, False, 0)
     metrics.on_deliver(5, 0, 0, 3, 4, 4)        # latency 4 -> bucket <=4
-    metrics.on_admit(12, 1, 1, 1, 2, 2)
+    metrics.on_admit(12, 1, 1, 1, 2, 2, False)
     metrics.on_inject(12, 1, 1, "inj", 0)
     metrics.on_deliver(19, 1, 1, 2, 2, 9)       # latency 9 -> overflow
     metrics.finalize(25)
@@ -66,7 +66,7 @@ def test_occupancy_is_time_weighted():
 
 def test_idle_gaps_emit_explicit_empty_rows():
     metrics = WindowedMetrics(window=10, n_flows=1, n_ports=1)
-    metrics.on_admit(35, 0, 0, 0, 0, 1)
+    metrics.on_admit(35, 0, 0, 0, 0, 1, False)
     metrics.finalize(40)
     assert len(metrics.rows) == 4
     assert [r["created"] for r in metrics.rows] == [[0], [0], [0], [1]]

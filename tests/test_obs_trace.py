@@ -75,9 +75,9 @@ def test_engine_process_has_skip_spans(tmp_path):
 
 def test_in_flight_packet_closes_after_last_event():
     lifecycle = LifecycleCollector()
-    lifecycle.on_admit(5, 0, 0, 1, 2, 4)
+    lifecycle.on_admit(5, 0, 0, 1, 2, 4, False)
     lifecycle.on_inject(7, 0, 0, "inj", 0)
-    lifecycle.on_hop(9, 0, 0, 3, "MS", 4, False)  # never delivered
+    lifecycle.on_hop(9, 0, 0, 3, "MS", 4, False, 0)  # never delivered
     events = build_trace_events(lifecycle, None, flow_labels=["f0"])
     end = next(e for e in events if e.get("ph") == "e")
     assert end["ts"] == 10  # one past the last seen event
@@ -87,7 +87,7 @@ def test_in_flight_packet_closes_after_last_event():
 
 def test_activity_none_skips_engine_process(tmp_path):
     lifecycle = LifecycleCollector()
-    lifecycle.on_admit(0, 0, 0, 0, 1, 2)
+    lifecycle.on_admit(0, 0, 0, 0, 1, 2, False)
     lifecycle.on_deliver(4, 0, 0, 1, 2, 4)
     path = tmp_path / "t.trace.json"
     write_chrome_trace(

@@ -26,8 +26,8 @@ from repro.traffic.workloads import uniform_workload, workload1
 
 
 def run_captured(flows, config, *, topology="mecs", policy=None, cycles=2500,
-                 warmup=400):
-    simulator = ColumnSimulator(
+                 warmup=400, engine=ColumnSimulator):
+    simulator = engine(
         get_topology(topology).build(config), flows,
         policy or PvcPolicy(), config,
     )
@@ -118,6 +118,18 @@ class TestReplayBitExactness:
         )
         assert plain.stats.snapshot() == captured.stats.snapshot()
 
+    def test_capture_is_engine_agnostic(self):
+        """The capture subscribes to the probe bus, so golden records too."""
+        config = SimulationConfig(frame_cycles=2000, seed=13)
+        source, capture = run_captured(bursty_workload(0.4), config)
+        golden, golden_capture = run_captured(
+            bursty_workload(0.4), config, engine=GoldenColumnSimulator
+        )
+        assert len(capture) > 0
+        assert golden_capture.emissions == capture.emissions
+        replay = replay_of(golden, golden_capture, config)
+        assert replay.stats.snapshot() == source.stats.snapshot()
+
     def test_drained_replay(self):
         """A finite captured run drains when replayed, at the same cycle."""
         config = SimulationConfig(frame_cycles=2000, seed=8)
@@ -198,12 +210,3 @@ class TestTraceFile:
             ScenarioTrace(
                 flows=flows, emissions=((9, 0, 1, 1), (3, 0, 1, 1)), meta={}
             )
-
-    def test_capture_attach_rejects_golden(self):
-        config = SimulationConfig(frame_cycles=2000, seed=3)
-        golden = GoldenColumnSimulator(
-            get_topology("mecs").build(config), uniform_workload(0.05),
-            PvcPolicy(), config,
-        )
-        with pytest.raises(ConfigurationError):
-            InjectionCapture().attach(golden)
