@@ -1,4 +1,4 @@
-"""Ablation benches: the design-choice studies DESIGN.md calls out.
+"""Ablation benches: the design-choice studies of ``repro.analysis.ablations``.
 
 Not paper figures — these quantify the mechanisms the paper's results
 rest on (reserved quota, reserved VC, inversion-detection patience,
@@ -9,13 +9,11 @@ flattened-butterfly alternative Section 2.2 names but does not evaluate.
 from conftest import record_runtime_baseline, run_once, time_variants
 
 from repro.analysis.ablations import (
-    format_fbfly_study,
-    format_frame_ablation,
-    format_patience_ablation,
-    format_quota_ablation,
-    format_replica_ablation,
-    format_reserved_vc_ablation,
-    format_window_ablation,
+    frame,
+    patience,
+    quota,
+    replica_policy,
+    reserved_vc,
     run_fbfly_study,
     run_frame_ablation,
     run_patience_ablation,
@@ -23,13 +21,19 @@ from repro.analysis.ablations import (
     run_replica_ablation,
     run_reserved_vc_ablation,
     run_window_ablation,
+    topology_extension,
+    window,
 )
+
+
+def _show(module, results) -> None:
+    print()
+    print(module.format_rows(module.summary_rows(results)))
 
 
 def test_ablation_reserved_quota(benchmark):
     points = run_once(benchmark, run_quota_ablation)
-    print()
-    print(format_quota_ablation(points))
+    _show(quota, points)
     # Larger quotas damp adversarial preemption (monotone up to a small
     # stochastic tolerance); a full-frame quota suppresses it entirely.
     events = [point.preemption_events for point in points]
@@ -41,15 +45,13 @@ def test_ablation_reserved_quota(benchmark):
 
 def test_ablation_reserved_vc(benchmark):
     points = run_once(benchmark, run_reserved_vc_ablation)
-    print()
-    print(format_reserved_vc_ablation(points))
+    _show(reserved_vc, points)
     assert len(points) == 4
 
 
 def test_ablation_patience(benchmark):
     points = run_once(benchmark, run_patience_ablation)
-    print()
-    print(format_patience_ablation(points))
+    _show(patience, points)
     events = [point.preemption_events for point in points]
     # An impatient trigger thrashes; patience damps it monotonically.
     assert events == sorted(events, reverse=True)
@@ -58,16 +60,14 @@ def test_ablation_patience(benchmark):
 
 def test_ablation_frame_length(benchmark):
     points = run_once(benchmark, run_frame_ablation)
-    print()
-    print(format_frame_ablation(points))
+    _show(frame, points)
     # Longer frames -> tighter hotspot fairness (monotone, modulo noise).
     assert points[-1].fairness_std <= points[0].fairness_std
 
 
 def test_ablation_window(benchmark):
     points = run_once(benchmark, run_window_ablation)
-    print()
-    print(format_window_ablation(points))
+    _show(window, points)
     flits = [point.delivered_flits for point in points]
     # Throughput grows with the window until the RTT is covered.
     assert flits == sorted(flits)
@@ -76,8 +76,7 @@ def test_ablation_window(benchmark):
 
 def test_ablation_replica_policy(benchmark):
     points = run_once(benchmark, run_replica_ablation)
-    print()
-    print(format_replica_ablation(points))
+    _show(replica_policy, points)
     by_key = {(p.replication, p.policy): p for p in points}
     # Static per-flow pinning removes destination re-convergence and
     # with it a large share of the Workload 2 replayed hops.
@@ -89,8 +88,7 @@ def test_ablation_replica_policy(benchmark):
 
 def test_extension_flattened_butterfly(benchmark):
     rows = run_once(benchmark, run_fbfly_study)
-    print()
-    print(format_fbfly_study(rows))
+    _show(topology_extension, rows)
     by_name = {row.topology: row for row in rows}
     # fbfly's dedicated channels match MECS latency at low load and its
     # single-hop reach keeps 3-hop energy in the MECS/DPS class.
@@ -114,4 +112,4 @@ def test_ablations_serial_vs_parallel_runtime(benchmark):
     record_runtime_baseline("ablations_patience_plus_quota", timings)
     print()
     print(f"ablation runtime comparison: {timings}")
-    run_once(benchmark, format_patience_ablation, serial[0])
+    run_once(benchmark, patience.format_rows, patience.summary_rows(serial[0]))

@@ -2,13 +2,13 @@
 
 from conftest import run_once
 
-from repro.analysis.chip_study import format_chip_study, run_chip_study
+from repro.analysis.chip_study import format_rows, run_chip_study, summary_rows
 
 
 def test_chip_column_placement_study(benchmark):
     points = run_once(benchmark, run_chip_study)
     print()
-    print(format_chip_study(points))
+    print(format_rows(summary_rows(points)))
     by_layout = {point.columns: point for point in points}
     # Middle placement halves worst-case access distance vs an edge;
     # extra columns trade compute tiles for proximity and lighter

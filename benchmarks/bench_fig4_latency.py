@@ -2,7 +2,7 @@
 
 from conftest import record_runtime_baseline, run_once, time_variants
 
-from repro.analysis.experiments import format_fig4, run_fig4
+from repro.analysis.experiments.fig4_latency import format_rows, run_fig4, summary_rows
 from repro.network.config import SimulationConfig
 
 _RATES = (0.01, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13)
@@ -18,7 +18,7 @@ def test_fig4_latency_curves(benchmark):
         config=SimulationConfig(frame_cycles=10_000, seed=1),
     )
     print()
-    print(format_fig4(result))
+    print(format_rows(summary_rows(result)))
     low_uniform = {n: p[0].mean_latency for n, p in result.uniform.items()}
     high_tornado = {n: p[-1].mean_latency for n, p in result.tornado.items()}
     # Paper shape: MECS/DPS fastest at low load; x1 saturates first;
@@ -51,4 +51,4 @@ def test_fig4_serial_vs_parallel_runtime(benchmark):
     print(f"fig4 runtime comparison: {timings}")
     # pytest-benchmark records the (cheap) formatting pass; the real
     # measurement of interest is the timings dict persisted above.
-    run_once(benchmark, format_fig4, serial)
+    run_once(benchmark, format_rows, summary_rows(serial))

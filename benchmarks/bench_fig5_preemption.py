@@ -2,7 +2,11 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import format_fig5, run_fig5
+from repro.analysis.experiments.fig5_preemption import (
+    format_rows,
+    run_fig5,
+    summary_rows,
+)
 from repro.network.config import SimulationConfig
 
 
@@ -18,7 +22,7 @@ def test_fig5_adversarial_preemption(benchmark):
         config=SimulationConfig(frame_cycles=10_000, seed=1),
     )
     print()
-    print(format_fig5(rows))
+    print(format_rows(summary_rows(rows)))
     w1, w2 = _by(rows, "workload1"), _by(rows, "workload2")
     # Paper shape: meshes all preempt heavily on W1; on W2 the baseline
     # mesh and DPS calm down while the replicated meshes keep thrashing.

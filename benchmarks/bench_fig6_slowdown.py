@@ -2,7 +2,7 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import format_fig6, run_fig6
+from repro.analysis.experiments.fig6_slowdown import format_rows, run_fig6, summary_rows
 from repro.network.config import SimulationConfig
 
 
@@ -16,7 +16,7 @@ def test_fig6_slowdown_and_deviation(benchmark):
         config=SimulationConfig(frame_cycles=10_000, seed=1),
     )
     print()
-    print(format_fig6(rows))
+    print(format_rows(summary_rows(rows)))
     for row in rows:
         # Paper: slowdown < 5%, average deviation under ~1%.
         assert row.slowdown < 0.05, (row.workload, row.topology)

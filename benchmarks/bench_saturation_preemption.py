@@ -2,7 +2,11 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import format_saturation, run_saturation
+from repro.analysis.experiments.saturation import (
+    format_rows,
+    run_saturation,
+    summary_rows,
+)
 from repro.network.config import SimulationConfig
 
 
@@ -15,7 +19,7 @@ def test_saturation_preemption_rates(benchmark):
         config=SimulationConfig(frame_cycles=10_000, seed=1),
     )
     print()
-    print(format_saturation(points))
+    print(format_rows(summary_rows(points)))
     uniform = {p.topology: p for p in points if p.pattern == "uniform"}
     tornado = {p.topology: p for p in points if p.pattern == "tornado"}
     # Paper: MECS has the lowest replay rate; topologies with greater

@@ -2,7 +2,11 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import format_table2, run_table2
+from repro.analysis.experiments.table2_fairness import (
+    format_rows,
+    run_table2,
+    summary_rows,
+)
 from repro.network.config import SimulationConfig
 
 
@@ -16,7 +20,7 @@ def test_table2_hotspot_fairness(benchmark):
         config=SimulationConfig(frame_cycles=50_000, seed=1),
     )
     print()
-    print(format_table2(rows))
+    print(format_rows(summary_rows(rows)))
     for row in rows:
         # Paper: min >= 98.5% of mean, max <= 101.9%, std <= 1.1%.
         assert row.report.min_relative > 0.96, row.topology

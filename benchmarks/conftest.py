@@ -1,10 +1,12 @@
 """Benchmark configuration.
 
 Every benchmark regenerates one of the paper's tables/figures and
-prints the same rows the paper reports (run with ``-s`` to see them;
-they are also printed into the captured output).  Simulation-backed
-benchmarks use scaled windows documented in EXPERIMENTS.md; pass the
-paper-scale parameters through the experiment modules for long runs.
+prints the same rows the paper reports through the experiment module's
+``format_rows`` (run with ``-s`` to see them; they are also printed
+into the captured output).  Simulation-backed benchmarks use the scaled
+windows set in each bench file, not yet the ``paper`` campaign's
+budgets in ``repro.campaign.builtin``; pass the paper-scale parameters
+through the experiment modules for long runs.
 
 Experiments that route through :mod:`repro.runtime` accept an
 ``executor=``; :func:`executor_variants` supplies the serial reference

@@ -1,9 +1,13 @@
-"""Analysis utilities and the per-figure experiment harness.
+"""Analysis utilities and the per-result experiment modules.
 
-``repro.analysis.experiments`` contains one module per paper result
-(Figure 3, Figure 4a/4b, Table 2, Figure 5a/5b, Figure 6a/6b, Figure 7,
-and the Section 5.2 saturation-preemption statistics); each returns
-structured results and can render the same rows the paper reports.
+``repro.analysis.experiments`` holds one module per paper result
+(Figures 3–7, Table 2, the Section 5.2 saturation study) and the
+extensions, ``repro.analysis.ablations`` one per design-choice ablation,
+and ``chip_study`` the shared-column placement study.  Each module's
+``run_*`` returns typed results; its ``stage_rows`` projects them onto
+the plain summary rows a campaign stage records, and its ``format_rows``
+renders those rows as the paper's table.  The experiment table in
+:mod:`repro.campaign.stages` names every such module once.
 """
 
 from repro._lazy import lazy_exports
@@ -11,9 +15,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        ".chip_study": ("format_chip_study", "run_chip_study"),
+        ".chip_study": ("run_chip_study",),
         ".fairness": ("FairnessReport", "fairness_report", "max_min_allocation"),
-        ".report": ("ReportOptions", "generate_report", "write_report"),
         ".sweep": ("LatencyPoint", "latency_throughput_sweep"),
     },
 )

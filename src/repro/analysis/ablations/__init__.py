@@ -26,12 +26,12 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        ".frame": ("format_frame_ablation", "run_frame_ablation"),
-        ".patience": ("format_patience_ablation", "run_patience_ablation"),
-        ".quota": ("format_quota_ablation", "run_quota_ablation"),
-        ".replica_policy": ("format_replica_ablation", "run_replica_ablation"),
-        ".reserved_vc": ("format_reserved_vc_ablation", "run_reserved_vc_ablation"),
-        ".topology_extension": ("format_fbfly_study", "run_fbfly_study"),
-        ".window": ("format_window_ablation", "run_window_ablation"),
+        ".frame": ("run_frame_ablation",),
+        ".patience": ("run_patience_ablation",),
+        ".quota": ("run_quota_ablation",),
+        ".replica_policy": ("run_replica_ablation",),
+        ".reserved_vc": ("run_reserved_vc_ablation",),
+        ".topology_extension": ("run_fbfly_study",),
+        ".window": ("run_window_ablation",),
     },
 )

@@ -9,7 +9,7 @@ quota-exhausted traffic to preemption in adversarial settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.analysis.fairness import fairness_report
 from repro.network.config import SimulationConfig
@@ -18,7 +18,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 DEFAULT_FRAMES: tuple[int, ...] = (2_000, 5_000, 10_000, 25_000, 50_000)
 
@@ -89,44 +89,31 @@ def run_frame_ablation(
     return points
 
 
+def summary_rows(points: list[FramePoint]) -> list[dict]:
+    """One plain row per frame length."""
+    return [asdict(point) for point in points]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per frame length."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_frame")
-    points = run_frame_ablation(
-        topology_name=p["topology_name"],
-        frames=tuple(p["frames"]),
-        window=p["window"],
-        config=SimulationConfig(seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(seed=seed)
+    return summary_rows(
+        run_frame_ablation(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "frame_cycles": point.frame_cycles,
-            "fairness_std": point.fairness_std,
-            "max_deviation": point.max_deviation,
-            "adversarial_preemptions": point.adversarial_preemptions,
-        }
-        for point in points
-    ]
 
 
-def format_frame_ablation(points: list[FramePoint] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the frame-length sweep."""
-    points = points or run_frame_ablation()
-    rows = [
-        [
-            point.frame_cycles,
-            point.fairness_std * 100.0,
-            point.max_deviation * 100.0,
-            point.adversarial_preemptions,
-        ]
-        for point in points
-    ]
-    return format_table(
-        ["frame (cyc)", "hotspot std (%)", "max dev (%)", "W1 preemptions"],
+    return format_columns(
         rows,
+        {
+            "frame (cyc)": "frame_cycles",
+            "hotspot std (%)": ("fairness_std", percent),
+            "max dev (%)": ("max_deviation", percent),
+            "W1 preemptions": "adversarial_preemptions",
+        },
         title="Ablation: PVC frame length",
         float_format=".2f",
     )

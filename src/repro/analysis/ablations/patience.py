@@ -12,7 +12,7 @@ head-of-line blocking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.network.config import SimulationConfig
 from repro.runtime.cache import ResultCache
@@ -20,7 +20,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 DEFAULT_PATIENCE: tuple[int, ...] = (0, 4, 8, 16, 32, 64)
 
@@ -78,46 +78,32 @@ def run_patience_ablation(
     ]
 
 
+def summary_rows(points: list[PatiencePoint]) -> list[dict]:
+    """One plain row per patience setting."""
+    return [asdict(point) for point in points]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per patience setting."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_patience")
-    points = run_patience_ablation(
-        topology_name=p["topology_name"],
-        patience_values=tuple(p["patience_values"]),
-        cycles=p["cycles"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_patience_ablation(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "patience": point.patience,
-            "preemption_events": point.preemption_events,
-            "preempted_packet_fraction": point.preempted_packet_fraction,
-            "wasted_hop_fraction": point.wasted_hop_fraction,
-            "mean_latency": point.mean_latency,
-        }
-        for point in points
-    ]
 
 
-def format_patience_ablation(points: list[PatiencePoint] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the patience sweep."""
-    points = points or run_patience_ablation()
-    rows = [
-        [
-            point.patience,
-            point.preemption_events,
-            point.preempted_packet_fraction * 100.0,
-            point.wasted_hop_fraction * 100.0,
-            point.mean_latency,
-        ]
-        for point in points
-    ]
-    return format_table(
-        ["patience (cyc)", "preemptions", "packets (%)", "hops (%)", "latency (cyc)"],
+    return format_columns(
         rows,
+        {
+            "patience (cyc)": "patience",
+            "preemptions": "preemption_events",
+            "packets (%)": ("preempted_packet_fraction", percent),
+            "hops (%)": ("wasted_hop_fraction", percent),
+            "latency (cyc)": "mean_latency",
+        },
         title="Ablation: preemption patience (inversion detection window)",
         float_format=".1f",
     )

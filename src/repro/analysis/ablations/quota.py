@@ -9,7 +9,7 @@ entirely (and with it PVC's ability to fix inversions quickly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.network.config import SimulationConfig
 from repro.runtime.cache import ResultCache
@@ -17,7 +17,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 DEFAULT_SHARES: tuple[float, ...] = (0.0, 1.0 / 256, 1.0 / 64, 1.0 / 16, 1.0)
 
@@ -76,46 +76,32 @@ def run_quota_ablation(
     ]
 
 
+def summary_rows(points: list[QuotaPoint]) -> list[dict]:
+    """One plain row per quota share."""
+    return [asdict(point) for point in points]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per quota share."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_quota")
-    points = run_quota_ablation(
-        topology_name=p["topology_name"],
-        shares=tuple(p["shares"]),
-        cycles=p["cycles"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_quota_ablation(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "share": point.share,
-            "quota_flits": point.quota_flits,
-            "preemption_events": point.preemption_events,
-            "wasted_hop_fraction": point.wasted_hop_fraction,
-            "delivered_flits": point.delivered_flits,
-        }
-        for point in points
-    ]
 
 
-def format_quota_ablation(points: list[QuotaPoint] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the quota sweep."""
-    points = points or run_quota_ablation()
-    rows = [
-        [
-            f"{point.share:.4f}",
-            point.quota_flits,
-            point.preemption_events,
-            point.wasted_hop_fraction * 100.0,
-            point.delivered_flits,
-        ]
-        for point in points
-    ]
-    return format_table(
-        ["quota share", "quota (flits)", "preemptions", "wasted hops (%)", "delivered"],
+    return format_columns(
         rows,
+        {
+            "quota share": ("share", "{:.4f}".format),
+            "quota (flits)": "quota_flits",
+            "preemptions": "preemption_events",
+            "wasted hops (%)": ("wasted_hop_fraction", percent),
+            "delivered": "delivered_flits",
+        },
         title="Ablation: reserved quota vs adversarial preemption (Workload 1)",
         float_format=".1f",
     )

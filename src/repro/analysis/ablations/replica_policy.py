@@ -10,7 +10,7 @@ the thrash that policy change eliminates, at what load-balancing cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.network.config import SimulationConfig
 from repro.runtime.cache import ResultCache
@@ -19,7 +19,7 @@ from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.mesh import REPLICA_PACKET_RR, REPLICA_PER_FLOW
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 #: Campaign stage-adapter defaults (see :func:`stage_rows`).
 STAGE_DEFAULTS = {
@@ -94,46 +94,32 @@ def run_replica_ablation(
     return points
 
 
+def summary_rows(points: list[ReplicaPoint]) -> list[dict]:
+    """One plain row per (replication, policy)."""
+    return [asdict(point) for point in points]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (replication, policy)."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_replica")
-    points = run_replica_ablation(
-        replications=tuple(p["replications"]),
-        cycles=p["cycles"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_replica_ablation(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "replication": point.replication,
-            "policy": point.policy,
-            "w2_preempted_fraction": point.w2_preempted_fraction,
-            "w2_wasted_hop_fraction": point.w2_wasted_hop_fraction,
-            "uniform_latency": point.uniform_latency,
-        }
-        for point in points
-    ]
 
 
-def format_replica_ablation(points: list[ReplicaPoint] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the replica-policy ablation."""
-    points = points or run_replica_ablation()
-    rows = [
-        [
-            f"mesh_x{point.replication}",
-            point.policy,
-            point.w2_preempted_fraction * 100.0,
-            point.w2_wasted_hop_fraction * 100.0,
-            point.uniform_latency,
-        ]
-        for point in points
-    ]
-    return format_table(
-        ["topology", "replica policy", "W2 packets (%)", "W2 hops (%)",
-         "uniform lat (cyc)"],
+    return format_columns(
         rows,
+        {
+            "topology": ("replication", "mesh_x{}".format),
+            "replica policy": "policy",
+            "W2 packets (%)": ("w2_preempted_fraction", percent),
+            "W2 hops (%)": ("w2_wasted_hop_fraction", percent),
+            "uniform lat (cyc)": "uniform_latency",
+        },
         title="Ablation: replica selection vs destination-convergence thrash",
         float_format=".1f",
     )

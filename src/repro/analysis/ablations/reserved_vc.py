@@ -9,7 +9,7 @@ reservation on and off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.analysis.fairness import fairness_report
 from repro.network.config import SimulationConfig
@@ -18,7 +18,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 #: Campaign stage-adapter defaults (see :func:`stage_rows`).
 STAGE_DEFAULTS = {
@@ -82,45 +82,32 @@ def run_reserved_vc_ablation(
     return points
 
 
+def summary_rows(points: list[ReservedVcPoint]) -> list[dict]:
+    """One plain row per (workload, reserved?) cell."""
+    return [asdict(point) for point in points]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (workload, reserved?) cell."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_reserved_vc")
-    points = run_reserved_vc_ablation(
-        topology_name=p["topology_name"],
-        cycles=p["cycles"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_reserved_vc_ablation(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "workload": point.workload,
-            "reserved": point.reserved,
-            "preemption_events": point.preemption_events,
-            "fairness_std": point.fairness_std,
-            "delivered_flits": point.delivered_flits,
-        }
-        for point in points
-    ]
 
 
-def format_reserved_vc_ablation(points: list[ReservedVcPoint] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the reserved-VC ablation."""
-    points = points or run_reserved_vc_ablation()
-    rows = [
-        [
-            point.workload,
-            "on" if point.reserved else "off",
-            point.preemption_events,
-            point.fairness_std * 100.0,
-            point.delivered_flits,
-        ]
-        for point in points
-    ]
-    return format_table(
-        ["workload", "reserved VC", "preemptions", "fairness std (%)", "delivered"],
+    return format_columns(
         rows,
+        {
+            "workload": "workload",
+            "reserved VC": ("reserved", lambda reserved: "on" if reserved else "off"),
+            "preemptions": "preemption_events",
+            "fairness std (%)": ("fairness_std", percent),
+            "delivered": "delivered_flits",
+        },
         title="Ablation: reserved VC for rate-compliant traffic",
         float_format=".2f",
     )

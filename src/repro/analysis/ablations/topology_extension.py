@@ -9,7 +9,7 @@ column?
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.models.area import RouterAreaModel
 from repro.models.energy import RouterEnergyModel
@@ -20,7 +20,7 @@ from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.registry import get_topology
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns
 
 #: Campaign stage-adapter defaults (see :func:`stage_rows`).
 STAGE_DEFAULTS = {
@@ -99,49 +99,33 @@ def run_fbfly_study(
     return rows
 
 
+def summary_rows(rows: list[FbflyRow]) -> list[dict]:
+    """One plain row per studied topology."""
+    return [asdict(row) for row in rows]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per studied topology."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_fbfly")
-    rows = run_fbfly_study(
-        low_rate=p["low_rate"],
-        high_rate=p["high_rate"],
-        cycles=p["cycles"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_fbfly_study(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "topology": row.topology,
-            "uniform_latency": row.uniform_latency,
-            "tornado_latency": row.tornado_latency,
-            "saturated_tornado_latency": row.saturated_tornado_latency,
-            "router_area_mm2": row.router_area_mm2,
-            "three_hop_energy_pj": row.three_hop_energy_pj,
-        }
-        for row in rows
-    ]
 
 
-def format_fbfly_study(rows: list[FbflyRow] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the flattened-butterfly extension study."""
-    rows = rows or run_fbfly_study()
-    body = [
-        [
-            row.topology,
-            row.uniform_latency,
-            row.tornado_latency,
-            row.saturated_tornado_latency,
-            row.router_area_mm2,
-            row.three_hop_energy_pj,
-        ]
-        for row in rows
-    ]
-    return format_table(
-        ["topology", "uniform lat", "tornado lat", "tornado lat @12%",
-         "area (mm^2)", "3-hop pJ"],
-        body,
+    return format_columns(
+        rows,
+        {
+            "topology": "topology",
+            "uniform lat": "uniform_latency",
+            "tornado lat": "tornado_latency",
+            "tornado lat @12%": "saturated_tornado_latency",
+            "area (mm^2)": "router_area_mm2",
+            "3-hop pJ": "three_hop_energy_pj",
+        },
         title="Extension: flattened butterfly vs MECS vs DPS",
         float_format=".2f",
     )

@@ -9,7 +9,7 @@ column).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.network.config import SimulationConfig
 from repro.runtime.cache import ResultCache
@@ -17,7 +17,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns
 
 DEFAULT_WINDOWS: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 
@@ -73,38 +73,30 @@ def run_window_ablation(
     ]
 
 
+def summary_rows(points: list[WindowPoint]) -> list[dict]:
+    """One plain row per retransmission-window size."""
+    return [asdict(point) for point in points]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per retransmission-window size."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_window")
-    points = run_window_ablation(
-        topology_name=p["topology_name"],
-        windows=tuple(p["windows"]),
-        cycles=p["cycles"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_window_ablation(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "window_packets": point.window_packets,
-            "delivered_flits": point.delivered_flits,
-            "mean_latency": point.mean_latency,
-        }
-        for point in points
-    ]
 
 
-def format_window_ablation(points: list[WindowPoint] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the window sweep."""
-    points = points or run_window_ablation()
-    rows = [
-        [point.window_packets, point.delivered_flits, point.mean_latency]
-        for point in points
-    ]
-    return format_table(
-        ["window (pkts)", "delivered flits", "latency (cyc)"],
+    return format_columns(
         rows,
+        {
+            "window (pkts)": "window_packets",
+            "delivered flits": "delivered_flits",
+            "latency (cyc)": "mean_latency",
+        },
         title="Ablation: retransmission window vs long-haul throughput",
         float_format=".1f",
     )

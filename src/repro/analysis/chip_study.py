@@ -17,13 +17,14 @@ moved:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.allocator import DomainAllocator
 from repro.core.chip import Chip, ChipConfig
 from repro.core.isolation import audit_chip
 from repro.errors import AllocationError
-from repro.util.tables import format_table
+from repro.util.params import resolve_stage_params
+from repro.util.tables import format_columns
 
 #: Configurations studied: the paper's middle column, edge placement,
 #: and one/two/three-column variants.
@@ -35,6 +36,9 @@ DEFAULT_LAYOUTS: tuple[tuple[int, ...], ...] = (
     (0, 7),
     (1, 4, 6),
 )
+
+#: Campaign stage-adapter defaults (see :func:`stage_rows`).
+STAGE_DEFAULTS = {"layouts": DEFAULT_LAYOUTS}
 
 
 @dataclass(frozen=True)
@@ -92,24 +96,36 @@ def run_chip_study(
     return points
 
 
-def format_chip_study(points: list[ColumnLayoutPoint] | None = None) -> str:
+def summary_rows(points: list[ColumnLayoutPoint]) -> list[dict]:
+    """One plain row per shared-column layout (``columns`` as a list, as JSON
+    reads it back)."""
+    return [{**asdict(point), "columns": list(point.columns)} for point in points]
+
+
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """Campaign stage adapter: the study's :func:`summary_rows`.
+
+    Analytical — ``seed``/``executor``/``cache`` are accepted for
+    signature uniformity with the simulation-backed stages and ignored.
+    """
+    del seed, executor, cache
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "chip")
+    return summary_rows(run_chip_study(**p))
+
+
+def format_rows(rows: list[dict]) -> str:
     """Render the placement study."""
-    points = points or run_chip_study()
-    rows = [
-        [
-            str(list(point.columns)),
-            point.mean_access_distance,
-            point.max_access_distance,
-            point.compute_tiles,
-            point.compute_nodes_per_shared_router,
-            point.isolation_violations,
-        ]
-        for point in points
-    ]
-    return format_table(
-        ["shared columns", "mean dist", "max dist", "compute tiles",
-         "nodes/router", "violations"],
+    return format_columns(
         rows,
+        {
+            "shared columns": ("columns", str),
+            "mean dist": "mean_access_distance",
+            "max dist": "max_access_distance",
+            "compute tiles": "compute_tiles",
+            "nodes/router": "compute_nodes_per_shared_router",
+            "violations": "isolation_violations",
+        },
         title="Chip study: shared-column count and placement",
         float_format=".2f",
     )

@@ -20,14 +20,14 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        ".burst_fairness": ("format_burst_fairness", "run_burst_fairness"),
-        ".fig3_area": ("format_fig3", "run_fig3"),
-        ".fig4_latency": ("format_fig4", "run_fig4"),
-        ".fig5_preemption": ("format_fig5", "run_fig5"),
-        ".fig6_slowdown": ("format_fig6", "run_fig6"),
-        ".fig7_energy": ("format_fig7", "run_fig7"),
-        ".pvc_vs_gsf": ("format_pvc_vs_gsf", "run_pvc_vs_gsf"),
-        ".saturation": ("format_saturation", "run_saturation"),
-        ".table2_fairness": ("format_table2", "run_table2"),
+        ".burst_fairness": ("run_burst_fairness",),
+        ".fig3_area": ("run_fig3",),
+        ".fig4_latency": ("run_fig4",),
+        ".fig5_preemption": ("run_fig5",),
+        ".fig6_slowdown": ("run_fig6",),
+        ".fig7_energy": ("run_fig7",),
+        ".pvc_vs_gsf": ("run_pvc_vs_gsf",),
+        ".saturation": ("run_saturation",),
+        ".table2_fairness": ("run_table2",),
     },
 )

@@ -28,7 +28,7 @@ mean record-and-replay is no longer faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.analysis.fairness import fairness_report
 from repro.network.config import SimulationConfig
@@ -44,7 +44,7 @@ from repro.scenarios.workloads import bursty_workload
 from repro.topologies.registry import get_topology
 from repro.traffic.patterns import hotspot
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 #: Peak per-injector rate during bursts (flits/cycle).  With eight
 #: sources at ~25% duty the long-run hotspot load is ~1.2 flits/cycle —
@@ -168,62 +168,34 @@ def run_burst_fairness(
     return cells
 
 
+def summary_rows(cells: list[BurstFairnessCell]) -> list[dict]:
+    """One plain row per (traffic leg, policy)."""
+    return [asdict(cell) for cell in cells]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (traffic leg, policy)."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "burst_fairness")
-    cells = run_burst_fairness(
-        rate=p["rate"],
-        target=p["target"],
-        on_cycles=p["on_cycles"],
-        off_cycles=p["off_cycles"],
-        warmup=p["warmup"],
-        window=p["window"],
-        topology=p["topology"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_burst_fairness(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "traffic": cell.traffic,
-            "policy": cell.policy,
-            "min_relative": cell.min_relative,
-            "max_relative": cell.max_relative,
-            "mean_latency": cell.mean_latency,
-            "preemption_events": cell.preemption_events,
-            "delivered_flits": cell.delivered_flits,
-        }
-        for cell in cells
-    ]
 
 
-def format_burst_fairness(cells: list[BurstFairnessCell] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the bursty/replayed fairness comparison."""
-    cells = cells if cells is not None else run_burst_fairness()
-    rows = [
-        [
-            cell.traffic,
-            cell.policy,
-            cell.min_relative * 100.0,
-            cell.max_relative * 100.0,
-            cell.mean_latency,
-            cell.preemption_events,
-            cell.delivered_flits,
-        ]
-        for cell in cells
-    ]
-    return format_table(
-        [
-            "traffic",
-            "policy",
-            "min (% mean)",
-            "max (% mean)",
-            "latency (cyc)",
-            "preemptions",
-            "delivered flits",
-        ],
+    return format_columns(
         rows,
+        {
+            "traffic": "traffic",
+            "policy": "policy",
+            "min (% mean)": ("min_relative", percent),
+            "max (% mean)": ("max_relative", percent),
+            "latency (cyc)": "mean_latency",
+            "preemptions": "preemption_events",
+            "delivered flits": "delivered_flits",
+        },
         title="Burst fairness (extension): bursty hotspot, live vs replayed arrivals",
         float_format=".1f",
     )

@@ -11,7 +11,7 @@ from repro.models.area import AreaBreakdown, RouterAreaModel
 from repro.models.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 from repro.topologies.registry import TOPOLOGY_NAMES, get_topology
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns
 
 #: Campaign stage-adapter defaults (see :func:`stage_rows`).
 STAGE_DEFAULTS = {"topology_names": TOPOLOGY_NAMES}
@@ -29,16 +29,8 @@ def run_fig3(
     }
 
 
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one comparable summary row per topology.
-
-    Analytical — ``seed``/``executor``/``cache`` are accepted for
-    signature uniformity with the simulation-backed stages and ignored.
-    """
-    del seed, executor, cache
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig3")
-    results = run_fig3(topology_names=tuple(p["topology_names"]))
+def summary_rows(results: dict[str, AreaBreakdown]) -> list[dict]:
+    """One plain row per topology (mm^2 per router)."""
     return [
         {
             "topology": name,
@@ -52,25 +44,31 @@ def stage_rows(params: dict | None = None, *, seed: int = 1,
     ]
 
 
-def format_fig3(results: dict[str, AreaBreakdown] | None = None) -> str:
-    """Render Figure 3 as an ASCII table (mm^2 per router)."""
-    results = results or run_fig3()
-    rows = []
-    for name, breakdown in results.items():
-        rows.append(
-            [
-                name,
-                breakdown.buffers_mm2,
-                breakdown.crossbar_mm2,
-                breakdown.flow_state_mm2,
-                breakdown.total_mm2,
-            ]
-        )
-    table = format_table(
-        ["topology", "buffers", "crossbar", "flow state", "total"],
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """Campaign stage adapter: the study's :func:`summary_rows`.
+
+    Analytical — ``seed``/``executor``/``cache`` are accepted for
+    signature uniformity with the simulation-backed stages and ignored.
+    """
+    del seed, executor, cache
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig3")
+    return summary_rows(run_fig3(**p))
+
+
+def format_rows(rows: list[dict]) -> str:
+    """Render Figure 3 from :func:`summary_rows` rows (mm^2 per router)."""
+    table = format_columns(
         rows,
+        {
+            "topology": "topology",
+            "buffers": "buffers_mm2",
+            "crossbar": "crossbar_mm2",
+            "flow state": "flow_state_mm2",
+            "total": "total_mm2",
+        },
         title="Figure 3: router area overhead (mm^2)",
         float_format=".4f",
     )
-    dotted = next(iter(results.values())).row_buffers_mm2
+    dotted = rows[0]["row_buffers_mm2"]
     return f"{table}\nrow-input buffer capacity (common): {dotted:.4f} mm^2"

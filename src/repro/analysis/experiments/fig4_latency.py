@@ -22,6 +22,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.runner import RunManifest, run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.registry import TOPOLOGY_NAMES
+from repro.util.charts import line_chart
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_table
 
@@ -97,19 +98,8 @@ def run_fig4(
     )
 
 
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (panel, topology, rate)."""
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig4")
-    result = run_fig4(
-        rates=tuple(p["rates"]),
-        cycles=p["cycles"],
-        warmup=p["warmup"],
-        topology_names=tuple(p["topology_names"]),
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
-    )
+def summary_rows(result: Fig4Result) -> list[dict]:
+    """One plain row per (panel, topology, rate)."""
     rows = []
     for panel, curves in (("uniform", result.uniform), ("tornado", result.tornado)):
         for name, points in curves.items():
@@ -128,20 +118,51 @@ def stage_rows(params: dict | None = None, *, seed: int = 1,
     return rows
 
 
-def _panel(curves: dict[str, list[LatencyPoint]], rates, title: str) -> str:
-    headers = ["topology"] + [f"{rate:.0%}" for rate in rates]
-    rows = []
-    for name, points in curves.items():
-        rows.append([name] + [point.mean_latency for point in points])
-    return format_table(headers, rows, title=title, float_format=".1f")
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig4")
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_fig4(**p, config=config, executor=executor, cache=cache)
+    )
 
 
-def format_fig4(result: Fig4Result | None = None) -> str:
+def _curves(rows: list[dict], panel: str) -> dict[str, list[tuple[float, float]]]:
+    """``{topology: [(rate, mean latency), ...]}`` of one panel's rows."""
+    curves: dict[str, list[tuple[float, float]]] = {}
+    for row in rows:
+        if row["panel"] == panel:
+            curves.setdefault(row["topology"], []).append(
+                (row["rate"], row["mean_latency"])
+            )
+    return curves
+
+
+def format_rows(rows: list[dict]) -> str:
     """Render both panels (average packet latency in cycles)."""
-    result = result or run_fig4()
-    return "\n\n".join(
-        [
-            _panel(result.uniform, result.rates, "Figure 4(a): uniform random"),
-            _panel(result.tornado, result.rates, "Figure 4(b): tornado"),
-        ]
+    tables = []
+    for panel, title in (("uniform", "Figure 4(a): uniform random"),
+                         ("tornado", "Figure 4(b): tornado")):
+        curves = _curves(rows, panel)
+        rates = [rate for rate, _ in next(iter(curves.values()), [])]
+        tables.append(format_table(
+            ["topology"] + [f"{rate:.0%}" for rate in rates],
+            [[name] + [latency for _, latency in points]
+             for name, points in curves.items()],
+            title=title,
+            float_format=".1f",
+        ))
+    return "\n\n".join(tables)
+
+
+def uniform_chart(rows: list[dict]) -> str:
+    """ASCII chart of the uniform panel: latency against injection rate."""
+    curves = {
+        name: [(rate * 100, latency) for rate, latency in points]
+        for name, points in _curves(rows, "uniform").items()
+    }
+    return line_chart(
+        curves, title="uniform random: latency (cyc) vs injection (%)",
+        y_cap=120.0,
     )

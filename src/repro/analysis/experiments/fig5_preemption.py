@@ -13,7 +13,7 @@ metrics per topology (each preemption of a packet counts separately):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.network.config import SimulationConfig
 from repro.runtime.cache import ResultCache
@@ -22,7 +22,7 @@ from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.registry import TOPOLOGY_NAMES
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 #: Campaign stage-adapter defaults (see :func:`stage_rows`).
 STAGE_DEFAULTS = {
@@ -87,46 +87,32 @@ def run_fig5(
     ]
 
 
+def summary_rows(rows: list[Fig5Row]) -> list[dict]:
+    """One plain row per (workload, topology)."""
+    return [asdict(row) for row in rows]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (workload, topology)."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "fig5")
-    rows = run_fig5(
-        cycles=p["cycles"],
-        topology_names=tuple(p["topology_names"]),
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_fig5(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "workload": row.workload,
-            "topology": row.topology,
-            "preempted_packet_fraction": row.preempted_packet_fraction,
-            "wasted_hop_fraction": row.wasted_hop_fraction,
-            "preemption_events": row.preemption_events,
-            "delivered_packets": row.delivered_packets,
-        }
-        for row in rows
-    ]
 
 
-def format_fig5(rows: list[Fig5Row] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render Figure 5(a)/(b) as a table."""
-    rows = rows or run_fig5()
-    body = [
-        [
-            row.workload,
-            row.topology,
-            row.preempted_packet_fraction * 100.0,
-            row.wasted_hop_fraction * 100.0,
-            row.preemption_events,
-        ]
-        for row in rows
-    ]
-    return format_table(
-        ["workload", "topology", "packets (%)", "hops (%)", "events"],
-        body,
+    return format_columns(
+        rows,
+        {
+            "workload": "workload",
+            "topology": "topology",
+            "packets (%)": ("preempted_packet_fraction", percent),
+            "hops (%)": ("wasted_hop_fraction", percent),
+            "events": "preemption_events",
+        },
         title="Figure 5: preemption rate under adversarial workloads",
         float_format=".1f",
     )

@@ -20,7 +20,7 @@ topologies), so a parallel executor overlaps them freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.analysis.fairness import deviation_from_expected, max_min_allocation
 from repro.network.config import SimulationConfig
@@ -31,7 +31,7 @@ from repro.runtime.spec import RunSpec
 from repro.topologies.registry import TOPOLOGY_NAMES
 from repro.traffic.workloads import workload1, workload2
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 _WORKLOADS = {"workload1": workload1, "workload2": workload2}
 
@@ -132,51 +132,33 @@ def run_fig6(
     return rows
 
 
+def summary_rows(rows: list[Fig6Row]) -> list[dict]:
+    """One plain row per (workload, topology)."""
+    return [asdict(row) for row in rows]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (workload, topology)."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "fig6")
-    rows = run_fig6(
-        duration=p["duration"],
-        window=p["window"],
-        warmup=p["warmup"],
-        topology_names=tuple(p["topology_names"]),
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_fig6(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "workload": row.workload,
-            "topology": row.topology,
-            "slowdown": row.slowdown,
-            "avg_deviation": row.avg_deviation,
-            "min_deviation": row.min_deviation,
-            "max_deviation": row.max_deviation,
-            "pvc_completion": row.pvc_completion,
-            "baseline_completion": row.baseline_completion,
-        }
-        for row in rows
-    ]
 
 
-def format_fig6(rows: list[Fig6Row] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render Figure 6(a)/(b) as a table."""
-    rows = rows or run_fig6()
-    body = [
-        [
-            row.workload,
-            row.topology,
-            row.slowdown * 100.0,
-            row.avg_deviation * 100.0,
-            row.min_deviation * 100.0,
-            row.max_deviation * 100.0,
-        ]
-        for row in rows
-    ]
-    return format_table(
-        ["workload", "topology", "slowdown (%)", "avg dev (%)", "min dev (%)", "max dev (%)"],
-        body,
+    return format_columns(
+        rows,
+        {
+            "workload": "workload",
+            "topology": "topology",
+            "slowdown (%)": ("slowdown", percent),
+            "avg dev (%)": ("avg_deviation", percent),
+            "min dev (%)": ("min_deviation", percent),
+            "max dev (%)": ("max_deviation", percent),
+        },
         title="Figure 6: slowdown vs preemption-free and deviation from max-min",
         float_format=".2f",
     )

@@ -16,7 +16,7 @@ from repro.models.energy import EnergyBreakdown, HopType, RouterEnergyModel
 from repro.models.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
 from repro.topologies.registry import TOPOLOGY_NAMES, get_topology
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns
 
 #: Figure 7's composite route length in hops.
 COMPOSITE_HOPS = 3
@@ -60,24 +60,17 @@ def run_fig7(
     return rows
 
 
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (topology, hop type).
-
-    Analytical — ``seed``/``executor``/``cache`` are accepted for
-    signature uniformity with the simulation-backed stages and ignored.
-    """
-    del seed, executor, cache
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig7")
-    rows = []
-    for row in run_fig7(topology_names=tuple(p["topology_names"])):
+def summary_rows(rows: list[Fig7Row]) -> list[dict]:
+    """One plain row per (topology, hop type)."""
+    summary = []
+    for row in rows:
         for hop_name, energy in (
             ("source", row.source),
             ("intermediate", row.intermediate),
             ("destination", row.destination),
             ("three_hops", row.three_hops),
         ):
-            rows.append(
+            summary.append(
                 {
                     "topology": row.topology,
                     "hop": hop_name,
@@ -87,33 +80,42 @@ def stage_rows(params: dict | None = None, *, seed: int = 1,
                     "total_pj": energy.total_pj,
                 }
             )
-    return rows
+    return summary
 
 
-def format_fig7(rows: list[Fig7Row] | None = None) -> str:
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """Campaign stage adapter: the study's :func:`summary_rows`.
+
+    Analytical — ``seed``/``executor``/``cache`` are accepted for
+    signature uniformity with the simulation-backed stages and ignored.
+    """
+    del seed, executor, cache
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig7")
+    return summary_rows(run_fig7(**p))
+
+
+#: Figure 7's label for each row's ``hop``.
+_HOP_LABELS = {
+    "source": "src",
+    "intermediate": "intermediate",
+    "destination": "dest",
+    "three_hops": "3 hops",
+}
+
+
+def format_rows(rows: list[dict]) -> str:
     """Render Figure 7 (buffers / crossbar / flow table stacked totals)."""
-    rows = rows or run_fig7()
-    body = []
-    for row in rows:
-        for hop_name, energy in (
-            ("src", row.source),
-            ("intermediate", row.intermediate),
-            ("dest", row.destination),
-            ("3 hops", row.three_hops),
-        ):
-            body.append(
-                [
-                    row.topology,
-                    hop_name,
-                    energy.buffers_pj,
-                    energy.crossbar_pj,
-                    energy.flow_table_pj,
-                    energy.total_pj,
-                ]
-            )
-    return format_table(
-        ["topology", "hop", "buffers", "xbar", "flow table", "total (pJ/flit)"],
-        body,
+    return format_columns(
+        rows,
+        {
+            "topology": "topology",
+            "hop": ("hop", _HOP_LABELS.get),
+            "buffers": "buffers_pj",
+            "xbar": "crossbar_pj",
+            "flow table": "flow_table_pj",
+            "total (pJ/flit)": "total_pj",
+        },
         title="Figure 7: router energy per flit",
         float_format=".2f",
     )

@@ -31,7 +31,7 @@ visibly above PVC with headroom — rather than exact figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.analysis.fairness import fairness_report
 from repro.network.config import COLUMN_NODES, SimulationConfig
@@ -42,7 +42,7 @@ from repro.topologies.registry import get_topology
 from repro.traffic.patterns import hotspot
 from repro.traffic.workloads import hotspot_all_injectors
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 #: The two policies of the head-to-head, in presentation order.
 POLICY_PAIR = ("pvc", "gsf")
@@ -131,67 +131,39 @@ def run_pvc_vs_gsf(
     return cells
 
 
+def summary_rows(cells: list[PvcVsGsfCell]) -> list[dict]:
+    """One plain row per (regime, policy)."""
+    return [asdict(cell) for cell in cells]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (regime, policy).
+    """Campaign stage adapter: the study's :func:`summary_rows`.
 
     ``executor``/``cache`` are accepted for adapter-signature uniformity
     and unused — see :func:`run_pvc_vs_gsf` for why this stage simulates
     directly.
     """
+    del executor, cache
     p = resolve_stage_params(params, STAGE_DEFAULTS, "pvc_vs_gsf")
-    cells = run_pvc_vs_gsf(
-        topology=p["topology"],
-        target=p["target"],
-        saturation_rate=p["saturation_rate"],
-        headroom_rate=p["headroom_rate"],
-        warmup=p["warmup"],
-        window=p["window"],
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-    )
-    return [
-        {
-            "regime": cell.regime,
-            "policy": cell.policy,
-            "min_relative": cell.min_relative,
-            "max_relative": cell.max_relative,
-            "mean_latency": cell.mean_latency,
-            "delivered_flits": cell.delivered_flits,
-            "preemption_events": cell.preemption_events,
-            "throttle_deferrals": cell.throttle_deferrals,
-        }
-        for cell in cells
-    ]
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(run_pvc_vs_gsf(**p, config=config))
 
 
-def format_pvc_vs_gsf(cells: list[PvcVsGsfCell] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the PVC-vs-GSF comparison."""
-    cells = cells if cells is not None else run_pvc_vs_gsf()
-    rows = [
-        [
-            cell.regime,
-            cell.policy,
-            cell.min_relative * 100.0,
-            cell.max_relative * 100.0,
-            cell.mean_latency,
-            cell.delivered_flits,
-            cell.preemption_events,
-            cell.throttle_deferrals,
-        ]
-        for cell in cells
-    ]
-    return format_table(
-        [
-            "regime",
-            "policy",
-            "min (% mean)",
-            "max (% mean)",
-            "latency (cyc)",
-            "delivered flits",
-            "preemptions",
-            "deferrals",
-        ],
+    return format_columns(
         rows,
+        {
+            "regime": "regime",
+            "policy": "policy",
+            "min (% mean)": ("min_relative", percent),
+            "max (% mean)": ("max_relative", percent),
+            "latency (cyc)": "mean_latency",
+            "delivered flits": "delivered_flits",
+            "preemptions": "preemption_events",
+            "deferrals": "throttle_deferrals",
+        },
         title="PVC vs GSF (extension): fairness at saturation, "
         "preemption vs frame-throttling cost",
         float_format=".1f",

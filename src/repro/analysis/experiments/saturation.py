@@ -9,7 +9,7 @@ resources show better immunity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.network.config import SimulationConfig
 from repro.runtime.cache import ResultCache
@@ -18,7 +18,7 @@ from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.registry import TOPOLOGY_NAMES
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns, percent
 
 #: Per-injector rate that saturates every topology (64 injectors).
 SATURATION_RATE = 0.15
@@ -83,46 +83,32 @@ def run_saturation(
     ]
 
 
+def summary_rows(points: list[SaturationPoint]) -> list[dict]:
+    """One plain row per (pattern, topology)."""
+    return [asdict(point) for point in points]
+
+
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one row per (pattern, topology)."""
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "saturation")
-    points = run_saturation(
-        rate=p["rate"],
-        cycles=p["cycles"],
-        topology_names=tuple(p["topology_names"]),
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_saturation(**p, config=config, executor=executor, cache=cache)
     )
-    return [
-        {
-            "pattern": point.pattern,
-            "topology": point.topology,
-            "replayed_packet_fraction": point.replayed_packet_fraction,
-            "preemption_events": point.preemption_events,
-            "delivered_flits": point.delivered_flits,
-        }
-        for point in points
-    ]
 
 
-def format_saturation(points: list[SaturationPoint] | None = None) -> str:
+def format_rows(rows: list[dict]) -> str:
     """Render the Section 5.2 saturation statistics."""
-    points = points or run_saturation()
-    rows = [
-        [
-            point.pattern,
-            point.topology,
-            point.replayed_packet_fraction * 100.0,
-            point.preemption_events,
-            point.delivered_flits,
-        ]
-        for point in points
-    ]
-    return format_table(
-        ["pattern", "topology", "replayed pkts (%)", "events", "delivered flits"],
+    return format_columns(
         rows,
+        {
+            "pattern": "pattern",
+            "topology": "topology",
+            "replayed pkts (%)": ("replayed_packet_fraction", percent),
+            "events": "preemption_events",
+            "delivered flits": "delivered_flits",
+        },
         title="Section 5.2: preemption rates in saturation",
         float_format=".2f",
     )

@@ -19,7 +19,7 @@ from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.registry import TOPOLOGY_NAMES
 from repro.util.params import resolve_stage_params
-from repro.util.tables import format_table
+from repro.util.tables import format_columns
 
 #: Campaign stage-adapter defaults (see :func:`stage_rows`).
 STAGE_DEFAULTS = {
@@ -80,19 +80,8 @@ def run_table2(
     ]
 
 
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: one fairness summary row per topology."""
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "table2")
-    rows = run_table2(
-        rate=p["rate"],
-        warmup=p["warmup"],
-        window=p["window"],
-        topology_names=tuple(p["topology_names"]),
-        config=SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed),
-        executor=executor,
-        cache=cache,
-    )
+def summary_rows(rows: list[Table2Row]) -> list[dict]:
+    """One plain fairness summary row per topology."""
     return [
         {
             "topology": row.topology,
@@ -106,23 +95,28 @@ def stage_rows(params: dict | None = None, *, seed: int = 1,
     ]
 
 
-def format_table2(rows: list[Table2Row] | None = None) -> str:
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "table2")
+    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
+    return summary_rows(
+        run_table2(**p, config=config, executor=executor, cache=cache)
+    )
+
+
+def format_rows(rows: list[dict]) -> str:
     """Render Table 2: mean flits and min/max/std as % of mean."""
-    rows = rows or run_table2()
-    body = [
-        [
-            row.topology,
-            row.report.mean_flits,
-            f"{row.report.min_relative * 100:.1f}%",
-            f"{row.report.max_relative * 100:.1f}%",
-            f"{row.report.std_relative * 100:.1f}%",
-            row.preemption_events,
-        ]
-        for row in rows
-    ]
-    return format_table(
-        ["topology", "mean (flits)", "min (% mean)", "max (% mean)", "std (% mean)", "preemptions"],
-        body,
+    return format_columns(
+        rows,
+        {
+            "topology": "topology",
+            "mean (flits)": "mean_flits",
+            "min (% mean)": ("min_relative", "{:.1%}".format),
+            "max (% mean)": ("max_relative", "{:.1%}".format),
+            "std (% mean)": ("std_relative", "{:.1%}".format),
+            "preemptions": "preemption_events",
+        },
         title="Table 2: relative throughput of different QOS schemes",
         float_format=".0f",
     )

@@ -2,10 +2,12 @@
 
 ``paper`` covers every simulated and analytical result the repository
 reproduces — Figures 3–7, Table 2, the Section 5.2 saturation study,
-all seven design-choice ablations, and the bursty-traffic extension —
-at the same budgets the CLI's non-``--fast`` targets use.  ``smoke``
-runs the *same stage graph* (names, kinds, dependencies, sharding
-axes) at tiny budgets and a two-topology subset, sized for a CI job.
+all seven design-choice ablations, and the bursty-traffic and PVC-vs-GSF
+extensions.  ``smoke`` runs the *same stage graph* (names, kinds,
+dependencies, sharding axes) at tiny budgets and a two-topology subset,
+sized for a CI job.  These stage params are the only budgets: ``repro
+<target>`` runs a kind with its ``paper`` stage's params, and with its
+``smoke`` stage's under ``--fast``.
 
 Dependency edges encode "validate the paper result before its
 offshoots": the slowdown study (fig6) builds on the preemption study

@@ -1,15 +1,23 @@
-"""Stage-kind registry: what each campaign stage *kind* executes.
+"""The experiment table: every result this repository reproduces, once.
 
-Every experiment and ablation module exposes a ``stage_rows`` adapter
-(``stage_rows(params, *, seed, executor, cache) -> list[dict]``) that
-runs the study through the runtime and projects the result onto plain,
-comparable summary rows.  This registry maps the campaign-facing kind
-names onto those adapters and versions them: bumping an adapter's
-``version`` changes every dependent stage hash, invalidating manifests
-and baselines recorded against the old row shape.
+Each entry is a stage *kind* backed by one module under
+``repro.analysis`` that exposes
 
-An adapter's module is imported on its first ``run``; stage hashes read
-only this table, so building a campaign runner imports no experiment.
+* ``stage_rows(params, *, seed, executor, cache) -> list[dict]`` — runs
+  the study through the runtime and projects the result onto plain,
+  comparable summary rows;
+* ``format_rows(rows) -> str`` — renders those rows as the paper's table.
+
+Campaign stages name a kind and carry its budgets.  The CLI's experiment
+targets are groups of kinds (:data:`TARGETS`); ``repro <target>`` runs
+each kind at the budget of the ``paper`` campaign's stage, or the
+``smoke`` campaign's under ``--fast``.  Bumping an adapter's ``version``
+changes every dependent stage hash, invalidating manifests and baselines
+recorded against the old row shape.
+
+A kind's module is imported on the first call to its ``run`` or
+``format``; stage hashes read only this table, so building a campaign
+runner imports no experiment.
 """
 
 from __future__ import annotations
@@ -26,106 +34,144 @@ StageRunner = Callable[..., "list[dict]"]
 
 @dataclass(frozen=True)
 class StageAdapter:
-    """One executable stage kind."""
+    """One stage kind: how to run it, how to render its rows, its target."""
 
     kind: str
     run: StageRunner
+    format: Callable[..., str]
     description: str
+    #: The CLI target that runs this kind.
+    target: str
     version: int = 1
+    #: False for an analytical kind: the CLI gives it no executor or cache.
     simulated: bool = True
 
 
-def _stage_rows(module: str) -> StageRunner:
-    """``stage_rows`` of ``repro.analysis.<module>``, imported on first call."""
+def _lazy(module: str, name: str) -> Callable:
+    """``repro.analysis.<module>.<name>``, imported on first call."""
 
-    def run(*args, **kwargs):
-        return import_module(f"repro.analysis.{module}").stage_rows(*args, **kwargs)
+    def call(*args, **kwargs):
+        function = getattr(import_module(f"repro.analysis.{module}"), name)
+        return function(*args, **kwargs)
 
-    return run
+    return call
+
+
+def _kind(
+    kind: str,
+    module: str,
+    description: str,
+    *,
+    target: str | None = None,
+    simulated: bool = True,
+) -> StageAdapter:
+    return StageAdapter(
+        kind,
+        _lazy(module, "stage_rows"),
+        _lazy(module, "format_rows"),
+        description,
+        target or kind,
+        simulated=simulated,
+    )
 
 
 _ADAPTERS: tuple[StageAdapter, ...] = (
-    StageAdapter(
+    _kind(
         "fig3",
-        _stage_rows("experiments.fig3_area"),
+        "experiments.fig3_area",
         "Figure 3: router area overhead (analytical)",
         simulated=False,
     ),
-    StageAdapter(
+    _kind(
         "fig4",
-        _stage_rows("experiments.fig4_latency"),
+        "experiments.fig4_latency",
         "Figure 4: latency/throughput, uniform + tornado",
     ),
-    StageAdapter(
+    _kind(
         "table2",
-        _stage_rows("experiments.table2_fairness"),
+        "experiments.table2_fairness",
         "Table 2: hotspot throughput fairness",
     ),
-    StageAdapter(
+    _kind(
         "fig5",
-        _stage_rows("experiments.fig5_preemption"),
+        "experiments.fig5_preemption",
         "Figure 5: adversarial preemption rates",
     ),
-    StageAdapter(
+    _kind(
         "fig6",
-        _stage_rows("experiments.fig6_slowdown"),
+        "experiments.fig6_slowdown",
         "Figure 6: slowdown + max-min deviation",
     ),
-    StageAdapter(
+    _kind(
         "fig7",
-        _stage_rows("experiments.fig7_energy"),
+        "experiments.fig7_energy",
         "Figure 7: router energy per flit (analytical)",
         simulated=False,
     ),
-    StageAdapter(
+    _kind(
         "saturation",
-        _stage_rows("experiments.saturation"),
+        "experiments.saturation",
         "Section 5.2: saturation replay rates",
     ),
-    StageAdapter(
+    _kind(
         "burst_fairness",
-        _stage_rows("experiments.burst_fairness"),
+        "experiments.burst_fairness",
         "extension: QoS under bursty/replayed traffic",
+        target="burst",
     ),
-    StageAdapter(
+    _kind(
         "pvc_vs_gsf",
-        _stage_rows("experiments.pvc_vs_gsf"),
+        "experiments.pvc_vs_gsf",
         "extension: PVC vs GSF head-to-head (fairness, throttling cost)",
+        target="pvcgsf",
     ),
-    StageAdapter(
+    _kind(
         "ablation_quota",
-        _stage_rows("ablations.quota"),
+        "ablations.quota",
         "ablation: reserved per-frame quota",
+        target="ablations",
     ),
-    StageAdapter(
+    _kind(
         "ablation_reserved_vc",
-        _stage_rows("ablations.reserved_vc"),
+        "ablations.reserved_vc",
         "ablation: rate-compliant reserved VC",
+        target="ablations",
     ),
-    StageAdapter(
+    _kind(
         "ablation_patience",
-        _stage_rows("ablations.patience"),
+        "ablations.patience",
         "ablation: preemption patience window",
+        target="ablations",
     ),
-    StageAdapter(
+    _kind(
         "ablation_frame",
-        _stage_rows("ablations.frame"),
+        "ablations.frame",
         "ablation: PVC frame length",
+        target="ablations",
     ),
-    StageAdapter(
+    _kind(
         "ablation_window",
-        _stage_rows("ablations.window"),
+        "ablations.window",
         "ablation: source retransmission window",
+        target="ablations",
     ),
-    StageAdapter(
+    _kind(
         "ablation_replica",
-        _stage_rows("ablations.replica_policy"),
+        "ablations.replica_policy",
         "ablation: replica arbitration policy",
+        target="ablations",
     ),
-    StageAdapter(
+    _kind(
         "ablation_fbfly",
-        _stage_rows("ablations.topology_extension"),
+        "ablations.topology_extension",
         "ablation: flattened-butterfly extension",
+        target="ablations",
+    ),
+    _kind(
+        "chip",
+        "chip_study",
+        "extension: shared-column count and placement (analytical)",
+        simulated=False,
     ),
 )
 
@@ -135,6 +181,12 @@ STAGE_ADAPTERS: dict[str, StageAdapter] = {
 
 #: All registered stage kinds, sorted for display.
 STAGE_KINDS: tuple[str, ...] = tuple(sorted(STAGE_ADAPTERS))
+
+#: CLI experiment targets in table order, each with its kinds in table order.
+TARGETS: dict[str, tuple[str, ...]] = {
+    target: tuple(adapter.kind for adapter in _ADAPTERS if adapter.target == target)
+    for target in dict.fromkeys(adapter.target for adapter in _ADAPTERS)
+}
 
 
 def get_adapter(kind: str) -> StageAdapter:

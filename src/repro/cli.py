@@ -10,7 +10,8 @@ Usage (after installation)::
     repro fig5 fig6 fig7                 # several at once
     repro saturation --no-cache          # force re-simulation
     repro ablations --jobs 4             # all design-choice studies
-    repro all --fast                     # everything, scaled down
+    repro all --fast                     # every target, smoke budgets
+    repro report                         # ... written into REPORT.md
     repro cache info                     # result-cache statistics
     repro cache clear                    # drop this version's entries
     repro scenario list                  # scenario workloads + processes
@@ -59,9 +60,11 @@ Usage (after installation)::
     repro bench journal                  # journal overhead: off vs on
     repro bench history --record -       # append guard results to history
 
-(or ``python -m repro ...`` without installation).  ``--fast`` shrinks
-simulation windows for a quick smoke pass; ``--seed`` changes the
-deterministic seed.  Simulation-backed targets run through
+(or ``python -m repro ...`` without installation).  An experiment
+target runs its stage kinds from :mod:`repro.campaign.stages` at the
+budgets of the ``paper`` campaign's stages, or of the ``smoke``
+campaign's under ``--fast``; ``--seed`` changes the deterministic
+seed.  Simulation-backed targets run through
 :mod:`repro.runtime`: ``--jobs N`` fans points out over N worker
 processes (``0`` = all cores), and results are cached under
 ``--cache-dir`` (default ``~/.cache/repro``) keyed by the run spec's
@@ -73,23 +76,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Callable
 from typing import TYPE_CHECKING
-
-# Lazy packages: each experiment module is imported by the first
-# handler that reads a name from it.
-from repro.analysis import ablations as ab
-from repro.analysis import experiments as ex
-from repro.network.config import SimulationConfig
 
 if TYPE_CHECKING:
     from repro.runtime.cache import ResultCache
     from repro.runtime.executor import Executor
-    from repro.runtime.runner import RunManifest
-
-
-def _config(args, frame: int) -> SimulationConfig:
-    return SimulationConfig(frame_cycles=frame, seed=args.seed)
 
 
 def _fault_injector(args):
@@ -218,149 +209,71 @@ def _cache(args) -> ResultCache | None:
     return cache
 
 
-def _with_manifest(text: str, manifests: list[RunManifest]) -> str:
-    """Append the runtime footer recording simulated-vs-cached work."""
-    from repro.runtime.runner import RunManifest
+def _stage_params(kind: str, fast: bool) -> dict:
+    """Base params of ``kind``'s stage in the ``paper`` campaign, or in
+    ``smoke`` under ``--fast``; a kind in neither runs at its defaults.
 
-    if not manifests:
-        return text
-    return f"{text}\n[runtime: {RunManifest.merge(manifests).summary()}]"
-
-
-def _with_cache_footer(text: str, cache: ResultCache | None) -> str:
-    """Runtime footer for commands whose results carry no manifest.
-
-    The cache's own counters accumulate across every batch the command
-    ran: writes are fresh simulations, hits were served from disk.
+    The built-in shard overlays only split ``topology_names`` and join
+    up to the base set, so one batch over the base params yields every
+    shard's rows, in order.
     """
-    if cache is None:
-        return text
-    return f"{text}\n[runtime: {cache.writes} simulated, {cache.hits} cached]"
+    from repro.campaign import get_campaign
+
+    for stage in get_campaign("smoke" if fast else "paper").stages:
+        if stage.kind == kind:
+            return dict(stage.params)
+    return {}
 
 
-def _run_fig3(args) -> str:
-    return ex.format_fig3(ex.run_fig3())
+def _run_target(args, target: str) -> str:
+    """Run every stage kind of an experiment target; render its rows."""
+    from repro.campaign.stages import TARGETS, get_adapter
 
-
-def _run_fig4(args) -> str:
-    cycles = 1500 if args.fast else 4000
-    rates = (0.02, 0.06, 0.10) if args.fast else (0.01, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13)
-    result = ex.run_fig4(
-        rates=rates, cycles=cycles, warmup=cycles // 4, config=_config(args, 10_000),
-        executor=_executor(args), cache=_cache(args),
-    )
-    text = ex.format_fig4(result)
-    if args.chart:
-        from repro.util.charts import line_chart
-
-        curves = {
-            name: [(p.rate * 100, p.mean_latency) for p in points]
-            for name, points in result.uniform.items()
-        }
-        text += "\n\n" + line_chart(
-            curves, title="uniform random: latency (cyc) vs injection (%)",
-            y_cap=120.0,
+    if target == "report":
+        return _write_report(args)
+    kinds = TARGETS[target]
+    simulated = any(get_adapter(kind).simulated for kind in kinds)
+    executor = _executor(args) if simulated else None
+    cache = _cache(args) if simulated else None
+    tables = []
+    for kind in kinds:
+        # Looked up per call: perfbench swaps an adapter's ``run``.
+        rows = get_adapter(kind).run(
+            _stage_params(kind, args.fast), seed=args.seed,
+            executor=executor, cache=cache,
         )
-    return _with_manifest(text, [result.manifest] if result.manifest else [])
+        tables.append(get_adapter(kind).format(rows))
+        if args.chart and kind == "fig4":
+            from repro.analysis.experiments.fig4_latency import uniform_chart
+
+            tables[-1] += "\n\n" + uniform_chart(rows)
+    text = "\n\n".join(tables)
+    if cache is not None and cache.hits + cache.misses:
+        # Cache writes are fresh simulations; hits were served from disk.
+        text += f"\n[runtime: {cache.writes} simulated, {cache.hits} cached]"
+    return text
 
 
-def _run_table2(args) -> str:
-    window = 6000 if args.fast else 25_000
-    cache = _cache(args)
-    rows = ex.run_table2(
-        warmup=window // 8, window=window, config=_config(args, 50_000),
-        executor=_executor(args), cache=cache,
-    )
-    return _with_cache_footer(ex.format_table2(rows), cache)
+#: Where ``repro report`` writes.
+REPORT_PATH = "REPORT.md"
 
 
-def _run_fig5(args) -> str:
-    cycles = 8000 if args.fast else 25_000
-    cache = _cache(args)
-    text = ex.format_fig5(
-        ex.run_fig5(cycles=cycles, config=_config(args, 10_000),
-                    executor=_executor(args), cache=cache)
-    )
-    return _with_cache_footer(text, cache)
+def _write_report(args) -> str:
+    """Write what ``repro all`` prints into REPORT.md, a section per target."""
+    from repro.campaign.stages import TARGETS
 
-
-def _run_fig6(args) -> str:
-    duration = 3000 if args.fast else 10_000
-    cache = _cache(args)
-    rows = ex.run_fig6(
-        duration=duration, window=duration + 5000, warmup=2000,
-        config=_config(args, 10_000),
-        executor=_executor(args), cache=cache,
-    )
-    return _with_cache_footer(ex.format_fig6(rows), cache)
-
-
-def _run_fig7(args) -> str:
-    return ex.format_fig7(ex.run_fig7())
-
-
-def _run_saturation(args) -> str:
-    cycles = 3000 if args.fast else 8000
-    cache = _cache(args)
-    text = ex.format_saturation(
-        ex.run_saturation(cycles=cycles, config=_config(args, 10_000),
-                          executor=_executor(args), cache=cache)
-    )
-    return _with_cache_footer(text, cache)
-
-
-def _run_chip_study(args) -> str:
-    from repro.analysis.chip_study import format_chip_study, run_chip_study
-
-    return format_chip_study(run_chip_study())
-
-
-def _run_report(args) -> str:
-    from repro.analysis.report import ReportOptions, write_report
-
-    path = write_report(
-        "REPORT.md",
-        ReportOptions(fast=args.fast, seed=args.seed),
-        executor=_executor(args),
-        cache=_cache(args),
-    )
-    return f"report written to {path}"
-
-
-def _run_ablations(args) -> str:
-    executor = _executor(args)
-    cache = _cache(args)
-    parts = [
-        ab.format_quota_ablation(
-            ab.run_quota_ablation(config=_config(args, 10_000),
-                                  executor=executor, cache=cache)
-        ),
-        ab.format_reserved_vc_ablation(
-            ab.run_reserved_vc_ablation(config=_config(args, 10_000),
-                                        executor=executor, cache=cache)
-        ),
-        ab.format_patience_ablation(
-            ab.run_patience_ablation(config=_config(args, 10_000),
-                                     executor=executor, cache=cache)
-        ),
-        ab.format_frame_ablation(
-            ab.run_frame_ablation(config=SimulationConfig(seed=args.seed),
-                                  executor=executor, cache=cache)
-        ),
-        ab.format_window_ablation(
-            ab.run_window_ablation(config=_config(args, 10_000),
-                                   executor=executor, cache=cache)
-        ),
-        ab.format_replica_ablation(
-            ab.run_replica_ablation(config=_config(args, 10_000),
-                                    executor=executor, cache=cache)
-        ),
-        ab.format_fbfly_study(
-            ab.run_fbfly_study(config=_config(args, 10_000),
-                               executor=executor, cache=cache)
-        ),
+    mode = "fast (smoke budgets)" if args.fast else "full (paper budgets)"
+    sections = [
+        "# Reproduction report — Topology-aware QoS (Grot et al., 2010)",
+        "",
+        f"mode: {mode}  |  seed: {args.seed}",
+        "",
     ]
-    return _with_cache_footer("\n\n".join(parts), cache)
+    for target in TARGETS:
+        sections.append(f"## {target}\n\n```\n{_run_target(args, target)}\n```\n")
+    with open(REPORT_PATH, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(sections))
+    return f"report written to {REPORT_PATH}"
 
 
 def _profiled(fn, *fn_args, dump_path=None):
@@ -513,34 +426,6 @@ def _run_bench_history(args, bench) -> int:
     return 1 if entry["violations"] or flags else 0
 
 
-def _run_burst(args) -> str:
-    from repro.analysis.experiments.burst_fairness import (
-        format_burst_fairness,
-        run_burst_fairness,
-    )
-
-    window = 2500 if args.fast else 6000
-    cache = _cache(args)
-    cells = run_burst_fairness(
-        warmup=window // 4, window=window, config=_config(args, 10_000),
-        executor=_executor(args), cache=cache,
-    )
-    return _with_cache_footer(format_burst_fairness(cells), cache)
-
-
-def _run_pvc_vs_gsf(args) -> str:
-    from repro.analysis.experiments.pvc_vs_gsf import (
-        format_pvc_vs_gsf,
-        run_pvc_vs_gsf,
-    )
-
-    window = 3000 if args.fast else 6000
-    cells = run_pvc_vs_gsf(
-        warmup=window // 6, window=window, config=_config(args, 1000),
-    )
-    return format_pvc_vs_gsf(cells)
-
-
 def _parse_scenario_params(pairs: list[str] | None) -> dict:
     """Parse repeated ``--param key=value`` flags into JSON scalars."""
     import json as _json
@@ -576,6 +461,7 @@ def _obs_params(args, out_dir: str) -> dict:
 
 def _scenario_spec(args, workload: str, *, obs_dir: str | None = None):
     """Build the RunSpec described by the scenario command-line flags."""
+    from repro.network.config import SimulationConfig
     from repro.runtime.spec import RunSpec
 
     return RunSpec(
@@ -584,7 +470,7 @@ def _scenario_spec(args, workload: str, *, obs_dir: str | None = None):
         rate=args.rate,
         workload_params=_parse_scenario_params(args.param),
         policy=args.policy,
-        config=_config(args, 10_000),
+        config=SimulationConfig(frame_cycles=10_000, seed=args.seed),
         mode="run",
         cycles=args.cycles,
         warmup=args.warmup,
@@ -1426,23 +1312,9 @@ def _run_cache(args) -> int:
     return 2
 
 
-COMMANDS: dict[str, tuple[Callable, str]] = {
-    "fig3": (_run_fig3, "Figure 3: router area overhead (analytical)"),
-    "fig4": (_run_fig4, "Figure 4: latency/throughput, uniform + tornado"),
-    "table2": (_run_table2, "Table 2: hotspot throughput fairness"),
-    "fig5": (_run_fig5, "Figure 5: adversarial preemption rates"),
-    "fig6": (_run_fig6, "Figure 6: slowdown + max-min deviation"),
-    "fig7": (_run_fig7, "Figure 7: router energy per flit (analytical)"),
-    "saturation": (_run_saturation, "Section 5.2: saturation replay rates"),
-    "burst": (_run_burst, "bursty/replayed traffic fairness study (extension)"),
-    "pvcgsf": (_run_pvc_vs_gsf, "PVC vs GSF head-to-head study (extension)"),
-    "ablations": (_run_ablations, "all design-choice ablation studies"),
-    "chip": (_run_chip_study, "shared-column count/placement study (extension)"),
-    "report": (_run_report, "write every result into REPORT.md"),
-}
-
-#: Listed alongside COMMANDS but dispatched separately (take a
-#: sub-action instead of producing a result table).
+#: Listed after the experiment targets; all but ``report`` take a
+#: sub-action instead of producing a result table.
+REPORT_COMMAND_HELP = "write what 'all' prints into REPORT.md"
 CACHE_COMMAND_HELP = "result cache maintenance: cache info | cache clear"
 CAMPAIGN_COMMAND_HELP = (
     "resumable reproduction campaigns: campaign list | run <name> | "
@@ -1485,6 +1357,8 @@ def _policy_choices() -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.campaign.stages import TARGETS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate results from 'Topology-aware QoS Support in "
@@ -1493,10 +1367,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "targets",
         nargs="+",
-        help="experiments to run: " + ", ".join(COMMANDS)
-        + ", cache, 'all', or 'list'",
+        help="experiments to run: " + ", ".join(TARGETS)
+        + ", report, cache, 'all', or 'list'",
     )
-    parser.add_argument("--fast", action="store_true", help="scaled-down quick pass")
+    parser.add_argument(
+        "--fast", action="store_true",
+        help="run experiment targets at the smoke campaign's budgets",
+    )
     parser.add_argument("--seed", type=int, default=1, help="deterministic seed")
     parser.add_argument(
         "--chart", action="store_true", help="add ASCII charts where available"
@@ -1762,9 +1639,14 @@ def main(argv: list[str] | None = None) -> int:
                   f"{' '.join(targets[3:])}", file=sys.stderr)
             return 2
         return _run_fleet(args)
+    from repro.campaign.stages import TARGETS, get_adapter
+
     if "list" in targets:
-        for name, (_, description) in COMMANDS.items():
-            print(f"  {name:10s} {description}")
+        for target, kinds in TARGETS.items():
+            for index, kind in enumerate(kinds):
+                name = "" if index else target
+                print(f"  {name:10s} {get_adapter(kind).description}")
+        print(f"  {'report':10s} {REPORT_COMMAND_HELP}")
         print(f"  {'cache':10s} {CACHE_COMMAND_HELP}")
         print(f"  {'bench':10s} {BENCH_COMMAND_HELP}")
         print(f"  {'scenario':10s} {SCENARIO_COMMAND_HELP}")
@@ -1796,29 +1678,30 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return _run_bench(args)
     if "all" in targets:
-        targets = list(COMMANDS)
-    unknown = [t for t in targets if t not in COMMANDS]
+        targets = list(TARGETS)
+    unknown = [t for t in targets if t not in TARGETS and t != "report"]
     if unknown:
         print(f"unknown target(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(COMMANDS)}, cache, bench, scenario, "
-              "campaign, obs, chaos, doctor, dispatch, fleet, all, list",
-              file=sys.stderr)
+        print(f"available: {', '.join(TARGETS)}, report, cache, bench, "
+              "scenario, campaign, obs, chaos, doctor, dispatch, fleet, all, "
+              "list", file=sys.stderr)
         return 2
     import os as _os
 
     for target in targets:
-        runner, _ = COMMANDS[target]
         started = time.time()
         if args.profile:
             dump_path = _os.path.join("profiles", f"profile_{target}.pstats")
-            output, report = _profiled(runner, args, dump_path=dump_path)
+            output, report = _profiled(
+                _run_target, args, target, dump_path=dump_path
+            )
             print(output)
             print()
             print(f"--- cProfile top 20 (cumulative) for {target} ---")
             print(report)
             print(f"pstats dump written to {dump_path}")
         else:
-            print(runner(args))
+            print(_run_target(args, target))
         if args.obs:
             _write_telemetry(
                 args, _os.path.join(args.obs, f"telemetry_{target}.json"),

@@ -6,7 +6,7 @@ report; this module renders them in aligned monospace columns.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 
 def _cell(value: object, spec: str | None) -> str:
@@ -65,3 +65,30 @@ def format_table(
     parts.append(separator)
     parts.extend(line(row) for row in rendered_rows)
     return "\n".join(parts)
+
+
+def percent(fraction: float) -> float:
+    """``fraction`` as a percentage: a :func:`format_columns` conversion."""
+    return fraction * 100.0
+
+
+def format_columns(
+    rows: Sequence[Mapping],
+    columns: Mapping[str, str | tuple],
+    *,
+    title: str,
+    float_format: str = ".3f",
+) -> str:
+    """Render summary-row mappings as an aligned ASCII table.
+
+    ``columns`` maps each header to the row key its cells show, or to
+    ``(key, convert)`` for cells that show ``convert(row[key])``.
+    """
+    cells = [
+        [
+            row[spec] if isinstance(spec, str) else spec[1](row[spec[0]])
+            for spec in columns.values()
+        ]
+        for row in rows
+    ]
+    return format_table(list(columns), cells, title=title, float_format=float_format)

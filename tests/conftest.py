@@ -1,5 +1,10 @@
 """Shared fixtures: fast simulator builders and canonical configs.
 
+Every test session gets its own result cache: ``REPRO_CACHE_DIR``
+points at a session temp dir, so no test reads or writes the user's
+``~/.cache/repro`` (a warm home cache would let a CLI test pass without
+simulating).
+
 Also registers hypothesis profiles.  CI exports
 ``HYPOTHESIS_PROFILE=ci`` to get a pinned, derandomized profile (fixed
 seed derivation, no deadline) so property tests cannot flake on slow
@@ -29,6 +34,13 @@ settings.register_profile(
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_result_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("result-cache")))
+        yield
 
 
 @pytest.fixture

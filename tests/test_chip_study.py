@@ -2,8 +2,9 @@
 
 from repro.analysis.chip_study import (
     ColumnLayoutPoint,
-    format_chip_study,
+    format_rows,
     run_chip_study,
+    summary_rows,
 )
 
 
@@ -34,7 +35,7 @@ def test_isolation_holds_for_every_layout():
 
 
 def test_format_lists_layouts():
-    text = format_chip_study()
+    text = format_rows(summary_rows(run_chip_study()))
     assert "Chip study" in text
     assert "[4]" in text
     assert "[2, 5]" in text

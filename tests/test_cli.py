@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.campaign.stages import TARGETS
+from repro.cli import build_parser, main
 
 
 def test_list_prints_commands(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in COMMANDS:
+    for name in [*TARGETS, "report"]:
         assert name in out
 
 

@@ -6,13 +6,11 @@ harness mechanics at miniature scale.
 
 
 from repro.analysis.experiments import (
-    format_fig3,
-    format_fig4,
-    format_fig5,
-    format_fig6,
-    format_fig7,
-    format_saturation,
-    format_table2,
+    fig3_area,
+    fig4_latency,
+    fig5_preemption,
+    fig6_slowdown,
+    fig7_energy,
     run_fig3,
     run_fig4,
     run_fig5,
@@ -20,6 +18,8 @@ from repro.analysis.experiments import (
     run_fig7,
     run_saturation,
     run_table2,
+    saturation,
+    table2_fairness,
 )
 from repro.network.config import SimulationConfig
 from repro.topologies.registry import TOPOLOGY_NAMES
@@ -31,7 +31,7 @@ _TWO = ("mesh_x1", "dps")
 def test_fig3_covers_all_topologies():
     results = run_fig3()
     assert set(results) == set(TOPOLOGY_NAMES)
-    text = format_fig3(results)
+    text = fig3_area.format_rows(fig3_area.summary_rows(results))
     assert "Figure 3" in text
     for name in TOPOLOGY_NAMES:
         assert name in text
@@ -45,7 +45,7 @@ def test_fig4_structure_and_formatting():
     assert set(result.uniform) == set(_TWO)
     assert len(result.uniform["dps"]) == 2
     assert all(point.mean_latency > 0 for point in result.uniform["dps"])
-    text = format_fig4(result)
+    text = fig4_latency.format_rows(fig4_latency.summary_rows(result))
     assert "uniform random" in text
     assert "tornado" in text
 
@@ -57,7 +57,7 @@ def test_table2_structure(capsys):
     assert [row.topology for row in rows] == list(_TWO)
     for row in rows:
         assert row.report.mean_flits > 0
-    assert "Table 2" in format_table2(rows)
+    assert "Table 2" in table2_fairness.format_rows(table2_fairness.summary_rows(rows))
 
 
 def test_fig5_structure():
@@ -65,7 +65,7 @@ def test_fig5_structure():
     assert len(rows) == 4  # 2 topologies x 2 workloads
     for row in rows:
         assert 0.0 <= row.wasted_hop_fraction <= 1.0
-    assert "Figure 5" in format_fig5(rows)
+    assert "Figure 5" in fig5_preemption.format_rows(fig5_preemption.summary_rows(rows))
 
 
 def test_fig6_structure():
@@ -78,7 +78,7 @@ def test_fig6_structure():
         assert row.baseline_completion > 0
         assert row.pvc_completion > 0
         assert row.min_deviation <= row.avg_deviation <= row.max_deviation
-    assert "Figure 6" in format_fig6(rows)
+    assert "Figure 6" in fig6_slowdown.format_rows(fig6_slowdown.summary_rows(rows))
 
 
 def test_fig7_structure():
@@ -87,7 +87,7 @@ def test_fig7_structure():
     for row in rows:
         composite = row.three_hops.total_pj
         assert composite >= row.source.total_pj
-    assert "Figure 7" in format_fig7(rows)
+    assert "Figure 7" in fig7_energy.format_rows(fig7_energy.summary_rows(rows))
 
 
 def test_saturation_structure():
@@ -95,10 +95,4 @@ def test_saturation_structure():
     assert len(points) == 4  # 2 patterns x 2 topologies
     patterns = {point.pattern for point in points}
     assert patterns == {"uniform", "tornado"}
-    assert "saturation" in format_saturation(points)
-
-
-def test_formatters_run_without_precomputed_results():
-    # Analytical figures are cheap enough to regenerate inline.
-    assert format_fig3()
-    assert format_fig7()
+    assert "saturation" in saturation.format_rows(saturation.summary_rows(points))

@@ -1,15 +1,22 @@
-"""Report generator."""
-
-import os
+"""``repro report``: what ``repro all`` prints, written into REPORT.md."""
 
 import pytest
 
-from repro.analysis.report import ReportOptions, generate_report, write_report
+from repro.cli import main
 
 
 @pytest.fixture(scope="module")
-def fast_report() -> str:
-    return generate_report(ReportOptions(fast=True, seed=3))
+def report_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("report")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        assert main(["report", "--fast", "--seed", "3"]) == 0
+    return directory
+
+
+@pytest.fixture(scope="module")
+def fast_report(report_dir) -> str:
+    return (report_dir / "REPORT.md").read_text(encoding="utf-8")
 
 
 def test_fast_report_contains_every_section(fast_report):
@@ -20,14 +27,18 @@ def test_fast_report_contains_every_section(fast_report):
         "Figure 5",
         "Figure 6",
         "Figure 7",
-        "saturation replay",
-        "shared-column placement",
+        "Section 5.2: preemption rates in saturation",
+        "Burst fairness",
+        "PVC vs GSF",
+        "Ablation: reserved quota",
+        "Extension: flattened butterfly",
+        "Chip study: shared-column count and placement",
     ):
         assert title in fast_report, title
 
 
 def test_report_mode_header(fast_report):
-    assert "fast (scaled)" in fast_report
+    assert "fast (smoke budgets)" in fast_report
     assert "seed: 3" in fast_report
 
 
@@ -37,14 +48,7 @@ def test_report_tables_render(fast_report):
     assert "```" in fast_report
 
 
-def test_write_report_creates_file(tmp_path, fast_report, monkeypatch):
-    # Reuse the cached text instead of regenerating the whole harness.
-    import repro.analysis.report as report_module
-
-    monkeypatch.setattr(report_module, "generate_report", lambda options=None: fast_report)
-    path = str(tmp_path / "REPORT.md")
-    returned = write_report(path)
-    assert returned == path
-    assert os.path.exists(path)
-    with open(path, encoding="utf-8") as handle:
-        assert "Reproduction report" in handle.read()
+def test_write_report_creates_file(report_dir):
+    assert [path.name for path in report_dir.iterdir()] == ["REPORT.md"]
+    text = (report_dir / "REPORT.md").read_text(encoding="utf-8")
+    assert text.startswith("# Reproduction report")

@@ -195,13 +195,13 @@ def test_saturation_end_to_end_populates_and_reuses_cache(tmp_path, capsys):
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert "Section 5.2" in first
-    assert "[runtime: 10 simulated, 0 cached]" in first
+    assert "[runtime: 4 simulated, 0 cached]" in first
     entries = ResultCache(tmp_path).info().entries
-    assert entries == 10  # 2 patterns x 5 topologies
+    assert entries == 4  # smoke budget: 2 patterns x 2 topologies
 
     assert main(argv) == 0
     second = capsys.readouterr().out
     # Identical tables, no new cache entries: the rerun was free.
-    assert "[runtime: 0 simulated, 10 cached]" in second
+    assert "[runtime: 0 simulated, 4 cached]" in second
     assert first.split("[runtime")[0] == second.split("[runtime")[0]
     assert ResultCache(tmp_path).info().entries == entries

@@ -158,8 +158,9 @@ def test_replay_spec_digest_guard(tmp_path):
 
 def test_burst_fairness_experiment_runs(tmp_path):
     from repro.analysis.experiments.burst_fairness import (
-        format_burst_fairness,
+        format_rows,
         run_burst_fairness,
+        summary_rows,
     )
 
     cells = run_burst_fairness(
@@ -175,6 +176,6 @@ def test_burst_fairness_experiment_runs(tmp_path):
         replayed = by_key[("replayed", policy)]
         assert live.delivered_flits == replayed.delivered_flits
         assert live.mean_latency == replayed.mean_latency
-    text = format_burst_fairness(cells)
+    text = format_rows(summary_rows(cells))
     assert "bursty" in text and "replayed" in text and "noqos" in text
     assert "gsf" in text
