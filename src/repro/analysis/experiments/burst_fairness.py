@@ -10,39 +10,36 @@ the per-flow-queued baseline, no-QoS, and GSF itself (whose frame
 budgets turn bursts into queued frames) — twice:
 
 * **bursty** — live :class:`~repro.scenarios.injection.OnOffProcess`
-  sources, run through :mod:`repro.runtime` (content-hashed, cached,
-  parallelisable);
-* **replayed** — the *same arrival sequence* for every policy: the
-  bursty run's injections are captured once (arrivals are pure RNG
-  state, independent of the policy) and re-injected under each policy,
-  so the comparison is paired sample-for-sample rather than merely
+  sources;
+* **replayed** — the *same arrival sequence* for every policy: the PVC
+  bursty run's injections (pure RNG state, independent of the policy)
+  re-injected under each policy by a replay spec naming that run, so
+  the comparison is paired sample-for-sample rather than merely
   distribution-for-distribution.
+
+Both legs are one batch of runtime specs (content-hashed, cached,
+parallelisable).
 
 Reported per cell: throughput fairness over the measurement window
 (min/max relative to the mean, as in Table 2), mean latency, and
 preemption events.  Matching live/replayed rows for the same policy are
 expected — arrivals really are policy-independent — and double as a
-standing replay-fidelity check: a divergence between the two legs would
-mean record-and-replay is no longer faithful.
+standing replay-fidelity check: the stage fails unless each replay's
+stats-snapshot digest equals its live run's.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.analysis.fairness import fairness_report
+from repro.errors import SimulationError
 from repro.network.config import SimulationConfig
-from repro.network.engine import ColumnSimulator
-from repro.network.trace import InjectionCapture
 from repro.qos.registry import available_policies
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
-from repro.runtime.spec import POLICIES, RunSpec
-from repro.scenarios import capture_to_trace, replayed_workload
-from repro.scenarios.workloads import bursty_workload
-from repro.topologies.registry import get_topology
-from repro.traffic.patterns import hotspot
+from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_columns, percent
 
@@ -96,19 +93,19 @@ def run_burst_fairness(
     executor: Executor | None = None,
     cache: ResultCache | None = None,
 ) -> list[BurstFairnessCell]:
-    """Compare the QoS policies on bursty and replayed hotspot traffic."""
+    """Compare the QoS policies on bursty and replayed hotspot traffic;
+    raises :class:`~repro.errors.SimulationError` if a replay diverges."""
     config = config or SimulationConfig(frame_cycles=10_000)
-    params = {
-        "target": target,
-        "on_cycles": on_cycles,
-        "off_cycles": off_cycles,
-    }
-    specs = [
-        RunSpec(
+    live = {
+        policy: RunSpec(
             topology=topology,
             workload="bursty",
             rate=rate,
-            workload_params=params,
+            workload_params={
+                "target": target,
+                "on_cycles": on_cycles,
+                "off_cycles": off_cycles,
+            },
             policy=policy,
             config=config,
             mode="window",
@@ -116,55 +113,40 @@ def run_burst_fairness(
             warmup=warmup,
         )
         for policy in POLICY_ORDER
+    }
+    # Creation cycles, destinations and sizes are drawn from
+    # per-injector RNG streams and do not depend on the policy, so the
+    # PVC run's arrivals are every policy's arrivals.
+    source = {"source": live["pvc"].canonical_json()}
+    replayed = [
+        replace(spec, workload="replay", rate=None, workload_params=source)
+        for spec in live.values()
     ]
-    batch = run_batch(specs, executor=executor, cache=cache)
+    batch = run_batch([*live.values(), *replayed], executor=executor, cache=cache)
+    results = batch.results
+    legs = {"bursty": results[: len(live)], "replayed": results[len(live):]}
+    for policy, bursty, replay in zip(POLICY_ORDER, *legs.values()):
+        if replay.snapshot_sha256 != bursty.snapshot_sha256:
+            raise SimulationError(
+                f"burst_fairness: the replay under {policy!r} diverged from "
+                f"its live run (snapshot sha256 {replay.snapshot_sha256[:12]} "
+                f"!= {bursty.snapshot_sha256[:12]})"
+            )
     cells = []
-    for policy, result in zip(POLICY_ORDER, batch.results):
-        report = fairness_report(list(result.window_flits_per_flow))
-        cells.append(
-            BurstFairnessCell(
-                traffic="bursty",
-                policy=policy,
-                min_relative=report.min_relative,
-                max_relative=report.max_relative,
-                mean_latency=result.mean_latency,
-                preemption_events=result.preemption_events,
-                delivered_flits=result.delivered_flits,
+    for traffic, leg in legs.items():
+        for policy, result in zip(POLICY_ORDER, leg):
+            report = fairness_report(list(result.window_flits_per_flow))
+            cells.append(
+                BurstFairnessCell(
+                    traffic=traffic,
+                    policy=policy,
+                    min_relative=report.min_relative,
+                    max_relative=report.max_relative,
+                    mean_latency=result.mean_latency,
+                    preemption_events=result.preemption_events,
+                    delivered_flits=result.delivered_flits,
+                )
             )
-        )
-
-    # Replayed comparison: capture the arrival sequence once (creation
-    # cycles/destinations/sizes are drawn from per-injector RNG streams
-    # and do not depend on the policy), then re-inject it under every
-    # policy.  Direct simulation — the trace lives in memory, not on
-    # disk, so this leg bypasses the result cache.
-    build = get_topology(topology).build
-    flows = bursty_workload(
-        rate, pattern=hotspot(target), on_cycles=on_cycles,
-        off_cycles=off_cycles,
-    )
-    source = ColumnSimulator(build(config), flows, POLICIES["pvc"](), config)
-    capture = InjectionCapture()
-    capture.attach(source)
-    source.run_window(warmup, window)
-    trace = capture_to_trace(capture, source.flows)
-    for policy in POLICY_ORDER:
-        replay = ColumnSimulator(
-            build(config), replayed_workload(trace), POLICIES[policy](), config
-        )
-        stats = replay.run_window(warmup, window)
-        report = fairness_report(stats.window_flits_per_flow)
-        cells.append(
-            BurstFairnessCell(
-                traffic="replayed",
-                policy=policy,
-                min_relative=report.min_relative,
-                max_relative=report.max_relative,
-                mean_latency=stats.mean_latency,
-                preemption_events=stats.preemption_events,
-                delivered_flits=stats.delivered_flits,
-            )
-        )
     return cells
 
 

@@ -22,8 +22,10 @@ topology and provisioning:
   throughput cap and the frames-ahead queueing delay measure exactly
   the inflexibility the paper argues a QoS mechanism should avoid.
 
-Both engines run GSF identically (the golden-equivalence harness pins
-it), so these numbers are engine-independent.  Rows are committed to
+The four runs are one batch of runtime specs, cached and parallel like
+every other stage.  Both engines run GSF identically (the
+golden-equivalence harness pins it), so these numbers are
+engine-independent.  Rows are committed to
 ``CAMPAIGN_baseline.json``; the test suite asserts the qualitative
 ordering — GSF fairness comparable to PVC at saturation, GSF latency
 visibly above PVC with headroom — rather than exact figures.
@@ -34,13 +36,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.analysis.fairness import fairness_report
-from repro.network.config import COLUMN_NODES, SimulationConfig
-from repro.network.engine import ColumnSimulator
-from repro.network.packet import FlowSpec
-from repro.qos.registry import create_policy
-from repro.topologies.registry import get_topology
-from repro.traffic.patterns import hotspot
-from repro.traffic.workloads import hotspot_all_injectors
+from repro.network.config import SimulationConfig
+from repro.runtime.cache import ResultCache
+from repro.runtime.executor import Executor
+from repro.runtime.runner import run_batch
+from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_columns, percent
 
@@ -73,14 +73,6 @@ class PvcVsGsfCell:
     throttle_deferrals: int
 
 
-def _headroom_flows(rate: float, target: int) -> list[FlowSpec]:
-    """Eight terminal injectors only: demand above each reservation,
-    aggregate far below link capacity."""
-    pattern = hotspot(target)
-    return [FlowSpec(node=node, rate=rate, pattern=pattern)
-            for node in range(COLUMN_NODES)]
-
-
 def run_pvc_vs_gsf(
     *,
     topology: str = "mecs",
@@ -90,44 +82,50 @@ def run_pvc_vs_gsf(
     warmup: int = 1000,
     window: int = 6000,
     config: SimulationConfig | None = None,
+    executor: Executor | None = None,
+    cache: ResultCache | None = None,
 ) -> list[PvcVsGsfCell]:
     """Run both regimes under both policies; one cell per combination.
 
-    Simulated directly (not through the result cache): the throttling
-    cost column reads GSF's deferral counter off the bound policy,
-    which a cached :class:`~repro.runtime.spec.RunResult` cannot carry.
-    Four small deterministic runs — the stage hash and committed
-    baseline pin the output exactly as for cached stages.
+    Headroom is ``uniform`` with a hotspot target: the eight terminal
+    injectors only.  ``throttle_deferrals`` is ``RunResult.deferrals``.
     """
     config = config or SimulationConfig(frame_cycles=1000)
-    build = get_topology(topology).build
     regimes = (
-        ("saturation", lambda: hotspot_all_injectors(
-            saturation_rate, target=target)),
-        ("headroom", lambda: _headroom_flows(headroom_rate, target)),
+        ("saturation", "hotspot64", saturation_rate),
+        ("headroom", "uniform", headroom_rate),
     )
+    specs = {
+        (regime, policy): RunSpec(
+            topology=topology,
+            workload=workload,
+            rate=rate,
+            workload_params={"target": target},
+            policy=policy,
+            config=config,
+            mode="window",
+            cycles=window,
+            warmup=warmup,
+        )
+        for regime, workload, rate in regimes
+        for policy in POLICY_PAIR
+    }
+    batch = run_batch(list(specs.values()), executor=executor, cache=cache)
     cells = []
-    for regime, flows_factory in regimes:
-        for policy_name in POLICY_PAIR:
-            policy = create_policy(policy_name)
-            simulator = ColumnSimulator(
-                build(config), flows_factory(), policy, config
+    for (regime, policy), result in zip(specs, batch.results):
+        report = fairness_report(list(result.window_flits_per_flow))
+        cells.append(
+            PvcVsGsfCell(
+                regime=regime,
+                policy=policy,
+                min_relative=report.min_relative,
+                max_relative=report.max_relative,
+                mean_latency=result.mean_latency,
+                delivered_flits=result.delivered_flits,
+                preemption_events=result.preemption_events,
+                throttle_deferrals=result.deferrals,
             )
-            stats = simulator.run_window(warmup, window)
-            report = fairness_report(stats.window_flits_per_flow)
-            deferrals = getattr(policy, "deferral_count", lambda: 0)()
-            cells.append(
-                PvcVsGsfCell(
-                    regime=regime,
-                    policy=policy_name,
-                    min_relative=report.min_relative,
-                    max_relative=report.max_relative,
-                    mean_latency=stats.mean_latency,
-                    delivered_flits=stats.delivered_flits,
-                    preemption_events=stats.preemption_events,
-                    throttle_deferrals=deferrals,
-                )
-            )
+        )
     return cells
 
 
@@ -138,16 +136,12 @@ def summary_rows(cells: list[PvcVsGsfCell]) -> list[dict]:
 
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`.
-
-    ``executor``/``cache`` are accepted for adapter-signature uniformity
-    and unused — see :func:`run_pvc_vs_gsf` for why this stage simulates
-    directly.
-    """
-    del executor, cache
+    """Campaign stage adapter: the study's :func:`summary_rows`."""
     p = resolve_stage_params(params, STAGE_DEFAULTS, "pvc_vs_gsf")
     config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
-    return summary_rows(run_pvc_vs_gsf(**p, config=config))
+    return summary_rows(
+        run_pvc_vs_gsf(**p, config=config, executor=executor, cache=cache)
+    )
 
 
 def format_rows(rows: list[dict]) -> str:

@@ -248,7 +248,7 @@ def _run_target(args, target: str) -> str:
 
             tables[-1] += "\n\n" + uniform_chart(rows)
     text = "\n\n".join(tables)
-    if cache is not None and cache.hits + cache.misses:
+    if cache is not None:
         # Cache writes are fresh simulations; hits were served from disk.
         text += f"\n[runtime: {cache.writes} simulated, {cache.hits} cached]"
     return text
@@ -560,34 +560,15 @@ def _scenario_run(args, workload: str) -> int:
 
 def _scenario_record(args, workload: str) -> int:
     """Run one scenario with injection capture; write the JSONL trace."""
-    from repro.network.engine import ColumnSimulator
-    from repro.network.trace import InjectionCapture
-    from repro.runtime.spec import POLICIES, build_flows
-    from repro.scenarios import capture_to_trace, snapshot_digest, write_trace
-    from repro.topologies.registry import get_topology
+    from repro.runtime.spec import capture_run
+    from repro.scenarios import write_trace
 
     if not args.out:
         print("scenario record needs --out PATH for the trace file",
               file=sys.stderr)
         return 2
     spec = _scenario_spec(args, workload)
-    simulator = ColumnSimulator(
-        get_topology(spec.topology).build(spec.config),
-        build_flows(spec),
-        POLICIES[spec.policy](),
-        spec.config,
-    )
-    capture = InjectionCapture()
-    capture.attach(simulator)
-    simulator.run(spec.cycles, warmup=spec.warmup)
-    trace = capture_to_trace(
-        capture,
-        simulator.flows,
-        meta={
-            "source": spec.to_json(),
-            "snapshot_sha256": snapshot_digest(simulator.stats.snapshot()),
-        },
-    )
+    trace = capture_run(spec)
     digest = write_trace(args.out, trace)
     print(f"recorded {len(trace.emissions)} emissions from "
           f"{spec.label()} to {args.out}")
@@ -597,12 +578,13 @@ def _scenario_record(args, workload: str) -> int:
 
 
 def _scenario_replay(args, path: str) -> int:
-    """Re-inject a recorded trace; verify the round trip is bit-exact."""
+    """Re-inject a recorded trace as a cached replay spec; verify bit-exactness."""
+    import os
+
     from repro.network.config import SimulationConfig
-    from repro.network.engine import ColumnSimulator
-    from repro.runtime.spec import POLICIES
-    from repro.scenarios import read_trace, replayed_workload, snapshot_digest
-    from repro.topologies.registry import get_topology
+    from repro.runtime.runner import run_batch
+    from repro.runtime.spec import RunSpec
+    from repro.scenarios import file_sha256, read_trace
 
     trace = read_trace(path)
     source = trace.meta.get("source")
@@ -610,28 +592,29 @@ def _scenario_replay(args, path: str) -> int:
         print(f"trace {path} has no source metadata; cannot rebuild the run",
               file=sys.stderr)
         return 2
-    config = SimulationConfig(**source["config"])
-    simulator = ColumnSimulator(
-        get_topology(source["topology"]).build(config),
-        replayed_workload(trace),
-        POLICIES[source["policy"]](),
-        config,
+    spec = RunSpec(
+        topology=source["topology"],
+        workload="replay",
+        # Absolute, so an agent or worker in another directory finds it.
+        workload_params={"path": os.path.abspath(path), "sha256": file_sha256(path)},
+        policy=source["policy"],
+        config=SimulationConfig(**source["config"]),
+        cycles=source["cycles"],
+        warmup=source["warmup"],
     )
-    simulator.run(source["cycles"], warmup=source["warmup"])
-    digest = snapshot_digest(simulator.stats.snapshot())
+    [result] = run_batch([spec], executor=_executor(args), cache=_cache(args))
     expected = trace.meta.get("snapshot_sha256")
     print(f"replayed {len(trace.emissions)} emissions on "
           f"{source['topology']}/{source['policy']}")
-    stats = simulator.stats
-    print(f"delivered {stats.delivered_flits} flits, "
-          f"mean latency {stats.mean_latency:.1f} cyc")
+    print(f"delivered {result.delivered_flits} flits, "
+          f"mean latency {result.mean_latency:.1f} cyc")
     if expected is None:
         print("source snapshot digest missing; round trip not verified")
         return 0
-    if digest == expected:
-        print(f"round trip bit-identical (snapshot sha256 {digest[:12]}...)")
+    if result.snapshot_sha256 == expected:
+        print(f"round trip bit-identical (snapshot sha256 {expected[:12]}...)")
         return 0
-    print(f"ROUND TRIP DIVERGED: expected {expected}, got {digest}",
+    print(f"ROUND TRIP DIVERGED: expected {expected}, got {result.snapshot_sha256}",
           file=sys.stderr)
     return 1
 
@@ -733,21 +716,18 @@ def _obs_timeline(path: str) -> int:
         obs["out_dir"] = out_dir
         payload["obs"] = obs
         spec = RunSpec.from_json(payload)
-        execute_spec(spec)
-        refreshed = read_run(run_path)
-        trace_name = next(
-            name for name in refreshed["files"] if name.endswith("trace.json")
-        )
+        digest = execute_spec(spec).snapshot_sha256
+        trace_name = f"{spec.base_hash[:12]}.trace.json"
         trace_path = os.path.join(out_dir, trace_name)
         events = len(validate_chrome_trace(trace_path)["traceEvents"])
-        if refreshed["snapshot_sha256"] == recorded["snapshot_sha256"]:
+        if digest == recorded["snapshot_sha256"]:
             print(f"{trace_name}: {events} events, snapshot digest verified "
-                  f"({recorded['snapshot_sha256'][:12]}...)")
+                  f"({digest[:12]}...)")
         else:
             diverged = True
             print(f"{trace_name}: SNAPSHOT DIVERGED — recorded "
                   f"{recorded['snapshot_sha256'][:12]}..., regenerated "
-                  f"{refreshed['snapshot_sha256'][:12]}...", file=sys.stderr)
+                  f"{digest[:12]}...", file=sys.stderr)
     if diverged:
         return 1
     print("open in https://ui.perfetto.dev or chrome://tracing")

@@ -39,7 +39,6 @@ from repro.obs.metricsfmt import (
     write_run,
 )
 from repro.obs.probes import ProbeBus
-from repro.scenarios.tracefmt import snapshot_digest
 
 #: Default window width in cycles (half a default 2000-cycle frame).
 DEFAULT_WINDOW = 1000
@@ -349,7 +348,7 @@ class ObsSession:
         stem: str = "",
         spec_json: dict | None = None,
         label: str | None = None,
-        snapshot: dict | None = None,
+        snapshot_sha256: str | None = None,
         spec_hash: str | None = None,
     ) -> dict:
         """Write the artifact set into ``out_dir``; returns the manifest."""
@@ -387,7 +386,7 @@ class ObsSession:
             "label": label,
             "spec_hash": spec_hash,
             "spec": spec_json,
-            "snapshot_sha256": snapshot_digest(snapshot) if snapshot else None,
+            "snapshot_sha256": snapshot_sha256,
             "window_cycles": self.window,
             "timeline": self.timeline,
             "engine": self.activity.counters(),

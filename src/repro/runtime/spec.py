@@ -31,10 +31,10 @@ from repro.topologies.registry import EXTENDED_TOPOLOGY_NAMES, get_topology
 from repro.traffic import patterns as _patterns
 from repro.traffic import workloads as _workloads
 
-#: Bumped whenever the hashed payload layout (not the simulated
-#: behaviour) changes; part of the hashed content, so old cache blobs
-#: can never be mistaken for new ones.
-SPEC_SCHEMA_VERSION = 1
+#: Bumped when the hashed payload layout or the :class:`RunResult` stored
+#: under it changes, not the simulated behaviour (2: results gained
+#: ``deferrals`` and ``snapshot_sha256``); hashed, so old blobs never match.
+SPEC_SCHEMA_VERSION = 2
 
 #: Run modes understood by :func:`execute_spec`.
 RUN_MODES = ("run", "window", "drain")
@@ -51,8 +51,12 @@ PATTERNS = {
 }
 
 
-def _pattern(params: dict, default: str = "uniform_random"):
-    name = params.get("pattern", default)
+def _pattern(params: dict):
+    """The destination pattern ``params`` select: a hotspot ``target``,
+    else the named ``pattern`` (uniform random by default)."""
+    if "target" in params:
+        return _patterns.hotspot(params["target"])
+    name = params.get("pattern", "uniform_random")
     if name not in PATTERNS:
         raise ConfigurationError(
             f"unknown pattern {name!r}; expected one of {sorted(PATTERNS)}"
@@ -81,7 +85,7 @@ class WorkloadEntry:
 WORKLOAD_BUILDERS = {
     "uniform": WorkloadEntry(
         lambda rate, p: _workloads.uniform_workload(rate, pattern=_pattern(p)),
-        allowed_params=frozenset({"pattern"}),
+        allowed_params=frozenset({"pattern", "target"}),
     ),
     "tornado": WorkloadEntry(
         lambda rate, p: _workloads.tornado_workload(rate),
@@ -137,7 +141,7 @@ WORKLOAD_BUILDERS = {
     "bursty": WorkloadEntry(
         lambda rate, p: _scenario_workloads().bursty_workload(
             rate,
-            pattern=_scenario_pattern(p),
+            pattern=_pattern(p),
             on_cycles=p.get("on_cycles", 64),
             off_cycles=p.get("off_cycles", 192),
         ),
@@ -146,7 +150,7 @@ WORKLOAD_BUILDERS = {
     "pareto_bursty": WorkloadEntry(
         lambda rate, p: _scenario_workloads().pareto_workload(
             rate,
-            pattern=_scenario_pattern(p),
+            pattern=_pattern(p),
             alpha=p.get("alpha", 1.5),
             on_scale=p.get("on_scale", 8),
             off_scale=p.get("off_scale", 24),
@@ -185,12 +189,9 @@ WORKLOAD_BUILDERS = {
         ),
     ),
     "replay": WorkloadEntry(
-        lambda rate, p: _scenario_workloads().replayed_workload(
-            _read_trace(p["path"], p["sha256"])
-        ),
+        lambda rate, p: _scenario_workloads().replayed_workload(_read_trace(p)),
         rate="forbidden",
-        allowed_params=frozenset({"path", "sha256"}),
-        required_params=frozenset({"path", "sha256"}),
+        allowed_params=frozenset({"path", "sha256", "source"}),
     ),
 }
 
@@ -201,7 +202,7 @@ SCENARIO_WORKLOADS = {
     "pareto_bursty": "self-similar bursts with Pareto on/off lengths",
     "phased": "multi-phase schedule (rate/pattern/weights per epoch)",
     "closed_loop": "request-reply clients with bounded outstanding requests",
-    "replay": "re-inject a recorded JSONL trace (path + sha256)",
+    "replay": "re-inject a JSONL trace (path + sha256) or a source spec's arrivals",
 }
 
 
@@ -213,23 +214,31 @@ def _scenario_workloads():
     return workloads
 
 
-def _scenario_pattern(params: dict):
-    """Scenario pattern lookup: ``target`` selects a hotspot pattern.
-
-    The target/pattern conflict and hotspot bounds were already checked
-    by :class:`RunSpec` validation; this only materialises the choice.
-    """
-    from repro.traffic.patterns import hotspot
-
-    if "target" in params:
-        return hotspot(params["target"])
-    return _pattern(params)
-
-
-def _read_trace(path: str, sha256: str):
+def _read_trace(params: dict):
     from repro.scenarios.tracefmt import read_trace
 
-    return read_trace(path, expect_sha256=sha256)
+    if "source" in params:  # execute_spec captures the source run
+        raise ConfigurationError("a replay of a source spec runs only in execute_spec")
+    return read_trace(params["path"], expect_sha256=params["sha256"])
+
+
+def _replay_source(spec: "RunSpec") -> "RunSpec | None":
+    """The live spec whose arrivals a replay re-injects, named by its
+    ``source`` param (that spec's canonical JSON); else ``None``."""
+    if spec.workload != "replay":
+        return None
+    params = dict(spec.workload_params)
+    if set(params) not in ({"path", "sha256"}, {"source"}):
+        raise ConfigurationError("a replay takes 'path' + 'sha256', or a 'source' spec")
+    if "source" not in params:
+        return None
+    try:
+        source = RunSpec.from_json(json.loads(params["source"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ConfigurationError(f"replay source is not a RunSpec: {error}") from error
+    if source.obs or source.workload == "replay":
+        raise ConfigurationError("a replay's source must carry no obs and be no replay")
+    return source
 
 
 class _PolicyFactories(Mapping):
@@ -426,20 +435,16 @@ class RunSpec:
                 f"workload {self.workload!r} requires params {sorted(missing)}"
             )
         params = dict(self.workload_params)
-        if "pattern" in params:
-            _pattern(params)  # validate the name eagerly, not in a worker
-        if "target" in params:
-            # hotspot() bounds-checks the node: a typo'd target fails at
-            # spec construction instead of corrupting a worker's routes.
-            from repro.traffic.patterns import hotspot
-
-            hotspot(params["target"])
-            if "pattern" in params:
-                raise ConfigurationError(
-                    "give either 'pattern' or a hotspot 'target', not both"
-                )
+        if {"pattern", "target"} <= set(params):
+            raise ConfigurationError(
+                "give either 'pattern' or a hotspot 'target', not both"
+            )
+        # Validate the name eagerly, not in a worker; hotspot() bounds-checks
+        # a target, so a typo'd node cannot corrupt a worker's routes.
+        _pattern(params)
         if self.workload == "phased":
             _scenario_workloads().parse_phases(params["phases"])
+        _replay_source(self)
         if self.policy not in POLICIES:
             raise UnknownPolicyError(self.policy, tuple(POLICIES))
         if self.mode not in RUN_MODES:
@@ -536,7 +541,9 @@ class RunResult:
     Equality is exact — serial and parallel execution of the same spec
     produce ``RunResult`` objects that compare equal, and the JSON
     round-trip through the cache preserves every field bit-for-bit
-    (Python's float repr round-trips).
+    (Python's float repr round-trips).  ``deferrals`` is the policy's
+    ``deferral_count()`` (0 without one); ``snapshot_sha256`` digests the
+    run's full ``NetworkStats.snapshot()``.
     """
 
     spec_hash: str
@@ -552,6 +559,8 @@ class RunResult:
     replays: int
     completion_cycle: int = 0
     window_flits_per_flow: tuple[int, ...] = ()
+    deferrals: int = 0
+    snapshot_sha256: str = ""
 
     def to_json(self) -> dict:
         data = asdict(self)
@@ -566,21 +575,60 @@ class RunResult:
         return cls(**kwargs)
 
 
-def build_flows(spec: RunSpec):
-    """Materialise the spec's workload into :class:`FlowSpec` objects."""
+def build_flows(spec: RunSpec, trace=None):
+    """Materialise the spec's workload into :class:`FlowSpec` objects;
+    a replay of a source spec re-injects ``trace``, its source's capture."""
+    if trace is not None:
+        return _scenario_workloads().replayed_workload(trace)
     entry = WORKLOAD_BUILDERS[spec.workload]
     return entry.builder(spec.rate, dict(spec.workload_params))
 
 
 #: What :func:`execute_spec` imports on first use: the engine, the policy
-#: registry, the scenario builders and the obs collectors.  A parallel
-#: executor imports them before it forks, so no agent compiles them.
+#: registry, the scenario builders, the replay capture and the obs collectors.
+#: A parallel executor imports them before it forks, so no agent compiles them.
 EXECUTE_SPEC_IMPORTS = (
     "repro.network.engine",
     "repro.qos.registry",
     "repro.scenarios.workloads",
+    "repro.network.trace",
     "repro.obs.collect",
 )
+
+
+def _simulate(spec: RunSpec, flows, subscriber=None):
+    """Run ``flows`` as ``spec`` says, ``subscriber`` (a probe subscriber)
+    attached: ``(simulator, stats, completion cycle)``."""
+    from repro.network.engine import ColumnSimulator
+
+    topology = get_topology(spec.topology, **dict(spec.topology_params))
+    simulator = ColumnSimulator(
+        topology.build(spec.config), flows, POLICIES[spec.policy](), spec.config
+    )
+    if subscriber is not None:
+        subscriber.attach(simulator)
+    completion = 0
+    if spec.mode == "run":
+        stats = simulator.run(spec.cycles, warmup=spec.warmup)
+    elif spec.mode == "window":
+        stats = simulator.run_window(spec.warmup, spec.cycles)
+    else:  # drain
+        completion = simulator.run_until_drained(max_cycles=spec.cycles)
+        stats = simulator.stats
+    return simulator, stats, completion
+
+
+def capture_run(spec: RunSpec):
+    """Run ``spec`` with an injection capture; its arrivals as a trace."""
+    from repro.network.trace import InjectionCapture
+    from repro.scenarios.tracefmt import capture_to_trace, snapshot_digest
+
+    capture = InjectionCapture()
+    simulator, stats, _ = _simulate(spec, build_flows(spec), capture)
+    return capture_to_trace(capture, simulator.flows, meta={
+        "source": spec.to_json(),
+        "snapshot_sha256": snapshot_digest(stats.snapshot()),
+    })
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
@@ -589,19 +637,18 @@ def execute_spec(spec: RunSpec) -> RunResult:
     Module-level (hence picklable) so :class:`ProcessPoolExecutor`
     workers can receive it directly.
 
+    A replay of a source spec re-injects its source run's captured arrivals.
+
     When the spec carries obs config, an
     :class:`~repro.obs.collect.ObsSession` is attached before the run
     and its artifacts are written to ``obs["out_dir"]`` afterwards,
     named by the spec's :attr:`~RunSpec.base_hash` — the result itself
     is bit-identical either way (probes are observational).
     """
-    from repro.network.engine import ColumnSimulator
+    from repro.scenarios.tracefmt import snapshot_digest
 
-    config = spec.config
-    topology = get_topology(spec.topology, **dict(spec.topology_params))
-    simulator = ColumnSimulator(
-        topology.build(config), build_flows(spec), POLICIES[spec.policy](), config
-    )
+    source = _replay_source(spec)
+    flows = build_flows(spec, None if source is None else capture_run(source))
     obs_session = None
     obs_params = dict(spec.obs)
     if obs_params:
@@ -611,15 +658,8 @@ def execute_spec(spec: RunSpec) -> RunResult:
             window=obs_params.get("window", DEFAULT_WINDOW),
             timeline=obs_params.get("timeline", False),
         )
-        obs_session.attach(simulator)
-    completion = 0
-    if spec.mode == "run":
-        stats = simulator.run(spec.cycles, warmup=spec.warmup)
-    elif spec.mode == "window":
-        stats = simulator.run_window(spec.warmup, spec.cycles)
-    else:  # drain
-        completion = simulator.run_until_drained(max_cycles=spec.cycles)
-        stats = simulator.stats
+    simulator, stats, completion = _simulate(spec, flows, obs_session)
+    digest = snapshot_digest(stats.snapshot())
     if obs_session is not None:
         obs_session.finalize(simulator.cycle)
         out_dir = obs_params.get("out_dir")
@@ -629,7 +669,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
                 stem=f"{spec.base_hash[:12]}.",
                 spec_json=spec.to_json(),
                 label=spec.label(),
-                snapshot=stats.snapshot(),
+                snapshot_sha256=digest,
                 spec_hash=spec.base_hash,
             )
     return RunResult(
@@ -646,4 +686,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
         replays=stats.replays,
         completion_cycle=completion,
         window_flits_per_flow=tuple(stats.window_flits_per_flow),
+        deferrals=getattr(simulator.policy, "deferral_count", lambda: 0)(),
+        snapshot_sha256=digest,
     )

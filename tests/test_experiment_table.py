@@ -10,12 +10,17 @@ adapter's ``run`` for a recorder, so they simulate nothing.
 import dataclasses
 import os
 import re
+import sys
 
 import pytest
 
 from repro.campaign import get_campaign, load_baseline
-from repro.campaign.stages import STAGE_ADAPTERS, TARGETS, get_adapter
+from repro.campaign.stages import STAGE_ADAPTERS, STAGE_KINDS, TARGETS, get_adapter
 from repro.cli import main
+from repro.network.engine import ColumnSimulator
+from repro.runtime import spec as runtime_spec
+from repro.runtime.cache import ResultCache
+from repro.runtime.executor import SerialExecutor
 from repro.topologies.registry import TOPOLOGY_NAMES
 
 BASELINE = load_baseline(
@@ -197,3 +202,41 @@ def test_every_formatter_renders_the_committed_rows(kind):
         for row in rows:
             start = re.compile(r"\s+".join(map(re.escape, labels(row))) + r"(\s|$)")
             assert any(start.match(line) for line in lines), (kind, row)
+
+
+def test_every_simulated_kind_simulates_only_through_the_runtime(
+        tmp_path, monkeypatch):
+    """Each simulation of a stage is a cached spec: none is built outside
+    ``execute_spec``, and a second pass on the cache simulates nothing."""
+    built = []  # one flag per simulator: was it built inside execute_spec?
+    init = ColumnSimulator.__init__
+
+    def watched(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame and frame.f_code is not runtime_spec.execute_spec.__code__:
+            frame = frame.f_back
+        built.append(frame is not None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnSimulator, "__init__", watched)
+    smoke = get_campaign("smoke")
+    stages = {stage.kind: stage for stage in smoke.stages}
+    kinds = [kind for kind in STAGE_KINDS if get_adapter(kind).simulated]
+    assert set(kinds) <= set(stages)
+    cache = ResultCache(tmp_path)
+
+    def run_all():
+        return {
+            kind: get_adapter(kind).run(
+                dict(stages[kind].params), seed=smoke.seed,
+                executor=SerialExecutor(), cache=cache,
+            )
+            for kind in kinds
+        }
+
+    first = run_all()
+    assert built and all(built), "a stage built a simulator by hand"
+    built.clear()
+    writes = cache.writes
+    assert run_all() == first
+    assert built == [] and cache.writes == writes

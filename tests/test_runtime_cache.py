@@ -60,6 +60,44 @@ def test_wrong_shaped_result_field_reads_as_miss(tmp_path):
         assert cache.get(spec) is None
 
 
+def test_new_result_fields_survive_the_cache_bit_for_bit(tmp_path):
+    cache = ResultCache(tmp_path)
+    spec = _spec(workload="hotspot64", policy="gsf", mode="window")
+    result = execute_spec(spec)
+    assert result.deferrals > 0 and len(result.snapshot_sha256) == 64
+    cache.put(spec, result)
+    fresh = ResultCache(tmp_path).get(spec)
+    assert fresh == result and fresh.to_json() == result.to_json()
+
+
+def test_a_blob_in_the_previous_result_format_is_never_a_result(tmp_path):
+    """Results before ``deferrals``/``snapshot_sha256`` were stored under
+    schema-1 spec hashes; none of them can answer a current spec."""
+    import hashlib
+    import json
+
+    from repro.runtime.cache import payload_sha256
+
+    cache = ResultCache(tmp_path)
+    spec = _spec(workload="hotspot64", policy="gsf", mode="window")
+    old_spec = dict(spec.to_json(), schema=1)
+    old_hash = hashlib.sha256(json.dumps(
+        old_spec, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    old_result = execute_spec(spec).to_json()
+    del old_result["deferrals"], old_result["snapshot_sha256"]
+    old_result["spec_hash"] = old_hash
+    path = cache.path_for(old_hash)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "cache_version": cache.version, "spec_hash": old_hash,
+        "spec": old_spec, "result": old_result,
+        "payload_sha256": payload_sha256(old_result),
+    }), encoding="utf-8")
+    assert spec.content_hash != old_hash
+    assert cache.get(spec) is None
+    assert cache.quarantined == 0  # a miss, not corruption
+
+
 def test_version_bump_invalidates(tmp_path):
     spec = _spec()
     old = ResultCache(tmp_path, version="1.0.0")

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.network.config import SimulationConfig
 from repro.runtime.spec import (
     POLICIES,
+    SPEC_SCHEMA_VERSION,
     WORKLOAD_BUILDERS,
     RunResult,
     RunSpec,
@@ -169,6 +170,75 @@ def test_run_result_json_round_trip():
     result = execute_spec(_spec(cycles=400, warmup=100))
     clone = RunResult.from_json(result.to_json())
     assert clone == result
+
+
+def test_result_deferrals_are_the_policys_deferral_count():
+    from repro.network.engine import ColumnSimulator
+    from repro.qos.registry import create_policy
+    from repro.scenarios import snapshot_digest
+    from repro.topologies.registry import get_topology
+    from repro.traffic.workloads import hotspot_all_injectors
+
+    for policy in ("gsf", "pvc"):
+        spec = RunSpec(topology="mecs", workload="hotspot64", rate=0.05,
+                       policy=policy, config=_CFG, mode="window",
+                       cycles=600, warmup=150)
+        result = execute_spec(spec)
+        simulator = ColumnSimulator(
+            get_topology("mecs").build(_CFG), hotspot_all_injectors(0.05),
+            create_policy(policy), _CFG,
+        )
+        stats = simulator.run_window(150, 600)
+        assert result.snapshot_sha256 == snapshot_digest(stats.snapshot())
+        if policy == "gsf":
+            assert result.deferrals == simulator.policy.deferral_count() > 0
+        else:
+            assert result.deferrals == 0
+
+
+def _replay_of(source: str, policy: str = "pvc") -> RunSpec:
+    return RunSpec(topology="mecs", workload="replay",
+                   workload_params={"source": source}, policy=policy,
+                   config=_CFG, mode="window", cycles=600, warmup=150)
+
+
+def test_a_replay_of_a_spec_reproduces_its_source():
+    live = RunSpec(topology="mecs", workload="bursty", rate=0.4,
+                   workload_params={"target": 0}, config=_CFG,
+                   mode="window", cycles=600, warmup=150)
+    replay = _replay_of(live.canonical_json())
+    assert execute_spec(replay).snapshot_sha256 == (
+        execute_spec(live).snapshot_sha256
+    )
+    under_gsf = _replay_of(live.canonical_json(), "gsf")
+    assert replay.content_hash != under_gsf.content_hash
+    with pytest.raises(ConfigurationError, match="execute_spec"):
+        build_flows(replay)  # the capture is execute_spec's to take
+
+
+def test_a_replay_source_is_validated_at_construction(tmp_path):
+    live = RunSpec(topology="mecs", workload="bursty", rate=0.4,
+                   config=_CFG, cycles=600)
+    observed = RunSpec(topology="mecs", workload="bursty", rate=0.4,
+                       config=_CFG, cycles=600, obs={"window": 100})
+    nested = _replay_of(live.canonical_json()).canonical_json()
+    for source, reason in (
+        ("{not json", "not a RunSpec"),
+        ("[1, 2]", "not a RunSpec"),
+        (f'{{"schema": {SPEC_SCHEMA_VERSION}}}', "not a RunSpec"),
+        (observed.canonical_json(), "obs"),
+        (nested, "be no replay"),
+    ):
+        with pytest.raises(ConfigurationError, match=reason):
+            _replay_of(source)
+    with pytest.raises(ConfigurationError, match=r"'path' \+ 'sha256', or"):
+        RunSpec(topology="mecs", workload="replay", config=_CFG,
+                workload_params={"source": live.canonical_json(),
+                                 "path": str(tmp_path / "t.jsonl"),
+                                 "sha256": "0" * 64})
+    with pytest.raises(ConfigurationError, match=r"'path' \+ 'sha256', or"):
+        RunSpec(topology="mecs", workload="replay", config=_CFG,
+                workload_params={"path": str(tmp_path / "t.jsonl")})
 
 
 def test_execute_spec_matches_direct_engine_run():
