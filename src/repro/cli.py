@@ -60,7 +60,10 @@ Usage (after installation)::
     repro bench journal                  # journal overhead: off vs on
     repro bench history --record -       # append guard results to history
 
-(or ``python -m repro ...`` without installation).  An experiment
+(or ``python -m repro ...`` without installation).  Each verb reads its
+own flags, declared in the verb table (:func:`verb_table`); ``repro
+<verb> [<action>] --help`` lists them, and a flag the verb does not
+read exits 2.  An experiment
 target runs its stage kinds from :mod:`repro.campaign.stages` at the
 budgets of the ``paper`` campaign's stages, or of the ``smoke``
 campaign's under ``--fast``; ``--seed`` changes the deterministic
@@ -76,6 +79,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -91,13 +96,20 @@ def _fault_injector(args):
     ``args`` and handed to the executor, the cache and the campaign
     runner alike.
     """
-    if not getattr(args, "chaos", None):
+    if not args.chaos:
         return None
     if getattr(args, "_injector", None) is None:
         from repro.resilience import FaultInjector, load_plan
 
         args._injector = FaultInjector(load_plan(args.chaos))
     return args._injector
+
+
+def _jobs(args, floor: int = 1) -> int:
+    """``--jobs N`` as a worker count: ``0`` is every core; at least ``floor``."""
+    import os
+
+    return max(args.jobs or os.cpu_count() or 1, floor)
 
 
 def _executor(args) -> Executor:
@@ -113,58 +125,53 @@ def _executor(args) -> Executor:
     or an in-process broker (``local``, or a directory that also
     receives sha256-addressed result artifacts).  The dispatch
     executor degrades to a local parallel executor when the broker is
-    unreachable.
-
-    With ``--obs`` the executor is wrapped in a recording
-    :class:`~repro.obs.TelemetryExecutor` (one wrapper per target, so
-    every ``_executor`` call inside one command shares its counters);
-    the collected snapshot is written as JSON when the target finishes.
+    unreachable.  It is built once per command and journals under
+    ``--journal``.
     """
     from repro.runtime.executor import ParallelExecutor, SerialExecutor
 
-    if getattr(args, "dispatch", None):
-        import os as _os
-
-        from repro.dispatch import DispatchExecutor
-
-        retry = None
-        if getattr(args, "retries", None):
-            from repro.resilience import RetryPolicy
-
-            retry = RetryPolicy(max_attempts=args.retries + 1)
-        injector = _fault_injector(args)
+    if args.dispatch:
         if getattr(args, "_dispatch_executor", None) is None:
+            from repro.dispatch import DispatchExecutor
+
             args._dispatch_executor = DispatchExecutor(
                 None if args.dispatch == "local" else args.dispatch,
-                jobs=(args.jobs if args.jobs >= 1 else (_os.cpu_count() or 2)),
-                retry=retry,
-                timeout=getattr(args, "timeout", None),
-                fault_plan=injector.plan if injector is not None else None,
-                journal_dir=getattr(args, "journal", None),
+                jobs=_jobs(args), journal_dir=args.journal, **_supervision(args),
             )
-        inner: Executor = args._dispatch_executor
-    elif args.jobs == 1:
-        inner = SerialExecutor()
-    else:
-        retry = None
-        if getattr(args, "retries", None):
-            from repro.resilience import RetryPolicy
+        return args._dispatch_executor
+    if args.jobs == 1:
+        return SerialExecutor()
+    return ParallelExecutor(jobs=_jobs(args), **_supervision(args))
 
-            retry = RetryPolicy(max_attempts=args.retries + 1)
-        injector = _fault_injector(args)
-        inner = ParallelExecutor(
-            jobs=None if args.jobs == 0 else args.jobs,
-            retry=retry,
-            timeout=getattr(args, "timeout", None),
-            fault_plan=injector.plan if injector is not None else None,
-        )
-    if getattr(args, "obs", None):
+
+def _supervision(args) -> dict:
+    """A parallel executor's ``--retries`` policy, ``--timeout`` and
+    ``--chaos`` fault plan."""
+    retry = None
+    if args.retries:
+        from repro.resilience import RetryPolicy
+
+        retry = RetryPolicy(max_attempts=args.retries + 1)
+    injector = _fault_injector(args)
+    return {
+        "retry": retry,
+        "timeout": args.timeout,
+        "fault_plan": injector.plan if injector is not None else None,
+    }
+
+
+def _observed(args, executor: Executor) -> Executor:
+    """With ``--obs``, ``executor`` inside a recording
+    :class:`~repro.obs.TelemetryExecutor` — one wrapper per target, so
+    every executor of one target shares its counters until
+    :func:`_write_telemetry` flushes them."""
+    if not args.obs:
+        return executor
+    if getattr(args, "_telemetry", None) is None:
         from repro.obs import TelemetryExecutor
 
-        if getattr(args, "_telemetry", None) is None:
-            args._telemetry = TelemetryExecutor(inner)
-        return args._telemetry
-    return inner
+        args._telemetry = TelemetryExecutor(executor)
+    return args._telemetry
 
 
 def _write_telemetry(args, path: str, **meta) -> None:
@@ -186,7 +193,7 @@ def _journal_writer(args, actor: str):
     own ``<actor>.journal.jsonl`` so ``repro fleet trace DIR`` can merge
     the set without any coordination between writers.
     """
-    if not getattr(args, "journal", None):
+    if not args.journal:
         return None
     from pathlib import Path
 
@@ -195,6 +202,17 @@ def _journal_writer(args, actor: str):
     return JournalWriter(
         Path(args.journal) / f"{actor}.journal.jsonl", actor=actor
     )
+
+
+def _journal_needs_dispatch(args) -> None:
+    """A batch journals only through a ``--dispatch`` broker and its workers."""
+    if args.journal and not args.dispatch:
+        from repro.errors import ConfigurationError
+
+        raise ConfigurationError(
+            "--journal needs --dispatch: only the dispatch broker and its "
+            "workers journal a batch"
+        )
 
 
 def _cache(args) -> ResultCache | None:
@@ -233,7 +251,7 @@ def _run_target(args, target: str) -> str:
         return _write_report(args)
     kinds = TARGETS[target]
     simulated = any(get_adapter(kind).simulated for kind in kinds)
-    executor = _executor(args) if simulated else None
+    executor = _observed(args, _executor(args)) if simulated else None
     cache = _cache(args) if simulated else None
     tables = []
     for kind in kinds:
@@ -276,6 +294,61 @@ def _write_report(args) -> str:
     return f"report written to {REPORT_PATH}"
 
 
+def _run_targets(args) -> int:
+    """``repro <target> [<target> ...]``, ``repro report`` and ``repro all``:
+    print each target's tables, then its wall-clock time."""
+    import os
+
+    from repro.campaign.stages import TARGETS
+    from repro.errors import ConfigurationError
+
+    _journal_needs_dispatch(args)
+    targets = list(TARGETS) if args.verb == "all" else [args.verb, *args.more]
+    # Checked here, not by argparse: a foreign flag's value lands among
+    # the further targets, and the foreign flag must be what is named.
+    unknown = [name for name in targets if name not in TARGETS and name != "report"]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown target(s): {', '.join(unknown)}; expected "
+            f"{', '.join(TARGETS)} or report"
+        )
+    for target in targets:
+        started = time.time()
+        if args.profile:
+            dump_path = os.path.join("profiles", f"profile_{target}.pstats")
+            output, report = _profiled(
+                _run_target, args, target, dump_path=dump_path
+            )
+            print(output)
+            print()
+            print(f"--- cProfile top 20 (cumulative) for {target} ---")
+            print(report)
+            print(f"pstats dump written to {dump_path}")
+        else:
+            print(_run_target(args, target))
+        if args.obs:
+            _write_telemetry(
+                args, os.path.join(args.obs, f"telemetry_{target}.json"),
+                target=target,
+            )
+        print(f"[{target}: {time.time() - started:.1f}s]\n")
+    return 0
+
+
+def _list(args) -> int:
+    """``repro list``: each target with its kinds, then every other verb."""
+    from repro.campaign.stages import TARGETS, get_adapter
+
+    for target, kinds in TARGETS.items():
+        for index, kind in enumerate(kinds):
+            name = "" if index else target
+            print(f"  {name:10s} {get_adapter(kind).description}")
+    for verb, entry in VERBS.items():
+        if verb not in ("list", "all"):
+            print(f"  {verb:10s} {entry.help}")
+    return 0
+
+
 def _profiled(fn, *fn_args, dump_path=None):
     """Run ``fn`` under cProfile; return (result, top-20 report).
 
@@ -311,31 +384,26 @@ def _csv(value: str | None) -> tuple[str, ...] | None:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-def _run_bench(args) -> int:
-    """``repro bench engine|obs|runtime|journal|guard|history``.
+def _bench_points(args) -> int:
+    """``repro bench engine|obs``: time the section's point matrix."""
+    return _bench_section(
+        args, regimes=_csv(args.regimes), topologies=_csv(args.topologies)
+    )
 
-    A section verb times that section live, prints its table, exits 1
-    on diverged results or a breached ceiling, and with ``--record
-    PATH`` (``-`` = the section's BENCH file) merges its rows in.
-    """
+
+def _bench_agents(args) -> int:
+    """``repro bench runtime|journal``: time the section's executors."""
+    return _bench_section(args, jobs=_jobs(args, floor=2))
+
+
+def _bench_section(args, **options) -> int:
+    """Time one section live, print its table, exit 1 on diverged
+    results or a breached ceiling, and with ``--record PATH`` (``-`` =
+    the section's BENCH file) merge its rows in."""
     from repro.runtime import bench
 
-    action = args.targets[1] if len(args.targets) > 1 else "engine"
-    if action == "guard":
-        return _run_bench_guard(args, bench)
-    if action == "history":
-        return _run_bench_history(args, bench)
-    section = bench.SECTION.get(action)
-    if section is None or section.run is None:
-        print(f"unknown bench action {action!r}; expected engine, obs, "
-              "runtime, journal, guard or history", file=sys.stderr)
-        return 2
-
     def run():
-        return bench.run_section(
-            action, fast=args.fast, jobs=args.jobs if args.jobs > 1 else 2,
-            regimes=_csv(args.regimes), topologies=_csv(args.topologies),
-        )
+        return bench.run_section(args.action, fast=args.fast, **options)
 
     if args.profile:
         import os as _os
@@ -357,13 +425,14 @@ def _run_bench(args) -> int:
     if failures:
         return 1
     if args.record:
+        section = bench.SECTION[args.action]
         path = section.filename if args.record == "-" else args.record
         bench.record(results, path)
-        print(f"{action} rows recorded to {path}")
+        print(f"{args.action} rows recorded to {path}")
     return 0
 
 
-def _run_bench_guard(args, bench) -> int:
+def _bench_guard(args) -> int:
     """``repro bench guard`` — judge the committed BENCH files.
 
     Prints markdown tables (suitable for a CI job summary) and exits 1
@@ -372,6 +441,8 @@ def _run_bench_guard(args, bench) -> int:
     file is judged too when it exists in the current directory.
     """
     import os as _os
+
+    from repro.runtime import bench
 
     files = [(args.record or bench.BENCH_ENGINE_FILENAME,
               bench.BENCH_ENGINE_FILENAME)]
@@ -393,7 +464,7 @@ def _run_bench_guard(args, bench) -> int:
     return 1 if violations else 0
 
 
-def _run_bench_history(args, bench) -> int:
+def _bench_history(args) -> int:
     """``repro bench history`` — guard-checked speedup trend tracking.
 
     Builds one record from the committed BENCH files (the guard's
@@ -403,6 +474,8 @@ def _run_bench_history(args, bench) -> int:
     Exits 1 on guard violations or trend regressions.
     """
     import os as _os
+
+    from repro.runtime import bench
 
     history_path = (args.record if args.record and args.record != "-"
                     else bench.BENCH_HISTORY_FILENAME)
@@ -459,14 +532,14 @@ def _obs_params(args, out_dir: str) -> dict:
     }
 
 
-def _scenario_spec(args, workload: str, *, obs_dir: str | None = None):
+def _scenario_spec(args, *, obs_dir: str | None = None):
     """Build the RunSpec described by the scenario command-line flags."""
     from repro.network.config import SimulationConfig
     from repro.runtime.spec import RunSpec
 
     return RunSpec(
         topology=args.topology,
-        workload=workload,
+        workload=args.workload,
         rate=args.rate,
         workload_params=_parse_scenario_params(args.param),
         policy=args.policy,
@@ -478,41 +551,7 @@ def _scenario_spec(args, workload: str, *, obs_dir: str | None = None):
     )
 
 
-def _run_scenario(args) -> int:
-    """``repro scenario list|run|record|replay`` — scenario traffic."""
-    from repro.errors import ReproError
-
-    action = args.targets[1] if len(args.targets) > 1 else "list"
-    try:
-        if action == "list":
-            return _scenario_list()
-        if action in ("run", "record"):
-            if len(args.targets) < 3:
-                print(f"usage: repro scenario {action} <workload> [flags]",
-                      file=sys.stderr)
-                return 2
-            if action == "run":
-                return _scenario_run(args, args.targets[2])
-            return _scenario_record(args, args.targets[2])
-        if action == "replay":
-            if len(args.targets) < 3:
-                print("usage: repro scenario replay <trace.jsonl>",
-                      file=sys.stderr)
-                return 2
-            return _scenario_replay(args, args.targets[2])
-    except (ReproError, ValueError, OSError, KeyError, TypeError) as error:
-        # KeyError/TypeError cover malformed user input that surfaces
-        # past spec validation (e.g. a trace whose meta lacks a key, a
-        # non-integer hotspot target) — a clean message, not a traceback.
-        print(f"scenario {action}: {error!r}" if isinstance(error, KeyError)
-              else f"scenario {action}: {error}", file=sys.stderr)
-        return 2
-    print(f"unknown scenario action {action!r}; "
-          "expected list, run, record or replay", file=sys.stderr)
-    return 2
-
-
-def _scenario_list() -> int:
+def _scenario_list(args) -> int:
     from repro.runtime.spec import SCENARIO_WORKLOADS, WORKLOAD_BUILDERS
 
     print("scenario workloads (repro scenario run <name> ...):")
@@ -540,14 +579,16 @@ def _format_run_result(result) -> str:
     )
 
 
-def _scenario_run(args, workload: str) -> int:
+def _scenario_run(args) -> int:
     from repro.runtime.runner import run_batch
 
-    spec = _scenario_spec(args, workload, obs_dir=args.obs)
+    _journal_needs_dispatch(args)
+    spec = _scenario_spec(args, obs_dir=args.obs)
     # Obs runs bypass the cache: a cache hit would skip the simulation
     # and leave no artifacts behind.
     cache = None if args.obs else _cache(args)
-    batch = run_batch([spec], executor=_executor(args), cache=cache)
+    batch = run_batch([spec], executor=_observed(args, _executor(args)),
+                      cache=cache)
     print(f"{spec.label()}  [{spec.content_hash[:12]}]")
     print(_format_run_result(batch.results[0]))
     print(f"[runtime: {batch.manifest.summary()}]")
@@ -558,16 +599,12 @@ def _scenario_run(args, workload: str) -> int:
     return 0
 
 
-def _scenario_record(args, workload: str) -> int:
+def _scenario_record(args) -> int:
     """Run one scenario with injection capture; write the JSONL trace."""
     from repro.runtime.spec import capture_run
     from repro.scenarios import write_trace
 
-    if not args.out:
-        print("scenario record needs --out PATH for the trace file",
-              file=sys.stderr)
-        return 2
-    spec = _scenario_spec(args, workload)
+    spec = _scenario_spec(args)
     trace = capture_run(spec)
     digest = write_trace(args.out, trace)
     print(f"recorded {len(trace.emissions)} emissions from "
@@ -577,7 +614,7 @@ def _scenario_record(args, workload: str) -> int:
     return 0
 
 
-def _scenario_replay(args, path: str) -> int:
+def _scenario_replay(args) -> int:
     """Re-inject a recorded trace as a cached replay spec; verify bit-exactness."""
     import os
 
@@ -586,6 +623,8 @@ def _scenario_replay(args, path: str) -> int:
     from repro.runtime.spec import RunSpec
     from repro.scenarios import file_sha256, read_trace
 
+    _journal_needs_dispatch(args)
+    path = args.trace
     trace = read_trace(path)
     source = trace.meta.get("source")
     if not source:
@@ -619,46 +658,11 @@ def _scenario_replay(args, path: str) -> int:
     return 1
 
 
-def _run_obs(args) -> int:
-    """``repro obs record|report|timeline`` — observability artifacts."""
-    from repro.errors import ReproError
-
-    action = args.targets[1] if len(args.targets) > 1 else None
-    try:
-        if action == "record":
-            if len(args.targets) < 3:
-                print("usage: repro obs record <workload> --out DIR "
-                      "[--window N] [--timeline] [scenario flags]",
-                      file=sys.stderr)
-                return 2
-            return _obs_record(args, args.targets[2])
-        if action in ("report", "timeline"):
-            if len(args.targets) < 3:
-                print(f"usage: repro obs {action} <dir-or-file>",
-                      file=sys.stderr)
-                return 2
-            if action == "report":
-                return _obs_report(args.targets[2])
-            return _obs_timeline(args.targets[2])
-    except (ReproError, OSError, ValueError, KeyError) as error:
-        print(f"obs {action}: {error!r}" if isinstance(error, KeyError)
-              else f"obs {action}: {error}", file=sys.stderr)
-        return 2
-    print(f"unknown obs action {action!r}; expected record, report or "
-          "timeline", file=sys.stderr)
-    return 2
-
-
-def _obs_record(args, workload: str) -> int:
+def _obs_record(args) -> int:
     """Run one scenario with full observability; write the artifact set."""
     from repro.runtime.spec import execute_spec
 
-    out_dir = args.out or args.obs
-    if not out_dir:
-        print("obs record needs --out DIR (or --obs DIR) for the artifacts",
-              file=sys.stderr)
-        return 2
-    spec = _scenario_spec(args, workload, obs_dir=out_dir)
+    spec = _scenario_spec(args, obs_dir=args.out)
     result = execute_spec(spec)
     print(f"{spec.label()}  [{spec.base_hash[:12]}]")
     print(_format_run_result(result))
@@ -666,21 +670,21 @@ def _obs_record(args, workload: str) -> int:
     recorded = [f"{stem}.metrics.jsonl", f"{stem}.run.json"]
     if args.timeline:
         recorded.insert(1, f"{stem}.trace.json")
-    print(f"recorded to {out_dir}: " + ", ".join(recorded))
-    print(f"view with: repro obs report {out_dir}")
+    print(f"recorded to {args.out}: " + ", ".join(recorded))
+    print(f"view with: repro obs report {args.out}")
     if args.timeline:
         print("trace loads in https://ui.perfetto.dev or chrome://tracing")
     return 0
 
 
-def _obs_report(path: str) -> int:
+def _obs_report(args) -> int:
     from repro.obs import render_report
 
-    print(render_report(path))
+    print(render_report(args.path))
     return 0
 
 
-def _obs_timeline(path: str) -> int:
+def _obs_timeline(args) -> int:
     """Regenerate the Chrome trace for recorded runs; verify bit-equality.
 
     ``path`` is an obs artifact directory (every ``*.run.json`` in it)
@@ -697,6 +701,7 @@ def _obs_timeline(path: str) -> int:
     from repro.obs import read_run, validate_chrome_trace
     from repro.runtime.spec import RunSpec, execute_spec
 
+    path = args.path
     if os.path.isdir(path):
         manifests = sorted(_glob.glob(os.path.join(path, "*run.json")))
         if not manifests:
@@ -734,7 +739,7 @@ def _obs_timeline(path: str) -> int:
     return 0
 
 
-def _campaign_dir(args, name: str) -> str:
+def _campaign_dir(args) -> str:
     """``--campaign-dir`` override, else ``$REPRO_CAMPAIGN_DIR``/name,
     else ``campaigns/<name>`` under the working directory."""
     import os
@@ -742,65 +747,19 @@ def _campaign_dir(args, name: str) -> str:
     if args.campaign_dir:
         return args.campaign_dir
     base = os.environ.get("REPRO_CAMPAIGN_DIR", "campaigns")
-    return os.path.join(base, name)
+    return os.path.join(base, args.name)
 
 
-def _campaign_runner(args, name: str):
+def _campaign_runner(args, **options):
+    """The named campaign's runner over its state directory."""
     from repro.campaign import CampaignRunner, get_campaign
 
     return CampaignRunner(
-        get_campaign(name),
-        campaign_dir=_campaign_dir(args, name),
-        executor=_executor(args),
-        cache=_cache(args),
-        baseline_path=args.baseline,
-        shard_retries=args.retries or 0,
-        faults=_fault_injector(args),
-        journal=_journal_writer(args, "campaign"),
+        get_campaign(args.name), campaign_dir=_campaign_dir(args), **options
     )
 
 
-def _run_campaign(args) -> int:
-    """``repro campaign list|run|status|resume|report|diff``."""
-    from repro.errors import ReproError
-
-    action = args.targets[1] if len(args.targets) > 1 else "list"
-    if args.seed != 1 or args.fast:
-        # Seeds and budgets participate in every stage hash and in the
-        # committed baseline; accepting them here would silently run a
-        # different campaign than the one the baseline vouches for.
-        print("campaign: --seed/--fast do not apply; seeds and budgets "
-              "are pinned in the campaign spec (see repro campaign list)",
-              file=sys.stderr)
-        return 2
-    try:
-        if action == "list":
-            return _campaign_list()
-        if action not in ("run", "status", "resume", "report", "diff",
-                          "watch"):
-            print(f"unknown campaign action {action!r}; expected list, run, "
-                  "status, resume, report, diff or watch", file=sys.stderr)
-            return 2
-        if len(args.targets) < 3:
-            print(f"usage: repro campaign {action} <name> [flags]",
-                  file=sys.stderr)
-            return 2
-        name = args.targets[2]
-        if action in ("run", "resume"):
-            return _campaign_run(args, name, resume=action == "resume")
-        if action == "status":
-            return _campaign_status(args, name)
-        if action == "watch":
-            return _campaign_watch(args, name)
-        if action == "report":
-            return _campaign_report(args, name)
-        return _campaign_diff(args, name)
-    except (ReproError, OSError, ValueError) as error:
-        print(f"campaign {action}: {error}", file=sys.stderr)
-        return 2
-
-
-def _campaign_list() -> int:
+def _campaign_list(args) -> int:
     from repro.campaign import CAMPAIGNS, get_adapter
 
     for name, campaign in CAMPAIGNS.items():
@@ -816,10 +775,23 @@ def _campaign_list() -> int:
     return 0
 
 
-def _campaign_run(args, name: str, *, resume: bool) -> int:
+def _campaign_run(args) -> int:
+    """``repro campaign run|resume <name>``: the only campaign actions
+    that build an executor and a cache."""
+    from repro.campaign import get_campaign
     from repro.errors import CampaignInterrupted
 
-    runner = _campaign_runner(args, name)
+    name = args.name
+    get_campaign(name)  # an unknown name fails before a journal is opened
+    runner = _campaign_runner(
+        args,
+        executor=_observed(args, _executor(args)),
+        cache=_cache(args),
+        baseline_path=args.baseline,
+        shard_retries=args.retries or 0,
+        faults=_fault_injector(args),
+        journal=_journal_writer(args, "campaign"),
+    )
 
     def progress(stage: str, done: int, total: int, event: str) -> None:
         if event == "reused":
@@ -844,8 +816,8 @@ def _campaign_run(args, name: str, *, resume: bool) -> int:
     print(f"campaign {name} -> {runner.dir}")
     try:
         result = runner.run(
-            progress=progress, require_manifest=resume, heartbeat=heartbeat,
-            stop_after=stop_after,
+            progress=progress, require_manifest=args.action == "resume",
+            heartbeat=heartbeat, stop_after=stop_after,
         )
     except CampaignInterrupted as stop:
         print(f"interrupted: {stop}")
@@ -868,8 +840,9 @@ def _campaign_run(args, name: str, *, resume: bool) -> int:
     return 0
 
 
-def _campaign_status(args, name: str) -> int:
-    runner = _campaign_runner(args, name)
+def _campaign_status(args) -> int:
+    name = args.name
+    runner = _campaign_runner(args)
     manifest = runner.status()
     if manifest is None:
         print(f"campaign {name}: never run (no manifest in {runner.dir})")
@@ -902,7 +875,7 @@ def _campaign_status(args, name: str) -> int:
     return 0
 
 
-def _campaign_watch(args, name: str) -> int:
+def _campaign_watch(args) -> int:
     """``repro campaign watch <name>`` — live per-stage progress bars.
 
     Re-reads the on-disk manifest every ``--interval`` seconds and
@@ -912,7 +885,8 @@ def _campaign_watch(args, name: str) -> int:
     """
     from repro.obs.fleet import render_campaign_dashboard, watch
 
-    runner = _campaign_runner(args, name)
+    name = args.name
+    runner = _campaign_runner(args)
 
     def frame() -> str:
         manifest = runner.status()
@@ -927,12 +901,13 @@ def _campaign_watch(args, name: str) -> int:
     return 0
 
 
-def _campaign_report(args, name: str) -> int:
+def _campaign_report(args) -> int:
     import json as _json
 
     from repro.campaign import update_baseline
 
-    runner = _campaign_runner(args, name)
+    name = args.name
+    runner = _campaign_runner(args, baseline_path=args.baseline)
     if args.update_baseline:
         entries = runner.baseline_entries()
         update_baseline(args.baseline, name, entries)
@@ -948,8 +923,8 @@ def _campaign_report(args, name: str) -> int:
     return 0
 
 
-def _campaign_diff(args, name: str) -> int:
-    runner = _campaign_runner(args, name)
+def _campaign_diff(args) -> int:
+    runner = _campaign_runner(args, baseline_path=args.baseline)
     report = runner.report()
     clean = True
     for stage in report.stages:
@@ -960,39 +935,16 @@ def _campaign_diff(args, name: str) -> int:
         for mismatch in stage.mismatches:
             print(f"  {mismatch}")
     if clean:
-        print(f"campaign {name}: every stage matches the baseline")
+        print(f"campaign {args.name}: every stage matches the baseline")
         return 0
     return 1
-
-
-def _run_chaos(args) -> int:
-    """``repro chaos run <campaign> | plan [name]`` — reproducible chaos."""
-    from repro.errors import ReproError
-
-    action = args.targets[1] if len(args.targets) > 1 else None
-    try:
-        if action == "plan":
-            return _chaos_plan(args)
-        if action == "run":
-            if len(args.targets) < 3:
-                print("usage: repro chaos run <campaign> [--chaos PLAN] "
-                      "[--jobs N] [--retries N] [--timeout S] [--out DIR]",
-                      file=sys.stderr)
-                return 2
-            return _chaos_run(args, args.targets[2])
-    except (ReproError, OSError, ValueError) as error:
-        print(f"chaos {action}: {error}", file=sys.stderr)
-        return 2
-    print(f"unknown chaos action {action!r}; expected run or plan",
-          file=sys.stderr)
-    return 2
 
 
 def _chaos_plan(args) -> int:
     """Print a fault plan as JSON (or list the built-in plans)."""
     from repro.resilience import BUILTIN_PLANS, load_plan
 
-    name = args.targets[2] if len(args.targets) > 2 else (args.chaos or "smoke")
+    name = args.plan or args.chaos or "smoke"
     if name == "list":
         for plan_name, plan in sorted(BUILTIN_PLANS.items()):
             interrupt = plan.interrupt_after_shards
@@ -1003,32 +955,28 @@ def _chaos_plan(args) -> int:
     return 0
 
 
-def _chaos_run(args, name: str) -> int:
+def _chaos_run(args) -> int:
     """Run the three-leg chaos harness; exit 0 only on convergence.
 
     The chaos campaign runs in ``--out DIR`` (default
     ``chaos/<campaign>``), entirely separate from the regular campaign
     and cache directories — a chaos run must never corrupt real state.
+    Agent kill/hang faults need forked agents, so it runs at least two.
     """
     import os as _os
 
     from repro.resilience import run_chaos
 
-    jobs = args.jobs
-    if jobs == 0:
-        jobs = _os.cpu_count() or 2
-    if jobs < 2:
-        jobs = 2  # agent kill/hang faults need forked agents
-    chaos_dir = args.out or _os.path.join("chaos", name)
+    chaos_dir = args.out or _os.path.join("chaos", args.name)
     progress = None
     if args.progress:
         def progress(stage: str, done: int, total: int, event: str) -> None:
             print(f"  {stage}: {event} ({done}/{total})")
     report = run_chaos(
-        name,
+        args.name,
         chaos_dir=chaos_dir,
         plan=args.chaos,
-        jobs=jobs,
+        jobs=_jobs(args, floor=2),
         retries=2 if args.retries is None else args.retries,
         timeout=3.0 if args.timeout is None else args.timeout,
         dispatch=args.dispatch is not None,
@@ -1039,7 +987,7 @@ def _chaos_run(args, name: str) -> int:
     return 0 if report.converged else 1
 
 
-def _run_doctor(args) -> int:
+def _doctor(args) -> int:
     """``repro doctor`` — verify every cache blob; sweep write debris.
 
     Corrupt blobs are moved to the quarantine directory (the evidence
@@ -1106,120 +1054,73 @@ def _run_doctor(args) -> int:
     return 0
 
 
-def _run_dispatch(args) -> int:
-    """``repro dispatch serve | work <url> | status <url>``.
+def _dispatch_serve(args) -> int:
+    """Host a broker on localhost HTTP (foreground; ^C stops it)."""
+    from repro.dispatch import Broker, BrokerServer
+    from repro.resilience import RetryPolicy
 
-    ``serve`` hosts a broker on localhost HTTP (foreground; ^C stops
-    it).  ``work`` runs a worker agent against a broker URL, sharing
-    the standard result cache so repeated specs answer from disk.
-    ``status`` prints the broker's counters and queue depths.
-    """
+    retry = RetryPolicy(max_attempts=(args.retries or 2) + 1)
+    broker = Broker(
+        lease_seconds=args.lease_seconds, retry=retry,
+        journal=_journal_writer(args, "broker"),
+    )
+    server = BrokerServer(broker, port=args.port)
+    print(f"broker listening on {server.url} "
+          f"(lease {args.lease_seconds:g}s); ^C to stop")
+    if args.journal:
+        print(f"journaling lifecycle events under {args.journal}")
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        print("\nbroker stopped")
+    return 0
+
+
+def _dispatch_work(args) -> int:
+    """Run a worker agent against a broker URL, sharing the standard
+    result cache so repeated specs answer from disk."""
+    import os as _os
+
+    from repro.dispatch import HttpTransport, WorkerAgent
+
+    worker_id = args.worker_id or f"worker-{_os.getpid()}"
+    agent = WorkerAgent(
+        HttpTransport(args.url), worker_id=worker_id, cache=_cache(args),
+        journal=_journal_writer(args, worker_id),
+    )
+    print(f"{worker_id} serving {args.url}")
+    try:
+        counters = agent.run(
+            max_tasks=args.max_tasks,
+            max_idle=args.max_idle,
+            poll_seconds=args.poll,
+        )
+    except KeyboardInterrupt:
+        counters = dict(agent.counters)
+    print(f"{worker_id} done: "
+          + " ".join(f"{k}={v}" for k, v in sorted(counters.items())))
+    return 0
+
+
+def _dispatch_status(args) -> int:
+    """Print the broker's counters and queue depths."""
     import json as _json
 
-    from repro.errors import ReproError
+    from repro.dispatch import HttpTransport
 
-    action = args.targets[1] if len(args.targets) > 1 else None
-    try:
-        if action == "serve":
-            from repro.dispatch import Broker, BrokerServer
-            from repro.resilience import RetryPolicy
-
-            retry = RetryPolicy(max_attempts=(args.retries or 2) + 1)
-            broker = Broker(
-                lease_seconds=args.lease_seconds, retry=retry,
-                journal=_journal_writer(args, "broker"),
-            )
-            server = BrokerServer(broker, port=args.port)
-            print(f"broker listening on {server.url} "
-                  f"(lease {args.lease_seconds:g}s); ^C to stop")
-            if args.journal:
-                print(f"journaling lifecycle events under {args.journal}")
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                print("\nbroker stopped")
-            return 0
-        if action in ("work", "status"):
-            if len(args.targets) < 3:
-                print(f"usage: repro dispatch {action} <broker-url>",
-                      file=sys.stderr)
-                return 2
-            url = args.targets[2]
-            from repro.dispatch import HttpTransport
-
-            if action == "status":
-                status = HttpTransport(url).call("status", {})
-                print(_json.dumps(status, indent=2, sort_keys=True))
-                return 0
-            import os as _os
-
-            from repro.dispatch import WorkerAgent
-
-            worker_id = args.worker_id or f"worker-{_os.getpid()}"
-            agent = WorkerAgent(
-                HttpTransport(url), worker_id=worker_id, cache=_cache(args),
-                journal=_journal_writer(args, worker_id),
-            )
-            print(f"{worker_id} serving {url}")
-            try:
-                counters = agent.run(
-                    max_tasks=args.max_tasks,
-                    max_idle=args.max_idle,
-                    poll_seconds=args.poll,
-                )
-            except KeyboardInterrupt:
-                counters = dict(agent.counters)
-            print(f"{worker_id} done: "
-                  + " ".join(f"{k}={v}" for k, v in sorted(counters.items())))
-            return 0
-    except (ReproError, OSError, ValueError) as error:
-        print(f"dispatch {action}: {error}", file=sys.stderr)
-        return 2
-    print(f"unknown dispatch action {action!r}; expected serve, work or "
-          "status", file=sys.stderr)
-    return 2
+    status = HttpTransport(args.url).call("status", {})
+    print(_json.dumps(status, indent=2, sort_keys=True))
+    return 0
 
 
-def _run_fleet(args) -> int:
-    """``repro fleet status <url> | trace <journal-dir>``.
-
-    ``status`` polls a broker's ``/metrics`` document and renders the
-    plain-text fleet panel (``--watch`` keeps refreshing it on a TTY;
-    ``--json`` dumps the raw document for scripts).  ``trace`` merges a
-    ``--journal`` directory's per-actor journals into one Perfetto
-    trace and runs the structural checker over the merged timeline.
-    """
-    from repro.errors import ReproError
-
-    action = args.targets[1] if len(args.targets) > 1 else None
-    try:
-        if action == "status":
-            if len(args.targets) < 3:
-                print("usage: repro fleet status <broker-url> "
-                      "[--watch] [--json] [--interval S]", file=sys.stderr)
-                return 2
-            return _fleet_status(args, args.targets[2])
-        if action == "trace":
-            if len(args.targets) < 3:
-                print("usage: repro fleet trace <journal-dir> "
-                      "[--out PATH] [--check]", file=sys.stderr)
-                return 2
-            return _fleet_trace(args, args.targets[2])
-    except (ReproError, OSError, ValueError) as error:
-        print(f"fleet {action}: {error}", file=sys.stderr)
-        return 2
-    print(f"unknown fleet action {action!r}; expected status or trace",
-          file=sys.stderr)
-    return 2
-
-
-def _fleet_status(args, url: str) -> int:
+def _fleet_status(args) -> int:
     """Render (or watch, or dump) one broker's metrics document."""
     import json as _json
 
     from repro.dispatch import HttpTransport
     from repro.obs.fleet import render_fleet_dashboard, watch
 
+    url = args.url
     transport = HttpTransport(url)
     if args.json:
         print(_json.dumps(transport.call("metrics", {}), indent=2,
@@ -1243,12 +1144,13 @@ def _fleet_status(args, url: str) -> int:
     return 0
 
 
-def _fleet_trace(args, directory: str) -> int:
+def _fleet_trace(args) -> int:
     """Merge a journal directory into a Chrome trace; gate on soundness."""
     import os as _os
 
     from repro.obs.fleet import export_fleet_trace, journal_paths
 
+    directory = args.directory
     out = args.out or _os.path.join(directory, "fleet_trace.json")
     count = len(journal_paths(directory))
     digest, problems = export_fleet_trace(directory, out)
@@ -1267,65 +1169,27 @@ def _fleet_trace(args, directory: str) -> int:
     return 0
 
 
-def _run_cache(args) -> int:
-    """``repro cache [info|clear]`` — inspect or empty the result store."""
+def _cache_info(args) -> int:
     from repro.runtime.cache import ResultCache
 
-    action = args.targets[1] if len(args.targets) > 1 else "info"
+    info = ResultCache(args.cache_dir).info()
+    print(f"cache root:     {info.root}")
+    print(f"cache version:  v{info.version}")
+    print(f"entries:        {info.entries}")
+    print(f"total size:     {info.total_bytes} bytes")
+    if info.other_versions:
+        print(f"other versions: {', '.join(info.other_versions)}")
+    return 0
+
+
+def _cache_clear(args) -> int:
+    from repro.runtime.cache import ResultCache
+
     cache = ResultCache(args.cache_dir)
-    if action == "info":
-        info = cache.info()
-        print(f"cache root:     {info.root}")
-        print(f"cache version:  v{info.version}")
-        print(f"entries:        {info.entries}")
-        print(f"total size:     {info.total_bytes} bytes")
-        if info.other_versions:
-            print(f"other versions: {', '.join(info.other_versions)}")
-        return 0
-    if action == "clear":
-        removed = cache.clear(all_versions=args.all_versions)
-        scope = "all versions" if args.all_versions else f"v{cache.version}"
-        print(f"removed {removed} cached result(s) ({scope})")
-        return 0
-    print(f"unknown cache action {action!r}; expected info or clear",
-          file=sys.stderr)
-    return 2
-
-
-#: Listed after the experiment targets; all but ``report`` take a
-#: sub-action instead of producing a result table.
-REPORT_COMMAND_HELP = "write what 'all' prints into REPORT.md"
-CACHE_COMMAND_HELP = "result cache maintenance: cache info | cache clear"
-CAMPAIGN_COMMAND_HELP = (
-    "resumable reproduction campaigns: campaign list | run <name> | "
-    "status <name> | resume <name> | report <name> | diff <name> | "
-    "watch <name>"
-)
-BENCH_COMMAND_HELP = (
-    "engine benchmark vs golden reference: bench engine | guard | obs "
-    "| runtime | journal | history"
-)
-CHAOS_COMMAND_HELP = (
-    "deterministic fault injection: chaos run <campaign> | plan [name|list]"
-)
-DOCTOR_COMMAND_HELP = (
-    "integrity check: verify cache blobs (and --campaign-dir "
-    "artifacts), quarantine the corrupt"
-)
-DISPATCH_COMMAND_HELP = (
-    "distributed execution: dispatch serve | work <url> | status <url>"
-)
-SCENARIO_COMMAND_HELP = (
-    "scenario traffic: scenario list | run <wl> | record <wl> | replay <trace>"
-)
-OBS_COMMAND_HELP = (
-    "observability artifacts: obs record <wl> | report <path> | "
-    "timeline <path>"
-)
-FLEET_COMMAND_HELP = (
-    "fleet monitoring: fleet status <url> [--watch|--json] | "
-    "trace <journal-dir> [--check]"
-)
+    removed = cache.clear(all_versions=args.all_versions)
+    scope = "all versions" if args.all_versions else f"v{cache.version}"
+    print(f"removed {removed} cached result(s) ({scope})")
+    return 0
 
 
 def _policy_choices() -> list[str]:
@@ -1335,360 +1199,468 @@ def _policy_choices() -> list[str]:
     return list(available_policies())
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
-    from repro.campaign.stages import TARGETS
+def _count(text: str) -> int:
+    """``type=`` for ``--jobs``/``--retries``: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
+
+def _seconds(text: str) -> float:
+    """``type=`` for ``--timeout``: a number of seconds > 0."""
+    try:
+        if float(text) > 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected seconds > 0, got {text!r}")
+
+
+def _arguments() -> dict[str, dict]:
+    """Every flag and positional, declared once by name: its argparse
+    keywords.  Built per parser: ``--policy`` lists the policies
+    registered at that moment."""
+    return {
+        # Experiment targets.
+        "more": dict(nargs="*", metavar="TARGET",
+                     help="further targets (or report) to run after this one"),
+        "--fast": dict(action="store_true",
+                       help="run at the smoke campaign's budgets"),
+        "--seed": dict(type=int, default=1, help="deterministic seed"),
+        "--chart": dict(action="store_true",
+                        help="add ASCII charts where available"),
+        "--profile": dict(action="store_true",
+                          help="run under cProfile; print the top 20 entries "
+                          "and dump the stats under profiles/"),
+        "--obs": dict(default=None, metavar="DIR",
+                      help="write each target's runtime telemetry JSON to DIR"),
+        # Executor and result cache.
+        "--jobs": dict(type=_count, default=1, metavar="N",
+                       help="worker processes for simulation sweeps "
+                       "(0 = all cores; default 1)"),
+        "--cache-dir": dict(default=None, metavar="PATH",
+                            help="result cache directory "
+                            "(default $REPRO_CACHE_DIR or ~/.cache/repro)"),
+        "--no-cache": dict(action="store_true",
+                           help="always simulate; neither read nor write the "
+                           "result cache"),
+        "--retries": dict(type=_count, default=None, metavar="N",
+                          help="retry budget: parallel runs retry crashed/"
+                          "hung/erroring specs up to N times (charged per "
+                          "attempt by the broker); campaign runs also retry "
+                          "failing shards N times (default 0)"),
+        "--timeout": dict(type=_seconds, default=None, metavar="SECONDS",
+                          help="per-simulation wall-clock budget for parallel "
+                          "runs: an agent running past it is killed and the "
+                          "spec retried (default: no timeout)"),
+        "--chaos": dict(default=None, metavar="PLAN",
+                        help="activate a fault plan (built-in name or JSON "
+                        "file; see 'repro chaos plan list') — injects "
+                        "deterministic worker kills/hangs, spec/adapter "
+                        "errors, cache corruption and torn manifest writes"),
+        "--dispatch": dict(default=None, metavar="URL|DIR|local",
+                           help="run batches through the lease-based broker/"
+                           "worker layer: an HTTP broker URL (workers run "
+                           "'repro dispatch work <url>'), a directory "
+                           "(in-process broker + sha256-addressed result "
+                           "artifacts), or 'local' (in-process broker)"),
+        "--journal": dict(default=None, metavar="DIR",
+                          help="journal lifecycle events: each actor (broker, "
+                          "workers, campaign runner) appends to its own "
+                          "<actor>.journal.jsonl under DIR; merge with "
+                          "'repro fleet trace DIR'. A target's or scenario's "
+                          "batch journals only through --dispatch"),
+        # One scenario run.
+        "workload": dict(help="a workload from 'repro scenario list'"),
+        "--topology": dict(default="mecs", metavar="NAME",
+                           help="topology to simulate (default mecs)"),
+        "--policy": dict(default="pvc", choices=_policy_choices(),
+                         help="QoS policy (default pvc)"),
+        "--rate": dict(type=float, default=None, metavar="R",
+                       help="per-injector rate in flits/cycle (peak rate for "
+                       "bursty workloads)"),
+        "--cycles": dict(type=int, default=4000, metavar="N",
+                         help="cycles to simulate (default 4000)"),
+        "--warmup": dict(type=int, default=0, metavar="N",
+                         help="warmup cycles before measuring"),
+        "--param": dict(action="append", metavar="KEY=VALUE",
+                        help="workload parameter (repeatable), e.g. "
+                        "--param on_cycles=50 --param pattern=tornado"),
+        "--window": dict(type=int, default=None, metavar="N",
+                         help="metrics window width in cycles (default 1000)"),
+        "--timeline": dict(action="store_true",
+                           help="also export the Chrome trace (packet "
+                           "lifecycles + engine spans; open in Perfetto)"),
+        "--out": dict(default=None, metavar="PATH", help="output path"),
+        "trace": dict(help="a JSONL trace written by 'repro scenario record'"),
+        "path": dict(help="an obs artifact directory or one *.run.json manifest"),
+        # Campaigns.
+        "name": dict(help="a campaign from 'repro campaign list'"),
+        "--campaign-dir": dict(default=None, metavar="PATH",
+                               help="campaign state directory (default "
+                               "$REPRO_CAMPAIGN_DIR/<name> or campaigns/<name>)"),
+        "--baseline": dict(default="CAMPAIGN_baseline.json", metavar="PATH",
+                           help="committed baseline for the report card"),
+        "--check": dict(action="store_true",
+                        help="exit 1 unless every stage's report-card "
+                        "verdict is 'pass'"),
+        "--json": dict(action="store_true",
+                       help="print the JSON report card instead of markdown"),
+        "--update-baseline": dict(action="store_true",
+                                  help="record the completed campaign's rows "
+                                  "as the new baseline entries"),
+        "--progress": dict(action="store_true",
+                           help="print a heartbeat line per completed "
+                           "simulation"),
+        "--interval": dict(type=float, default=2.0, metavar="S",
+                           help="refresh interval in seconds (default 2)"),
+        # Benchmarks.
+        "--record": dict(default=None, metavar="PATH",
+                         help="merge the rows into this BENCH file "
+                         "('-' = the section's own)"),
+        "--regimes": dict(default=None, metavar="R1,R2",
+                          help="only run points in these regimes (low_rate, "
+                          "mid_rate, saturation, bursty, gsf_throttled)"),
+        "--topologies": dict(default=None, metavar="T1,T2",
+                             help="only run points on these topologies "
+                             "(mesh_x1, mecs, dps, fbfly, ...)"),
+        # Cache maintenance, chaos, dispatch and fleet.
+        "--all-versions": dict(action="store_true",
+                               help="drop entries of every package version"),
+        "plan": dict(nargs="?",
+                     help="a built-in plan, a JSON plan file, or 'list' "
+                     "(default: --chaos, else smoke)"),
+        "url": dict(help="the broker's URL, e.g. http://127.0.0.1:8137"),
+        "--port": dict(type=int, default=0, metavar="N",
+                       help="port to bind (default: ephemeral)"),
+        "--lease-seconds": dict(type=float, default=30.0, metavar="S",
+                                help="lease duration before an unheartbeated "
+                                "claim is requeued (default 30)"),
+        "--worker-id": dict(default=None, metavar="NAME",
+                            help="worker name shown in broker leases"),
+        "--max-tasks": dict(type=int, default=None, metavar="N",
+                            help="exit after completing N tasks"),
+        "--max-idle": dict(type=int, default=None, metavar="N",
+                           help="exit after N consecutive empty claims "
+                           "(default: poll forever)"),
+        "--poll": dict(type=float, default=0.2, metavar="S",
+                       help="idle poll interval in seconds"),
+        "directory": dict(help="a --journal directory"),
+        "--watch": dict(action="store_true",
+                        help="keep redrawing the dashboard on a TTY "
+                        "(one frame otherwise)"),
+    }
+
+
+def _flag(*spellings: str, **keywords) -> tuple[tuple[str, ...], dict]:
+    """The argument ``spellings[0]``, spelled ``spellings``, with
+    ``keywords`` over its declared ones for one command."""
+    return spellings, keywords
+
+
+@dataclass(frozen=True)
+class Command:
+    """One runnable command: its handler, its help line, and the
+    arguments (names from :func:`_arguments`, or :func:`_flag`
+    overrides) that some code path of the handler reads."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    reads: tuple = ()
+
+    def declared(self):
+        """``(spellings, keywords)`` of each argument the command reads."""
+        for item in self.reads:
+            yield ((item,), {}) if isinstance(item, str) else item
+
+
+@dataclass(frozen=True)
+class Verb:
+    """A verb with actions; ``default`` runs when none is named."""
+
+    help: str
+    actions: dict[str, Command]
+    default: str | None = None
+
+
+#: Shared by every experiment target, ``all`` and ``report``.
+EXPERIMENT_ARGS = ("--fast", "--seed", "--chart", "--profile", "--obs")
+#: What ``_executor`` and ``_cache`` read.
+EXECUTOR_ARGS = ("--jobs", "--cache-dir", "--no-cache", "--retries",
+                 "--timeout", "--chaos", "--dispatch", "--journal")
+#: What ``_scenario_spec`` reads.
+RUN_SPEC_ARGS = ("workload", "--topology", "--policy", "--rate", "--cycles",
+                 "--warmup", "--param", "--seed")
+_TARGET_ARGS = (*EXPERIMENT_ARGS, *EXECUTOR_ARGS)
+_BENCH_ARGS = (_flag("--fast", help="time the section's small matrix"),
+               "--profile", "--record")
+_BENCH_POINT_ARGS = (*_BENCH_ARGS, "--regimes", "--topologies")
+_BENCH_AGENT_ARGS = (
+    *_BENCH_ARGS, _flag("--jobs", help="agents (0 = all cores; at least 2)"),
+)
+_CAMPAIGN_RUN_ARGS = (
+    "name", "--campaign-dir", *EXECUTOR_ARGS, "--baseline", "--check",
+    "--progress",
+    _flag("--obs", help="write the runtime telemetry to telemetry.json in "
+          "the campaign directory"),
+)
+
+#: Every verb but the experiment targets (see :func:`verb_table`), in
+#: ``repro list`` order; ``list`` prints the help of all but the first two.
+VERBS: dict[str, Command | Verb] = {
+    "list": Command(_list, "print every target and verb"),
+    "all": Command(_run_targets, "run every experiment target", _TARGET_ARGS),
+    "report": Command(_run_targets, "write what 'all' prints into REPORT.md",
+                      ("more", *_TARGET_ARGS)),
+    "cache": Verb("result cache maintenance: cache info | cache clear", {
+        "info": Command(_cache_info, "print the result cache's statistics",
+                        ("--cache-dir",)),
+        "clear": Command(_cache_clear, "drop this version's cached results",
+                         ("--cache-dir", "--all-versions")),
+    }, default="info"),
+    "bench": Verb(
+        "engine benchmark vs golden reference: bench engine | guard | obs "
+        "| runtime | journal | history", {
+            "engine": Command(_bench_points, "time the engine against the "
+                              "golden reference", _BENCH_POINT_ARGS),
+            "obs": Command(_bench_points, "time probes off vs on vs the "
+                           "golden reference", _BENCH_POINT_ARGS),
+            "runtime": Command(_bench_agents, "time the serial vs the "
+                               "parallel executors", _BENCH_AGENT_ARGS),
+            "journal": Command(_bench_agents, "time dispatch with journaling "
+                               "off vs on", _BENCH_AGENT_ARGS),
+            "guard": Command(_bench_guard, "judge the committed BENCH files", (
+                _flag("--record", help="the engine BENCH file to judge "
+                      "(default BENCH_engine.json)"),
+            )),
+            "history": Command(_bench_history, "compare each speedup with its "
+                               "trailing-window mean", (
+                _flag("--record", help="append the entry to this history "
+                      "file ('-' = BENCH_history.jsonl)"),
+                _flag("--window", help="trailing entries each speedup is "
+                      "compared with (default 5)"),
+            )),
+        }, default="engine"),
+    "scenario": Verb(
+        "scenario traffic: scenario list | run <wl> | record <wl> | replay "
+        "<trace>", {
+            "list": Command(_scenario_list, "print the scenario workloads"),
+            "run": Command(_scenario_run, "run one scenario through the "
+                           "runtime", (
+                *RUN_SPEC_ARGS, *EXECUTOR_ARGS,
+                _flag("--obs", help="record windowed metrics (and "
+                      "--timeline traces) to DIR; bypasses the cache"),
+                "--window", "--timeline",
+            )),
+            "record": Command(_scenario_record, "run one scenario; write its "
+                              "injections as a JSONL trace", (
+                *RUN_SPEC_ARGS,
+                _flag("--out", required=True, help="the trace file to write"),
+            )),
+            "replay": Command(_scenario_replay, "re-inject a trace; verify "
+                              "the run is bit-identical",
+                              ("trace", *EXECUTOR_ARGS)),
+        }, default="list"),
+    "campaign": Verb(
+        "resumable reproduction campaigns: campaign list | run <name> | "
+        "status <name> | resume <name> | report <name> | diff <name> | "
+        "watch <name>", {
+            "list": Command(_campaign_list, "print the declared campaigns"),
+            "run": Command(_campaign_run, "run a campaign, resuming any "
+                           "checkpoint", _CAMPAIGN_RUN_ARGS),
+            "status": Command(_campaign_status, "print each stage's manifest "
+                              "state", ("name", "--campaign-dir")),
+            "resume": Command(_campaign_run, "continue a campaign that has a "
+                              "manifest", _CAMPAIGN_RUN_ARGS),
+            "report": Command(_campaign_report, "print the report card", (
+                "name", "--campaign-dir", "--baseline", "--check", "--json",
+                "--update-baseline",
+            )),
+            "diff": Command(_campaign_diff, "print row-level deltas against "
+                            "the baseline",
+                            ("name", "--campaign-dir", "--baseline")),
+            "watch": Command(_campaign_watch, "redraw per-stage progress bars",
+                             ("name", "--campaign-dir", "--interval")),
+        }, default="list"),
+    "obs": Verb(
+        "observability artifacts: obs record <wl> | report <path> | "
+        "timeline <path>", {
+            "record": Command(_obs_record, "run one scenario; record metrics "
+                              "and a run manifest", (
+                *RUN_SPEC_ARGS,
+                _flag("--out", "--obs", required=True, metavar="DIR",
+                      help="the artifact directory"),
+                "--window", "--timeline",
+            )),
+            "report": Command(_obs_report, "print the windowed throughput/"
+                              "latency report", ("path",)),
+            "timeline": Command(_obs_timeline, "re-run recorded runs; verify "
+                                "their digests and write Chrome traces",
+                                ("path",)),
+        }),
+    "chaos": Verb(
+        "deterministic fault injection: chaos run <campaign> | plan "
+        "[name|list]", {
+            "run": Command(_chaos_run, "run a campaign under a fault plan; "
+                           "exit 0 only if it converges", (
+                "name", "--chaos",
+                _flag("--jobs", help="agents (0 = all cores; at least 2)"),
+                _flag("--retries", help="retry budget (default 2)"),
+                _flag("--timeout", help="per-simulation budget (default 3.0)"),
+                _flag("--out", help="chaos state directory (default "
+                      "chaos/<campaign>)"),
+                _flag("--dispatch", choices=["local"], metavar=None,
+                      help="add the network-fault dispatch legs"),
+                _flag("--progress", help="print each stage event"),
+            )),
+            "plan": Command(_chaos_plan, "print a fault plan as JSON",
+                            ("plan", "--chaos")),
+        }),
+    "doctor": Command(
+        _doctor,
+        "integrity check: verify cache blobs (and --campaign-dir "
+        "artifacts), quarantine the corrupt", (
+            "--cache-dir",
+            _flag("--campaign-dir", help="also verify this campaign "
+                  "directory's artifacts"),
+            _flag("--check", help="exit 1 if anything is, or already was, "
+                  "quarantined"),
+        )),
+    "dispatch": Verb(
+        "distributed execution: dispatch serve | work <url> | status <url>", {
+            "serve": Command(_dispatch_serve, "host a broker on localhost "
+                             "HTTP", (
+                "--port", "--lease-seconds",
+                _flag("--retries", help="attempts per spec beyond the first "
+                      "(default 2)"),
+                "--journal",
+            )),
+            "work": Command(_dispatch_work, "run a worker agent against a "
+                            "broker", (
+                "url", "--worker-id", "--cache-dir", "--no-cache", "--chaos",
+                "--journal", "--max-tasks", "--max-idle", "--poll",
+            )),
+            "status": Command(_dispatch_status, "print a broker's counters "
+                              "and queues", ("url",)),
+        }),
+    "fleet": Verb(
+        "fleet monitoring: fleet status <url> [--watch|--json] | "
+        "trace <journal-dir> [--check]", {
+            "status": Command(_fleet_status, "render a broker's fleet panel", (
+                "url",
+                _flag("--json", help="print the raw metrics document"),
+                "--watch", "--interval",
+            )),
+            "trace": Command(_fleet_trace, "merge journals into one Chrome "
+                             "trace", (
+                "directory",
+                _flag("--out", help="the merged trace (default "
+                      "DIR/fleet_trace.json)"),
+                _flag("--check", help="exit 1 if the merged timeline has "
+                      "structural problems"),
+            )),
+        }),
+}
+
+
+def verb_table() -> dict[str, Command | Verb]:
+    """Every verb: one per experiment target, then :data:`VERBS`."""
+    from repro.campaign.stages import TARGETS, get_adapter
+
+    targets = {
+        target: Command(
+            _run_targets,
+            "; ".join(get_adapter(kind).description for kind in kinds),
+            ("more", *_TARGET_ARGS),
+        )
+        for target, kinds in TARGETS.items()
+    }
+    return {**targets, **VERBS}
+
+
+class _Choice(argparse._SubParsersAction):
+    """Sub-command choice that declares a command's arguments only once
+    the command is chosen, so a run builds the flags of one command, not
+    of all 44; and that runs a verb's default action when none is named
+    (``repro bench --fast`` is ``repro bench engine --fast``)."""
+
+    def __init__(self, *args, defaults: dict[str, str] | None = None,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.defaults = defaults or {}
+        self.undeclared: dict[str, Callable[[], None]] = {}
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, *rest = values
+        if name in self.defaults and (
+            not rest or rest[0].startswith("-") and rest[0] not in ("-h", "--help")
+        ):
+            values = [name, self.defaults[name], *rest]
+        declare = self.undeclared.pop(name, None)
+        if declare is not None:
+            declare()
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: one sub-parser per command of :func:`verb_table`,
+    each declaring only the arguments its command reads."""
+    arguments = _arguments()
+    table = verb_table()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate results from 'Topology-aware QoS Support in "
         "Highly Integrated Chip Multiprocessors' (Grot et al., 2010).",
     )
-    parser.add_argument(
-        "targets",
-        nargs="+",
-        help="experiments to run: " + ", ".join(TARGETS)
-        + ", report, cache, 'all', or 'list'",
+    verbs = parser.add_subparsers(
+        dest="verb", metavar="VERB", required=True, action=_Choice,
+        defaults={verb: entry.default for verb, entry in table.items()
+                  if isinstance(entry, Verb) and entry.default},
     )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="run experiment targets at the smoke campaign's budgets",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="deterministic seed")
-    parser.add_argument(
-        "--chart", action="store_true", help="add ASCII charts where available"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for simulation sweeps (0 = all cores; default 1)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="result cache directory (default $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="always simulate; neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--all-versions", action="store_true",
-        help="with 'cache clear': drop entries of every package version",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the target under cProfile and print the top 20 entries",
-    )
-    campaign = parser.add_argument_group("campaign options")
-    campaign.add_argument(
-        "--campaign-dir", default=None, metavar="PATH",
-        help="with 'campaign run/...': campaign state directory "
-        "(default $REPRO_CAMPAIGN_DIR/<name> or campaigns/<name>)",
-    )
-    campaign.add_argument(
-        "--baseline", default="CAMPAIGN_baseline.json", metavar="PATH",
-        help="with 'campaign ...': committed baseline for the report card",
-    )
-    campaign.add_argument(
-        "--check", action="store_true",
-        help="with 'campaign run/report': exit non-zero unless every "
-        "stage's report-card verdict is 'pass'; with 'fleet trace': "
-        "exit non-zero when the merged timeline has structural problems",
-    )
-    campaign.add_argument(
-        "--json", action="store_true",
-        help="with 'campaign report': print the JSON report card "
-        "instead of markdown",
-    )
-    campaign.add_argument(
-        "--update-baseline", action="store_true",
-        help="with 'campaign report': record the completed campaign's "
-        "rows as the new baseline entries",
-    )
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help="with 'bench engine|obs|runtime|journal': merge rows into "
-        "this BENCH file ('-' = the section's own); with 'bench guard': "
-        "the engine file to check; with 'bench history': the history file",
-    )
-    parser.add_argument(
-        "--regimes", default=None, metavar="R1,R2",
-        help="with 'bench engine|obs': only run points in these regimes "
-        "(low_rate, mid_rate, saturation, bursty, gsf_throttled)",
-    )
-    parser.add_argument(
-        "--topologies", default=None, metavar="T1,T2",
-        help="with 'bench engine|obs': only run points on these topologies "
-        "(mesh_x1, mecs, dps, fbfly, ...)",
-    )
-    scenario = parser.add_argument_group("scenario options")
-    scenario.add_argument(
-        "--topology", default="mecs", metavar="NAME",
-        help="with 'scenario run/record': topology to simulate (default mecs)",
-    )
-    scenario.add_argument(
-        "--policy", default="pvc", choices=_policy_choices(),
-        help="with 'scenario run/record': QoS policy (default pvc)",
-    )
-    scenario.add_argument(
-        "--rate", type=float, default=None, metavar="R",
-        help="with 'scenario run/record': per-injector rate in flits/cycle "
-        "(peak rate for bursty workloads)",
-    )
-    scenario.add_argument(
-        "--cycles", type=int, default=4000, metavar="N",
-        help="with 'scenario run/record': cycles to simulate (default 4000)",
-    )
-    scenario.add_argument(
-        "--warmup", type=int, default=0, metavar="N",
-        help="with 'scenario run/record': warmup cycles before measuring",
-    )
-    scenario.add_argument(
-        "--param", action="append", metavar="KEY=VALUE",
-        help="with 'scenario run/record': workload parameter (repeatable), "
-        "e.g. --param on_cycles=50 --param pattern=tornado",
-    )
-    scenario.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="with 'scenario record': where to write the JSONL trace; "
-        "with 'obs record': the artifact directory; with 'fleet "
-        "trace': the merged Chrome-trace output path",
-    )
-    obs = parser.add_argument_group("observability options")
-    obs.add_argument(
-        "--obs", default=None, metavar="DIR",
-        help="record observability data: scenario runs write windowed "
-        "metrics (and --timeline traces) to DIR; experiment targets "
-        "write runtime telemetry JSON to DIR; 'campaign run' writes "
-        "telemetry.json into the campaign directory",
-    )
-    obs.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="with --obs/'obs record': metrics window width in cycles "
-        "(default 1000); with 'bench history': trailing entries "
-        "compared against (default 5)",
-    )
-    obs.add_argument(
-        "--timeline", action="store_true",
-        help="with --obs/'obs record': also export the Chrome trace "
-        "(packet lifecycles + engine spans; open in Perfetto)",
-    )
-    obs.add_argument(
-        "--progress", action="store_true",
-        help="with 'campaign run/resume': print a heartbeat line per "
-        "completed simulation",
-    )
-    dispatch = parser.add_argument_group("dispatch options")
-    dispatch.add_argument(
-        "--dispatch", default=None, metavar="URL|DIR|local",
-        help="run batches through the lease-based broker/worker layer: "
-        "an HTTP broker URL (workers run 'repro dispatch work <url>'), "
-        "a directory (in-process broker + sha256-addressed result "
-        "artifacts), or 'local' (in-process broker, no artifacts); "
-        "with 'chaos run': add the network-fault dispatch legs",
-    )
-    dispatch.add_argument(
-        "--port", type=int, default=0, metavar="N",
-        help="with 'dispatch serve': port to bind (default: ephemeral)",
-    )
-    dispatch.add_argument(
-        "--lease-seconds", type=float, default=30.0, metavar="S",
-        help="with 'dispatch serve': lease duration before an "
-        "unheartbeated claim is requeued (default 30)",
-    )
-    dispatch.add_argument(
-        "--max-tasks", type=int, default=None, metavar="N",
-        help="with 'dispatch work': exit after completing N tasks",
-    )
-    dispatch.add_argument(
-        "--max-idle", type=int, default=None, metavar="N",
-        help="with 'dispatch work': exit after N consecutive empty "
-        "claims (default: poll forever)",
-    )
-    dispatch.add_argument(
-        "--poll", type=float, default=0.2, metavar="S",
-        help="with 'dispatch work': idle poll interval in seconds",
-    )
-    dispatch.add_argument(
-        "--worker-id", default=None, metavar="NAME",
-        help="with 'dispatch work': worker name shown in broker leases",
-    )
-    fleet = parser.add_argument_group("fleet observability options")
-    fleet.add_argument(
-        "--journal", default=None, metavar="DIR",
-        help="journal every dispatch/campaign lifecycle event: each "
-        "actor (broker, workers, campaign runner) appends to its own "
-        "<actor>.journal.jsonl under DIR; merge and inspect with "
-        "'repro fleet trace DIR'",
-    )
-    fleet.add_argument(
-        "--watch", action="store_true",
-        help="with 'fleet status': keep redrawing the dashboard on a "
-        "TTY (one frame otherwise)",
-    )
-    fleet.add_argument(
-        "--interval", type=float, default=2.0, metavar="S",
-        help="with --watch/'campaign watch': refresh interval in "
-        "seconds (default 2)",
-    )
-    resilience = parser.add_argument_group("resilience options")
-    resilience.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry budget: parallel runs retry crashed/hung/erroring "
-        "specs up to N times (charged per attempt by the broker); campaign "
-        "runs additionally retry failing shards N times (default 0; "
-        "'chaos run' defaults to 2)",
-    )
-    resilience.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-simulation wall-clock budget for parallel runs: an "
-        "agent running past it is killed and the spec retried "
-        "(default: no timeout; 'chaos run' defaults to 3.0)",
-    )
-    resilience.add_argument(
-        "--chaos", default=None, metavar="PLAN",
-        help="activate a fault plan (built-in name or JSON file; see "
-        "'repro chaos plan list') — injects deterministic worker "
-        "kills/hangs, spec/adapter errors, cache corruption and torn "
-        "manifest writes into the run",
-    )
+
+    def add(choice: _Choice, name: str, command: Command, label: str) -> None:
+        sub = choice.add_parser(name, help=command.help, description=command.help)
+        sub.set_defaults(command=command, label=label, parser=sub)
+
+        def declare() -> None:
+            for names, keywords in command.declared():
+                sub.add_argument(*names, **{**arguments[names[0]], **keywords})
+
+        choice.undeclared[name] = declare
+
+    for verb, entry in table.items():
+        if isinstance(entry, Command):
+            add(verbs, verb, entry, verb)
+            continue
+        actions = verbs.add_parser(
+            verb, help=entry.help, description=entry.help
+        ).add_subparsers(
+            dest="action", metavar="ACTION", required=True, action=_Choice
+        )
+        for action, command in entry.actions.items():
+            add(actions, action, command, f"{verb} {action}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    targets = list(args.targets)
-    if args.jobs < 0:
-        print("--jobs must be >= 0", file=sys.stderr)
-        return 2
-    if args.retries is not None and args.retries < 0:
-        print("--retries must be >= 0", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("--timeout must be > 0 seconds", file=sys.stderr)
-        return 2
-    if "scenario" in targets:
-        if targets[0] != "scenario":
-            print("'scenario' must be the first target: "
-                  "repro scenario list|run|record|replay", file=sys.stderr)
-            return 2
-        if len(targets) > 3:
-            print(f"unexpected arguments after scenario action: "
-                  f"{' '.join(targets[3:])}", file=sys.stderr)
-            return 2
-        return _run_scenario(args)
-    if "campaign" in targets:
-        if targets[0] != "campaign":
-            print("'campaign' must be the first target: repro campaign "
-                  "list|run|status|resume|report|diff", file=sys.stderr)
-            return 2
-        if len(targets) > 3:
-            print(f"unexpected arguments after campaign action: "
-                  f"{' '.join(targets[3:])}", file=sys.stderr)
-            return 2
-        return _run_campaign(args)
-    # Keyed on the first target only: "obs" is also a valid *second*
-    # target of bench ("repro bench obs").
-    if targets[0] == "obs":
-        if len(targets) > 3:
-            print(f"unexpected arguments after obs action: "
-                  f"{' '.join(targets[3:])}", file=sys.stderr)
-            return 2
-        return _run_obs(args)
-    if targets[0] == "chaos":
-        if len(targets) > 3:
-            print(f"unexpected arguments after chaos action: "
-                  f"{' '.join(targets[3:])}", file=sys.stderr)
-            return 2
-        return _run_chaos(args)
-    if targets[0] == "doctor":
-        if len(targets) > 1:
-            print(f"unexpected arguments after doctor: "
-                  f"{' '.join(targets[1:])}", file=sys.stderr)
-            return 2
-        return _run_doctor(args)
-    if targets[0] == "dispatch":
-        if len(targets) > 3:
-            print(f"unexpected arguments after dispatch action: "
-                  f"{' '.join(targets[3:])}", file=sys.stderr)
-            return 2
-        return _run_dispatch(args)
-    if targets[0] == "fleet":
-        if len(targets) > 3:
-            print(f"unexpected arguments after fleet action: "
-                  f"{' '.join(targets[3:])}", file=sys.stderr)
-            return 2
-        return _run_fleet(args)
-    from repro.campaign.stages import TARGETS, get_adapter
+    """CLI entry point: parse, then call; returns a process exit code."""
+    from repro.errors import ReproError
 
-    if "list" in targets:
-        for target, kinds in TARGETS.items():
-            for index, kind in enumerate(kinds):
-                name = "" if index else target
-                print(f"  {name:10s} {get_adapter(kind).description}")
-        print(f"  {'report':10s} {REPORT_COMMAND_HELP}")
-        print(f"  {'cache':10s} {CACHE_COMMAND_HELP}")
-        print(f"  {'bench':10s} {BENCH_COMMAND_HELP}")
-        print(f"  {'scenario':10s} {SCENARIO_COMMAND_HELP}")
-        print(f"  {'campaign':10s} {CAMPAIGN_COMMAND_HELP}")
-        print(f"  {'obs':10s} {OBS_COMMAND_HELP}")
-        print(f"  {'chaos':10s} {CHAOS_COMMAND_HELP}")
-        print(f"  {'doctor':10s} {DOCTOR_COMMAND_HELP}")
-        print(f"  {'dispatch':10s} {DISPATCH_COMMAND_HELP}")
-        print(f"  {'fleet':10s} {FLEET_COMMAND_HELP}")
-        return 0
-    if "cache" in targets:
-        if targets[0] != "cache":
-            print("'cache' must be the first target: repro cache [info|clear]",
-                  file=sys.stderr)
-            return 2
-        if len(targets) > 2:
-            print(f"unexpected arguments after cache action: "
-                  f"{' '.join(targets[2:])}", file=sys.stderr)
-            return 2
-        return _run_cache(args)
-    if "bench" in targets:
-        if targets[0] != "bench":
-            print("'bench' must be the first target: repro bench engine",
-                  file=sys.stderr)
-            return 2
-        if len(targets) > 2:
-            print(f"unexpected arguments after bench action: "
-                  f"{' '.join(targets[2:])}", file=sys.stderr)
-            return 2
-        return _run_bench(args)
-    if "all" in targets:
-        targets = list(TARGETS)
-    unknown = [t for t in targets if t not in TARGETS and t != "report"]
-    if unknown:
-        print(f"unknown target(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(TARGETS)}, report, cache, bench, "
-              "scenario, campaign, obs, chaos, doctor, dispatch, fleet, all, "
-              "list", file=sys.stderr)
+    try:
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:  # the command's own usage lists the flags it reads
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    except SystemExit as stop:  # 2 on a usage error, 0 after --help
+        return stop.code
+    try:
+        return args.command.run(args)
+    except (ReproError, OSError, ValueError, KeyError, TypeError) as error:
+        # Bad input found past the parser (an unknown campaign, a
+        # missing file, a trace whose meta lacks a key): a clean
+        # message, not a traceback.
+        detail = repr(error) if isinstance(error, KeyError) else error
+        print(f"{args.label}: {detail}", file=sys.stderr)
         return 2
-    import os as _os
-
-    for target in targets:
-        started = time.time()
-        if args.profile:
-            dump_path = _os.path.join("profiles", f"profile_{target}.pstats")
-            output, report = _profiled(
-                _run_target, args, target, dump_path=dump_path
-            )
-            print(output)
-            print()
-            print(f"--- cProfile top 20 (cumulative) for {target} ---")
-            print(report)
-            print(f"pstats dump written to {dump_path}")
-        else:
-            print(_run_target(args, target))
-        if args.obs:
-            _write_telemetry(
-                args, _os.path.join(args.obs, f"telemetry_{target}.json"),
-                target=target,
-            )
-        print(f"[{target}: {time.time() - started:.1f}s]\n")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -15,6 +15,8 @@ def test_list_prints_commands(capsys):
 
 def test_unknown_target_fails(capsys):
     assert main(["figure9"]) == 2
+    assert "figure9" in capsys.readouterr().err
+    assert main(["fig3", "figure9"]) == 2
     assert "unknown target" in capsys.readouterr().err
 
 

@@ -64,6 +64,24 @@ def test_a_bare_package_import_loads_only_the_export_helper():
     assert _loaded_after("import repro") == ["repro", "repro._lazy"]
 
 
+def test_the_cli_parser_and_repro_list_load_only_the_tables():
+    """The verb table spells its actions: listing them imports no bench,
+    runtime or experiment module."""
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import build_parser, main\n"
+        "build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['list'])\n"
+    )
+    qos = ["base", "flow_table", "gsf", "perflow", "pvc", "registry"]
+    assert loaded == sorted([
+        "repro", "repro._lazy", "repro.campaign", "repro.campaign.stages",
+        "repro.cli", "repro.errors", "repro.qos",
+        *(f"repro.qos.{name}" for name in qos),
+    ])
+
+
 def test_building_a_campaign_runner_imports_no_stage_adapter(tmp_path):
     loaded = _loaded_after(
         "from repro.campaign.builtin import get_campaign\n"

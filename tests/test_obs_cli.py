@@ -61,7 +61,7 @@ def test_obs_usage_errors(tmp_path, capsys):
     assert main(["obs", "report", str(tmp_path / "missing")]) == 2
     assert main(["obs", "timeline", str(tmp_path / "missing")]) == 2
     assert main(["obs", "polish"]) == 2
-    assert "unknown obs action" in capsys.readouterr().err
+    assert "polish" in capsys.readouterr().err
 
 
 def test_profile_writes_pstats_dump(tmp_path, monkeypatch, capsys):

@@ -62,17 +62,17 @@ def test_cache_clear_subcommand(tmp_path, capsys):
 
 def test_cache_unknown_action_fails(tmp_path, capsys):
     assert main(["cache", "shrink", "--cache-dir", str(tmp_path)]) == 2
-    assert "unknown cache action" in capsys.readouterr().err
+    assert "shrink" in capsys.readouterr().err
 
 
 def test_cache_must_be_the_first_target(tmp_path, capsys):
     assert main(["fig3", "cache", "--cache-dir", str(tmp_path)]) == 2
-    assert "must be the first target" in capsys.readouterr().err
+    assert "unknown target" in capsys.readouterr().err
 
 
 def test_cache_rejects_trailing_targets(tmp_path, capsys):
     assert main(["cache", "info", "fig3", "--cache-dir", str(tmp_path)]) == 2
-    assert "unexpected arguments" in capsys.readouterr().err
+    assert "fig3" in capsys.readouterr().err
 
 
 def test_cache_appears_in_list(capsys):
@@ -173,12 +173,12 @@ def test_bench_guard_missing_baseline_is_an_error(tmp_path, capsys):
 
 def test_bench_rejects_unknown_action(capsys):
     assert main(["bench", "nonsense"]) == 2
-    assert "unknown bench action" in capsys.readouterr().err
+    assert "nonsense" in capsys.readouterr().err
 
 
 def test_bench_must_be_first_target(capsys):
     assert main(["fig3", "bench"]) == 2
-    assert "must be the first target" in capsys.readouterr().err
+    assert "unknown target" in capsys.readouterr().err
 
 
 def test_profile_flag_prints_cprofile_report(capsys):
