@@ -778,6 +778,8 @@ def _campaign_list(args) -> int:
 def _campaign_run(args) -> int:
     """``repro campaign run|resume <name>``: the only campaign actions
     that build an executor and a cache."""
+    import os
+
     from repro.campaign import get_campaign
     from repro.errors import CampaignInterrupted
 
@@ -823,8 +825,10 @@ def _campaign_run(args) -> int:
         print(f"interrupted: {stop}")
         return 3
     if args.obs:
-        _write_telemetry(args, str(runner.dir / "telemetry.json"),
-                         campaign=name)
+        _write_telemetry(
+            args, os.path.join(args.obs, f"telemetry_{name}.json"),
+            campaign=name,
+        )
     report = result.report
     print(f"report card: {runner.dir / 'report.md'}")
     print(f"overall: {report.overall} "
@@ -1059,7 +1063,8 @@ def _dispatch_serve(args) -> int:
     from repro.dispatch import Broker, BrokerServer
     from repro.resilience import RetryPolicy
 
-    retry = RetryPolicy(max_attempts=(args.retries or 2) + 1)
+    retries = 2 if args.retries is None else args.retries
+    retry = RetryPolicy(max_attempts=retries + 1)
     broker = Broker(
         lease_seconds=args.lease_seconds, retry=retry,
         journal=_journal_writer(args, "broker"),
@@ -1401,8 +1406,8 @@ _BENCH_AGENT_ARGS = (
 _CAMPAIGN_RUN_ARGS = (
     "name", "--campaign-dir", *EXECUTOR_ARGS, "--baseline", "--check",
     "--progress",
-    _flag("--obs", help="write the runtime telemetry to telemetry.json in "
-          "the campaign directory"),
+    _flag("--obs", help="write the runtime telemetry JSON to "
+          "DIR/telemetry_<name>.json"),
 )
 
 #: Every verb but the experiment targets (see :func:`verb_table`), in

@@ -61,11 +61,14 @@ table and invalidated only by charges/refunds/flushes; for every
 policy that exposes a flow table (PVC, the per-flow baseline and GSF)
 each port keeps a persistent sorted candidate ranking maintained
 incrementally across cycles (exact because between fences a charge
-can only worsen a priority and a GSF frame tag never changes;
-flushes, refunds and weight changes force a lazy per-node rebuild);
-blocked ports cache their "nothing can advance" verdict with its
-exact dependency set; busy ports skip their scans until serialisation
-ends.
+can only worsen a priority and a GSF frame tag never changes; flushes
+and weight changes force a lazy rebuild, while a preemption refund
+repositions in place the two injection slots of the one flow it
+improved); blocked ports cache their "nothing can advance" verdict
+with its exact dependency set, and a pass whose best candidate finds
+every targeted station full stops there with a verdict that depends
+on that candidate alone; busy ports skip their scans until
+serialisation ends.
 
 ``run_until_drained`` tracks an aggregate count of undrained injectors
 (maintained at ACK/creation transitions) instead of scanning every
@@ -306,15 +309,25 @@ class ColumnSimulator:
         self._victim_scan: list[tuple[int, int]] = []
         # Persistent per-port candidate rankings (see
         # `_arbitrate_port`): `_rank[p]` is the sorted candidate list,
-        # `_pending[p]` a min-heap of not-yet-eligible requests, and
-        # the epoch/refund stamps mark when a rank must be rebuilt
-        # because priorities may have improved.
+        # `_pending[p]` a min-heap of not-yet-eligible requests,
+        # `_rank_targets[p]` every downstream station a ranked request
+        # of the port has targeted, and `_rank_epoch[p]` the table epoch
+        # the rank was built at (a frame flush or a weight change voids
+        # it, forcing a rebuild because priorities may have improved).
+        # `_refund_gen[node]` fences the blocked verdicts of a node's
+        # ports (refunds and weight changes bump it); a refund
+        # repositions its flow's entries in place instead of forcing a
+        # rebuild.
         n_ports = len(fabric.ports)
         self._rank: list[list] = [[] for _ in range(n_ports)]
         self._pending: list[list] = [[] for _ in range(n_ports)]
+        self._rank_targets: list[list[int]] = [[] for _ in range(n_ports)]
         self._rank_epoch = [0] * n_ports
-        self._rank_refund = [0] * n_ports
         self._refund_gen = [0] * n_nodes
+        #: The injector whose source-router priority the current pass's
+        #: preemption refunded; its ranked slots are repositioned once
+        #: the pass has transferred its winner.
+        self._refunded: _Injector | None = None
         self._salvage: list = []
         self._pend_seq = 0
         #: Whether any station lacks flow state (DPS intermediate
@@ -628,10 +641,13 @@ class ColumnSimulator:
                 # reused across simulators deterministically.
                 self.policy.set_weight(flow_id, weight)
                 # A raised weight improves the flow's priority at every
-                # router, so every node's port rankings (built on the
-                # only-worsens invariant) must be rebuilt lazily; the
-                # refund generation is exactly that fence, and the
-                # blocked-verdict caches key on it too.
+                # router, so every port ranking (built on the
+                # only-worsens invariant) must be rebuilt lazily, and
+                # every node's blocked verdicts (keyed on the refund
+                # generation) dropped.
+                rank_epoch = self._rank_epoch
+                for pidx in range(len(rank_epoch)):
+                    rank_epoch[pidx] = -1
                 refund_gen = self._refund_gen
                 for node in range(len(refund_gen)):
                     refund_gen[node] += 1
@@ -996,13 +1012,15 @@ class ColumnSimulator:
         degenerates to an inbox drained into it), valid because
         between fences a priority can only *worsen* (a charge) or stay
         put (a frame tag) — an entry whose (router, flow) state changed
-        (flow-table `versions`) is repositioned when encountered, and
-        the events that can improve priorities (frame flush, which
-        also clears carried priorities at stations without flow state;
-        preemption refund; weight change) trigger a per-node lazy
-        rebuild.  A pass then validates the front of the ranking
-        instead of re-scoring every request, and the fall-through
-        order for a blocked winner is already in hand without a sort.
+        (flow-table `versions`) is repositioned when encountered.  Of
+        the events that can improve priorities, a frame flush (which
+        also clears carried priorities at stations without flow state)
+        and a weight change trigger a lazy rebuild, while a preemption
+        refund repositions in place the one (router, flow) it improved
+        (`_rerank_refunded`).  A pass then validates the front of the
+        ranking instead of re-scoring every request, and the
+        fall-through order for a blocked winner is already in hand
+        without a sort.
 
         A pass that concludes "ready candidates exist but none can
         advance" additionally caches that verdict with its exact
@@ -1011,7 +1029,11 @@ class ColumnSimulator:
         victim-scan reads, frame epoch, and the pure time crossings —
         eligibility, preemption patience, compliance boundaries), so
         the per-cycle revisit of a saturated blocked port is a few
-        dozen integer compares.
+        dozen integer compares.  When the best eligible candidate
+        finds no free VC at all and cannot preempt, and every station
+        the port's ranked requests target is full too, no later
+        candidate can advance (only the best may preempt): the walk
+        stops there and the verdict depends on that one candidate.
 
         The no-QoS policy hashes the cycle into its priorities, so
         nothing is cacheable across cycles: it takes the single-scan
@@ -1063,21 +1085,18 @@ class ColumnSimulator:
             return busy
         rank = self._rank[pidx]
         pending = self._pending[pidx]
+        targets = self._rank_targets[pidx]
         prio_values = table.prio_values
         prio_stamps = table.prio_stamps
         epoch_t = table.epoch
         versions = table.versions
         policy_priority = self.policy.priority
         refund_gen = self._refund_gen[port.node]
-        if (
-            self._rank_epoch[pidx] != epoch_t
-            or self._rank_refund[pidx] != refund_gen
-        ):
-            # Priorities may have *improved* (frame flush zeroed the
-            # counters, or a preemption refunded this node): the stored
-            # order is no longer monotonically repairable — rebuild.
+        if self._rank_epoch[pidx] != epoch_t:
+            # Priorities may have *improved* (a frame flush zeroed the
+            # counters, or a weight was raised): the stored order is no
+            # longer monotonically repairable — rebuild.
             self._rank_epoch[pidx] = epoch_t
-            self._rank_refund[pidx] = refund_gen
             if rank or pending:
                 salvage = self._salvage
                 del salvage[:]
@@ -1100,16 +1119,16 @@ class ColumnSimulator:
                 del rank[:]
                 del pending[:]
                 for epoch, vc in salvage:
-                    self._rank_admit(rank, pending, epoch, vc, now)
+                    self._rank_admit(rank, pending, targets, epoch, vc, now)
                 del salvage[:]
         requests = port.requests
         if requests:
             for epoch, vc in requests:
-                self._rank_admit(rank, pending, epoch, vc, now)
+                self._rank_admit(rank, pending, targets, epoch, vc, now)
             del requests[:]
         while pending and pending[0][0] <= now:
             item = heappop(pending)
-            self._rank_admit(rank, pending, item[2], item[3], now)
+            self._rank_admit(rank, pending, targets, item[2], item[3], now)
         wait_until = pending[0][0] if pending else _FAR
         config = self.config
         reserved_vc = config.reserved_vc
@@ -1124,9 +1143,9 @@ class ColumnSimulator:
         memo2 = self._ns_memo2
         memo2.clear()
         comp_gate = _FAR
-        best_vc: VirtualChannel | None = None
-        best_ready_at = 0
+        best_entry = None
         preempt_scanned = False
+        lean = False
         k = 0
         while k < len(rank):
             entry = rank[k]
@@ -1171,10 +1190,9 @@ class ColumnSimulator:
             priority = entry[0]
             segment = packet.segments[packet.hop_index]
             nsi = segment[3]
-            is_best = best_vc is None
+            is_best = best_entry is None
             if is_best:
-                best_vc = vc
-                best_ready_at = vc.ready_at
+                best_entry = entry
             if nsi < 0:
                 if stamp_carried:
                     packet.carried_priority = priority
@@ -1224,30 +1242,50 @@ class ColumnSimulator:
                     packet.carried_priority = priority
                 del rank[k - 1]
                 self._transfer(vc, packet, port, segment, target, now)
+                if preempt_scanned and self._refunded is not None:
+                    self._rerank_refunded(now)
                 return self._post_transfer_horizon(port, rank, pending)
-        if best_vc is None:
+            if ff is None and is_best and self._all_full(targets, memo):
+                # The best candidate found no free VC at all and could
+                # not preempt, and every station a ranked request of
+                # this port targets is full: no later candidate can
+                # advance (only the best may preempt), so stop here.
+                lean = True
+                break
+        if best_entry is None:
             busy = port.busy_until
             return busy if busy > wait_until else wait_until
         # Ready candidates exist but none could advance: patience and
         # compliance windows may change the outcome next cycle, so the
         # port is revisited every cycle — with the verdict cached, each
-        # revisit costs a few dozen integer compares.  The iteration
-        # above ran the whole ranking, so its surviving entries are the
-        # exact candidate dependencies.
+        # revisit costs a few dozen integer compares.
         station_gen = self._station_gen
-        cand_pairs = []
-        cand_stations = []
-        for entry in rank:
-            vc = entry[7]
-            if vc.station.tx_busy_until > now:
-                continue
-            cand_pairs.append((entry[3], entry[4]))
-            st = vc.station
-            if st not in cand_stations:
-                cand_stations.append(st)
+        if lean:
+            # Only the best candidate was walked.  Charges only worsen
+            # the others, so they stay behind it until a fence (epoch,
+            # refund generation) or new request; `memo` holds exactly
+            # the full target stations, and `wait_until` the line-busy
+            # entries ranked ahead of the best.
+            cand_pairs = [(best_entry[3], best_entry[4])]
+            cand_stations = [best_entry[7].station]
+        else:
+            # The iteration above ran the whole ranking, so its
+            # surviving entries are the exact candidate dependencies.
+            cand_pairs = []
+            cand_stations = []
+            for entry in rank:
+                vc = entry[7]
+                if vc.station.tx_busy_until > now:
+                    continue
+                cand_pairs.append((entry[3], entry[4]))
+                st = vc.station
+                if st not in cand_stations:
+                    cand_stations.append(st)
         time_gate = wait_until
         if config.preemption_enabled and self._caps.preemption:
-            patience_cross = best_ready_at + config.preemption_patience_cycles
+            patience_cross = (
+                best_entry[7].ready_at + config.preemption_patience_cycles
+            )
             if now < patience_cross < time_gate:
                 time_gate = patience_cross
         if comp_gate < time_gate:
@@ -1282,13 +1320,17 @@ class ColumnSimulator:
             return busy if busy > top else top
         return _FAR
 
-    def _rank_admit(self, rank, pending, epoch: int, vc, now: int) -> None:
+    def _rank_admit(
+        self, rank, pending, targets: list[int], epoch: int, vc, now: int
+    ) -> None:
         """Score a request into the port's ranking (or park it).
 
         Requests not yet ready are parked in the pending heap keyed by
         their earliest-eligibility bound; line-busy entries are ranked
         anyway (their priority does not depend on the line) and skipped
-        on encounter until the line frees.
+        on encounter until the line frees.  A ranked request's
+        downstream station joins the port's ``targets`` (-1 on an
+        ejection port, which is never read: its best always advances).
         """
         packet = vc.packet
         if vc.epoch != epoch or packet is None or vc.departing:
@@ -1321,6 +1363,57 @@ class ColumnSimulator:
             (priority, packet.created_at, packet.pid, idx,
              table.versions[idx], epoch, self._pend_seq, vc),
         )
+        nsi = packet.segments[packet.hop_index][3]
+        if nsi not in targets:
+            targets.append(nsi)
+
+    def _all_full(self, targets: list[int], memo: dict) -> bool:
+        """Whether no station in ``targets`` has a free VC, reserved or not.
+
+        Reads and fills the pass's ``free_vc`` memo.  Called only after
+        the best candidate found no free VC, so stations never grow
+        overflow VCs here.
+        """
+        stations = self.fabric.stations
+        for nsi in targets:
+            if nsi in memo:
+                if memo[nsi] is not None:
+                    return False
+            else:
+                free = stations[nsi].free_vc(allow_reserved=True)
+                memo[nsi] = free
+                if free is not None:
+                    return False
+        return True
+
+    def _rerank_refunded(self, now: int) -> None:
+        """Reposition the ranked slots of the flow a refund just improved.
+
+        A refund improves one (router, flow) state: the victim's flow at
+        its source router.  Routes never revisit their source node, so
+        the only VCs holding that state are the flow's two injection
+        slots, each ranked (if at all) at its first-hop port.  Called
+        after the preempting pass has removed its winner and
+        transferred, so no walk is holding a position in a ranking.
+        """
+        injector = self._refunded
+        self._refunded = None
+        vcs = injector.station.vcs
+        for vc in (vcs[injector.vc_index], vcs[injector.vc_index + 1]):
+            packet = vc.packet
+            if packet is None or vc.departing:
+                continue
+            pidx = packet.segments[0][0]
+            rank = self._rank[pidx]
+            epoch = vc.epoch
+            for k, entry in enumerate(rank):
+                if entry[7] is vc and entry[5] == epoch:
+                    del rank[k]
+                    self._rank_admit(
+                        rank, self._pending[pidx], self._rank_targets[pidx],
+                        epoch, vc, now,
+                    )
+                    break
 
     def _arbitrate_port_scan(self, port: OutputPort, now: int) -> int:
         """Single-scan arbitration pass (cycle-dependent priorities).
@@ -1612,9 +1705,11 @@ class ColumnSimulator:
             source_station = self.fabric.stations[packet.stations[0]]
             if source_station.qos:
                 self.policy.on_refund(source_station, packet, now)
-                # A refund is one of the two ways a priority can ever
-                # improve: force the node's port rankings to rebuild.
+                # A refund improves a priority: drop the node's blocked
+                # verdicts now, and reposition the flow's ranked slots
+                # once the preempting pass has transferred.
                 self._refund_gen[source_station.node] += 1
+                self._refunded = self._injectors[packet.flow_id]
         if vc.arriving_until > now and vc.inbound_port is not None:
             # The victim's tail is still on the wire: kill the transfer.
             vc.inbound_port.busy_until = now

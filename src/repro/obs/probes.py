@@ -47,11 +47,14 @@ wins output-port arbitration and starts a link/ejection traversal
 (``hop_index`` is the hop's index on the current attempt); ``deliver``
 at tail delivery; ``preempt``/``nack`` on the PVC preemption path;
 ``frame`` at each frame rollover.  The last four events expose
-optimised-engine internals — a port pass that concluded blocked,
-injector bookkeeping arming/settling, and the activity tracker's
-idle-cycle jumps (``skip`` means the clock is about to jump from
-``cycle`` straight to ``target``) — the frozen golden engine has no
-such machinery, so those events are deliberately absent there.
+optimised-engine internals — a port pass that concluded blocked
+(``candidates`` is the number of candidates its verdict depends on:
+1 when the pass stopped at a best candidate whose every targeted
+station is full), injector bookkeeping arming/settling, and the
+activity tracker's idle-cycle jumps (``skip`` means the clock is about
+to jump from ``cycle`` straight to ``target``) — the frozen golden
+engine has no such machinery, so those events are deliberately absent
+there.
 """
 
 from __future__ import annotations

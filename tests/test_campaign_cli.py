@@ -106,6 +106,18 @@ def test_campaign_run_status_report_diff_cycle(
     assert "served from manifest" in out
 
 
+def test_campaign_obs_writes_telemetry_under_dir(tiny_registered, tmp_path):
+    # `--obs DIR` is where the telemetry goes, as for a target: a run
+    # and a resume each write DIR/telemetry_<name>.json, and nothing
+    # lands in the campaign directory.
+    for action in ("run", "resume"):
+        obs = tmp_path / f"obs_{action}"
+        assert _run([action, "tinyci"], tmp_path, "--obs", str(obs)) == 0
+        document = json.loads((obs / "telemetry_tinyci.json").read_text())
+        assert document["meta"] == {"campaign": "tinyci"}
+    assert not (tmp_path / "state" / "telemetry.json").exists()
+
+
 def test_campaign_check_fails_without_baseline(tiny_registered, tmp_path, capsys):
     assert _run(["run", "tinyci"], tmp_path, "--check") == 1
     err = capsys.readouterr().err

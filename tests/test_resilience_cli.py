@@ -41,6 +41,29 @@ def test_retries_and_timeout_configure_the_parallel_executor():
     )
 
 
+def test_dispatch_serve_retries_0_means_one_attempt(monkeypatch):
+    # The broker's policy counts attempts: `--retries 0` is one attempt
+    # per spec, and only an absent flag means the default of 2 retries.
+    import repro.dispatch
+
+    brokers = []
+
+    class StubServer:
+        url = "http://127.0.0.1:0"
+
+        def __init__(self, broker, port=None):
+            brokers.append(broker)
+
+        def serve_forever(self):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(repro.dispatch, "BrokerServer", StubServer)
+    assert main(["dispatch", "serve", "--retries", "0"]) == 0
+    assert main(["dispatch", "serve", "--retries", "1"]) == 0
+    assert main(["dispatch", "serve"]) == 0
+    assert [broker.retry.max_attempts for broker in brokers] == [1, 2, 3]
+
+
 def test_chaos_flag_threads_one_injector_through_executor_and_cache(tmp_path):
     args = _args("--jobs", "2", "--chaos", "smoke",
                  "--cache-dir", str(tmp_path))
