@@ -179,10 +179,10 @@ idempotent on the spec hash, and every result is sha256-verified
 before ingestion.  :class:`DispatchExecutor` is a drop-in executor
 over the protocol (``--dispatch URL|DIR|local`` on any batch target)
 that degrades to a local :class:`ParallelExecutor` when the broker is
-unreachable.  The chaos harness (``repro chaos run --dispatch local``)
-drops, duplicates, delays and partitions broker calls and vanishes
-workers mid-lease, then asserts byte-identical convergence.  See
-``docs/failures.md``.
+unreachable.  The chaos harness (``repro chaos run``) stamps lost,
+duplicated and delayed calls, partitions and vanishing workers on the
+leases the broker grants, then asserts byte-identical convergence.
+See ``docs/failures.md``.
 """
 
 from repro._lazy import lazy_exports
@@ -285,7 +285,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".obs.metricsfmt": ("read_metrics",),
         ".obs.probes": ("ProbeBus",),
         ".obs.report": ("render_report",),
-        ".obs.telemetry": ("TelemetryExecutor",),
+        ".obs.telemetry": ("TelemetryRecorder",),
         ".qos.base": ("NoQosPolicy", "PolicyCapabilities", "QosPolicy"),
         ".qos.gsf": ("GsfPolicy",),
         ".qos.perflow": ("PerFlowQueuedPolicy",),

@@ -54,7 +54,7 @@ from repro.campaign.spec import (
 from repro.campaign.stages import get_adapter
 from repro.errors import CampaignError, CampaignInterrupted, ExecutionFailed
 from repro.obs.fleet.spans import stage_trace_id, trace_id
-from repro.obs.telemetry import TelemetryExecutor
+from repro.obs.telemetry import TelemetryRecorder
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import Executor, SerialExecutor
 
@@ -345,9 +345,15 @@ class CampaignRunner:
                         kind=stage.kind,
                         shards=stage.shard_count,
                     )
+                # The stage's recorder hears every spec and batch the
+                # executor runs until the stage ends, however it ends.
+                recorder = TelemetryRecorder(
+                    self.executor, heartbeat=heartbeat, stage=stage.name
+                )
+                self.executor.attach(recorder)
                 try:
                     self._run_stage(
-                        stage, entry, manifest, progress, stop_after, heartbeat
+                        stage, entry, manifest, progress, stop_after, recorder
                     )
                 except CampaignInterrupted:
                     raise
@@ -375,6 +381,8 @@ class CampaignRunner:
                     if progress is not None:
                         progress(stage.name, 0, stage.shard_count, "failed")
                     continue
+                finally:
+                    self.executor.detach(recorder)
                 if self.journal is not None:
                     self.journal.emit(
                         "campaign.stage_finish",
@@ -464,21 +472,6 @@ class CampaignRunner:
             "stages": per_stage,
         }
 
-    def _set_trace_context(self, trace: str) -> None:
-        """Pin the shard trace on the broker-backed executor, if any.
-
-        Walks the ``inner`` chain (telemetry wrappers) to the first
-        executor exposing ``set_trace_context``; the serial executor
-        has no broker and nothing to stamp, so it is skipped.
-        """
-        target = self.executor
-        while target is not None:
-            setter = getattr(target, "set_trace_context", None)
-            if setter is not None:
-                setter(trace)
-                return
-            target = getattr(target, "inner", None)
-
     def _run_stage(
         self,
         stage: StageSpec,
@@ -486,14 +479,12 @@ class CampaignRunner:
         manifest: dict,
         progress: CampaignProgress | None,
         stop_after: StopHook | None,
-        heartbeat: CampaignHeartbeat | None = None,
+        recorder: TelemetryRecorder,
     ) -> None:
         adapter = get_adapter(stage.kind)
         entry["status"] = "running"
         entry.pop("error", None)
         entry.pop("failed_specs", None)
-        recorder = TelemetryExecutor(self.executor, heartbeat=heartbeat)
-        recorder.stage = stage.name
         shard_rows: list[list[dict]] = []
         for index, params in enumerate(stage.shard_params):
             shard_entry = entry["shards"][index]
@@ -506,7 +497,7 @@ class CampaignRunner:
                 shard_rows.append(self._read_rows(path))
                 continue
             trace = stage_trace_id(self._hashes[stage.name], index)
-            self._set_trace_context(trace)
+            self.executor.set_trace_context(trace)
             if self.journal is not None:
                 self.journal.emit(
                     "campaign.shard_start",
@@ -524,7 +515,7 @@ class CampaignRunner:
                     rows = adapter.run(
                         params,
                         seed=self.campaign.seed,
-                        executor=recorder,
+                        executor=self.executor,
                         cache=self.cache,
                     )
                     break

@@ -43,7 +43,6 @@ Usage (after installation)::
     repro fig4 --jobs 4 --timeout 60     # per-simulation wall-clock budget
     repro campaign run paper --retries 2 # also retries failing shards
     repro chaos run smoke                # fault-injected campaign, verified
-    repro chaos run smoke --dispatch local   # ... plus network-chaos legs
     repro chaos plan smoke               # print a fault plan as JSON
     repro doctor                         # cache integrity check (fsck)
     repro doctor --campaign-dir campaigns/smoke   # + campaign artifacts
@@ -91,10 +90,10 @@ if TYPE_CHECKING:
 def _fault_injector(args):
     """The shared ``--chaos PLAN`` injector, built once per invocation.
 
-    One injector must see every counter (cache puts, shard runs,
-    manifest saves) of the whole command, so the instance is cached on
-    ``args`` and handed to the executor, the cache and the campaign
-    runner alike.
+    One injector must see every counter (lease grants, cache puts,
+    shard runs, manifest saves) of the whole command, so the instance
+    is cached on ``args`` and handed to the executor, the cache and the
+    campaign runner alike.
     """
     if not args.chaos:
         return None
@@ -117,7 +116,8 @@ def _executor(args) -> Executor:
 
     ``--retries``/``--timeout``/``--chaos`` configure the parallel
     executor's broker and agents (deterministic retry policy, per-spec
-    wall-clock budget, fault plan); they are inert under ``--jobs 1``,
+    wall-clock budget, the command's fault injector, whose faults the
+    broker stamps on each lease); they are inert under ``--jobs 1``,
     which must stay the honest serial baseline.
 
     ``--dispatch URL|DIR|local`` routes the batch through the
@@ -146,36 +146,29 @@ def _executor(args) -> Executor:
 
 def _supervision(args) -> dict:
     """A parallel executor's ``--retries`` policy, ``--timeout`` and
-    ``--chaos`` fault plan."""
+    ``--chaos`` fault injector."""
     retry = None
     if args.retries:
         from repro.resilience import RetryPolicy
 
         retry = RetryPolicy(max_attempts=args.retries + 1)
-    injector = _fault_injector(args)
-    return {
-        "retry": retry,
-        "timeout": args.timeout,
-        "fault_plan": injector.plan if injector is not None else None,
-    }
+    return {"retry": retry, "timeout": args.timeout, "faults": _fault_injector(args)}
 
 
 def _observed(args, executor: Executor) -> Executor:
-    """With ``--obs``, ``executor`` inside a recording
-    :class:`~repro.obs.TelemetryExecutor` — one wrapper per target, so
-    every executor of one target shares its counters until
-    :func:`_write_telemetry` flushes them."""
-    if not args.obs:
-        return executor
-    if getattr(args, "_telemetry", None) is None:
-        from repro.obs import TelemetryExecutor
+    """With ``--obs``, ``executor`` reporting to a
+    :class:`~repro.obs.TelemetryRecorder` until :func:`_write_telemetry`
+    flushes it — one recorder per target or campaign run."""
+    if args.obs and getattr(args, "_telemetry", None) is None:
+        from repro.obs import TelemetryRecorder
 
-        args._telemetry = TelemetryExecutor(executor)
-    return args._telemetry
+        args._telemetry = TelemetryRecorder(executor)
+        executor.attach(args._telemetry)
+    return executor
 
 
 def _write_telemetry(args, path: str, **meta) -> None:
-    """Flush the ``--obs`` telemetry wrapper (if any runs happened)."""
+    """Flush the ``--obs`` telemetry recorder (if any runs happened)."""
     telemetry = getattr(args, "_telemetry", None)
     if telemetry is None:
         return
@@ -183,6 +176,7 @@ def _write_telemetry(args, path: str, **meta) -> None:
 
     write_runtime_telemetry(path, telemetry.snapshot(), meta=meta)
     print(f"runtime telemetry written to {path}")
+    telemetry.executor.detach(telemetry)
     args._telemetry = None
 
 
@@ -587,15 +581,13 @@ def _scenario_run(args) -> int:
     # Obs runs bypass the cache: a cache hit would skip the simulation
     # and leave no artifacts behind.
     cache = None if args.obs else _cache(args)
-    batch = run_batch([spec], executor=_observed(args, _executor(args)),
-                      cache=cache)
+    batch = run_batch([spec], executor=_executor(args), cache=cache)
     print(f"{spec.label()}  [{spec.content_hash[:12]}]")
     print(_format_run_result(batch.results[0]))
     print(f"[runtime: {batch.manifest.summary()}]")
     if args.obs:
         print(f"obs artifacts in {args.obs} (stem {spec.base_hash[:12]}); "
               f"view with: repro obs report {args.obs}")
-        args._telemetry = None  # single spec: the batch log adds nothing
     return 0
 
 
@@ -964,7 +956,8 @@ def _chaos_run(args) -> int:
 
     The chaos campaign runs in ``--out DIR`` (default
     ``chaos/<campaign>``), entirely separate from the regular campaign
-    and cache directories — a chaos run must never corrupt real state.
+    and cache directories — a chaos run must never corrupt real state —
+    and each run starts its legs there afresh.
     Agent kill/hang faults need forked agents, so it runs at least two.
     """
     import os as _os
@@ -983,7 +976,6 @@ def _chaos_run(args) -> int:
         jobs=_jobs(args, floor=2),
         retries=2 if args.retries is None else args.retries,
         timeout=3.0 if args.timeout is None else args.timeout,
-        dispatch=args.dispatch is not None,
         progress=progress,
     )
     print(report.summary())
@@ -1514,8 +1506,6 @@ VERBS: dict[str, Command | Verb] = {
                 _flag("--timeout", help="per-simulation budget (default 3.0)"),
                 _flag("--out", help="chaos state directory (default "
                       "chaos/<campaign>)"),
-                _flag("--dispatch", choices=["local"], metavar=None,
-                      help="add the network-fault dispatch legs"),
                 _flag("--progress", help="print each stage event"),
             )),
             "plan": Command(_chaos_plan, "print a fault plan as JSON",

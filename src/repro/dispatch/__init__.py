@@ -10,9 +10,8 @@ worker agents through a lease-granting broker:
   same :func:`~repro.runtime.spec.execute_spec` + cache machinery as
   every other executor;
 * :class:`LocalTransport` / :class:`HttpTransport` — in-process
-  (deterministic, chaos-injectable) and localhost-HTTP (stdlib-only)
-  broker access, both retried under a deterministic
-  :class:`~repro.resilience.RetryPolicy`;
+  (deterministic) and localhost-HTTP (stdlib-only, retried under a
+  deterministic :class:`~repro.resilience.RetryPolicy`) broker access;
 * :class:`BrokerServer` — the ``http.server`` face for real multi-
   process runs (``repro dispatch serve`` / ``repro dispatch work``);
 * :class:`DispatchExecutor` — all of the above behind the standard
@@ -22,8 +21,9 @@ worker agents through a lease-granting broker:
 
 Because results are sha256-sealed and ingestion is keyed on spec
 content hashes, a distributed run converges to byte-identical stage
-digests no matter how the network misbehaves — which is exactly what
-the ``repro chaos run --dispatch`` leg asserts.
+digests no matter how the network misbehaves — which chaos runs assert
+with lost, duplicated and delayed calls and partitioned agents riding
+the broker's leases.
 """
 
 from repro._lazy import lazy_exports

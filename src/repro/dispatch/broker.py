@@ -97,7 +97,7 @@ class _Task:
     spec_json: dict
     label: str
     #: Submission serial: global, in submit order, never reused.
-    #: Agent-side chaos faults key on it (plus ``attempts``).
+    #: Lease faults key on it (plus ``attempts``).
     serial: int
     status: str = "queued"  # queued | leased | done | failed
     attempts: int = 0
@@ -133,6 +133,10 @@ class Broker:
     #: observability seam.  ``None`` (the default) costs one ``is not
     #: None`` check per lifecycle event and nothing else.
     journal: object | None = None
+    #: Optional :class:`~repro.resilience.FaultInjector` — the chaos
+    #: seam: each granted lease carries the faults its agent must act
+    #: out.  HTTP brokers run without one.
+    faults: object | None = None
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -277,19 +281,20 @@ class Broker:
                 worker=task.worker,
                 attempt=task.attempts,
             )
-        return {
-            "task": {
-                "spec_hash": spec_hash,
-                "spec": task.spec_json,
-                "label": task.label,
-                "lease": task.lease_token,
-                "lease_index": index,
-                "serial": task.serial,
-                "attempt": task.attempts,
-                "lease_seconds": self.lease_seconds,
-                "trace": task.trace,
-            }
+        granted = {
+            "spec_hash": spec_hash,
+            "spec": task.spec_json,
+            "label": task.label,
+            "lease": task.lease_token,
+            "lease_index": index,
+            "serial": task.serial,
+            "attempt": task.attempts,
+            "lease_seconds": self.lease_seconds,
+            "trace": task.trace,
         }
+        if self.faults is not None:
+            granted["faults"] = self.faults.lease_faults(task.serial, task.attempts)
+        return {"task": granted}
 
     def _op_heartbeat(self, payload: dict) -> dict:
         spec_hash = payload.get("spec_hash", "")

@@ -11,9 +11,10 @@ use it unchanged.  Two modes, selected by the ``target``:
     drives round-robin :class:`~repro.dispatch.worker.WorkerAgent`\\ s
     over :class:`~repro.dispatch.transport.LocalTransport`.  Fully
     deterministic (lease expiry happens by advancing the manual clock,
-    never by wall time), which is what lets the chaos harness assert
-    byte-identical convergence.  A directory target additionally
-    persists every accepted result as a sha256-addressed artifact.
+    never by wall time), so a run under ``faults`` — every lease fault
+    acted out by an in-process agent — converges byte-identically.  A
+    directory target additionally persists every accepted result as a
+    sha256-addressed artifact.
 
 ``http://...`` — **HTTP mode**: specs are submitted to a remote
     :class:`~repro.dispatch.httpd.BrokerServer` and results polled
@@ -33,7 +34,6 @@ from __future__ import annotations
 import time
 
 from repro.errors import TransportError
-from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.runtime.executor import LeaseExecutor
 from repro.dispatch.broker import Broker
@@ -55,12 +55,12 @@ class DispatchExecutor(LeaseExecutor):
         jobs: int | None = None,
         retry: RetryPolicy | None = None,
         timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
+        faults=None,
         journal_dir: str | None = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
-        super().__init__(jobs or 2, retry, timeout, fault_plan)
+        super().__init__(jobs or 2, retry, timeout, faults)
         self.target = target
         #: When set, the local broker and every recruited agent journal
         #: their lifecycle events under this directory (one
@@ -97,9 +97,7 @@ class DispatchExecutor(LeaseExecutor):
         if self.remote or self._broker is not None:
             return
         self._local_broker(
-            faults=self.injector,
-            artifact_dir=self.target,
-            journal=self._journal_writer("broker"),
+            artifact_dir=self.target, journal=self._journal_writer("broker")
         )
 
     def _recruit(self):
@@ -107,9 +105,8 @@ class DispatchExecutor(LeaseExecutor):
 
         worker_id = f"local-{len(self._agents)}"
         return WorkerAgent(
-            LocalTransport(self._broker, faults=self.injector),
+            LocalTransport(self._broker),
             worker_id=worker_id,
-            faults=self.injector,
             journal=self._journal_writer(worker_id),
         )
 

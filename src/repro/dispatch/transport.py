@@ -4,23 +4,21 @@ Every transport presents one method — ``call(op, payload) -> response``
 — mirroring :meth:`~repro.dispatch.broker.Broker.handle`, so the
 worker agent and the executor are transport-agnostic.
 
-:class:`LocalTransport` calls a :class:`Broker` in-process.  It is the
-deterministic, test-friendly face of the protocol *and* the seam where
-network chaos is injected: before every call it consults the fault
-injector, and a ``drop_request``/``partition_worker`` fault makes the
-call behave exactly like a lost datagram — retried under the
-:class:`~repro.resilience.RetryPolicy`, then surfaced as
-:class:`~repro.errors.TransportError` once the budget is gone.
+:class:`LocalTransport` calls a :class:`Broker` in-process: the
+deterministic, test-friendly face of the protocol.
 
 :class:`HttpTransport` speaks JSON-over-POST to a
 :class:`~repro.dispatch.httpd.BrokerServer` using only the stdlib
 (``urllib``).  Protocol errors (HTTP 4xx — the broker rejected the
 call) raise :class:`~repro.errors.DispatchError` immediately; network
-errors (timeouts, refused connections, 5xx) are retried with the same
+errors (timeouts, refused connections, 5xx) are retried with a
 deterministic backoff before giving up.
 
 :class:`PipeTransport` is a forked agent's end of the pipe to the
 parallel executor, which answers each call from its in-parent broker.
+
+No transport injects faults: chaos faults ride the lease the broker
+grants, and the agent acts them out over whichever transport it has.
 """
 
 from __future__ import annotations
@@ -29,13 +27,10 @@ import json
 import time
 
 from repro.errors import DispatchError, TransportError
-from repro.resilience.faults import FaultInjector
 from repro.resilience.policy import RetryPolicy
 
-#: Transport retry default: a handful of quick attempts.  The local
-#: transport zeroes the backoff (faults are counter-keyed, not timed);
-#: the HTTP transport keeps a short real backoff for socket races.
-LOCAL_RETRY = RetryPolicy(max_attempts=4, backoff_base=0.0, jitter=0.0)
+#: HTTP transport retry default: a handful of attempts with a short
+#: real backoff for socket races.
 HTTP_RETRY = RetryPolicy(max_attempts=4, backoff_base=0.05, backoff_max=0.5)
 
 
@@ -50,52 +45,16 @@ class Transport:
 
 
 class LocalTransport(Transport):
-    """In-process broker calls with counter-keyed fault injection."""
+    """In-process broker calls."""
 
-    def __init__(
-        self,
-        broker,
-        *,
-        faults: FaultInjector | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, broker) -> None:
         self.broker = broker
-        self.faults = faults
-        self.retry = retry or LOCAL_RETRY
 
     def describe(self) -> str:
         return "local"
 
     def call(self, op: str, payload: dict) -> dict:
-        attempt = 0
-        while True:
-            fault = (
-                self.faults.fire_transport_fault(op)
-                if self.faults is not None
-                else None
-            )
-            if fault is None:
-                return self.broker.handle(op, payload)
-            if fault.kind == "delay_response":
-                time.sleep(fault.seconds)
-                return self.broker.handle(op, payload)
-            if fault.kind == "duplicate_result":
-                # The network delivered the completion twice: the first
-                # ingestion is real, the replay must be absorbed as an
-                # idempotent no-op by the broker.
-                response = self.broker.handle(op, payload)
-                self.broker.handle(op, payload)
-                return response
-            # drop_request / partition_worker: the call never arrives.
-            if not self.retry.should_retry(attempt):
-                raise TransportError(
-                    f"broker call {op!r} lost after {attempt + 1} attempts "
-                    f"(injected {fault.kind})"
-                )
-            delay = self.retry.delay(op, attempt)
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
+        return self.broker.handle(op, payload)
 
 
 class PipeTransport(Transport):
@@ -103,8 +62,7 @@ class PipeTransport(Transport):
 
     The executor holds a claim against an empty queue until work is
     submitted, so an idle agent blocks here instead of polling.  A
-    ``None`` reply means the executor has released the agent.  There
-    is no fault seam: network chaos stays on :class:`LocalTransport`.
+    ``None`` reply means the executor has released the agent.
     """
 
     def __init__(self, conn) -> None:

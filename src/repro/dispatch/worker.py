@@ -20,17 +20,18 @@ Results are also written into the agent's local
 that claims a spec it has seen before answers from cache without
 re-simulating — the same location-independence the executors rely on.
 
-Chaos plans reach the agent as a :class:`FaultInjector`: right after a
-claim it fires the agent faults keyed on the task's submission serial
-and attempt (kill and hang only in a forked agent).
+Chaos faults ride the lease: a chaos run's broker stamps the granted
+task with the faults its agent acts out (see :mod:`repro.resilience.faults`).
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 from repro.errors import TransportError
-from repro.resilience.faults import FaultInjector, InjectedFault
+from repro.resilience.faults import InjectedFault
 from repro.runtime import executor as runtime_executor
 from repro.runtime.cache import ResultCache, payload_sha256
 from repro.runtime.spec import RunSpec
@@ -45,13 +46,15 @@ class WorkerAgent:
         *,
         worker_id: str = "worker-0",
         cache: ResultCache | None = None,
-        faults: FaultInjector | None = None,
+        forked: bool = False,
         journal=None,
     ) -> None:
         self.transport = transport
         self.worker_id = worker_id
         self.cache = cache
-        self.faults = faults
+        #: Whether the agent owns its process, so a stamped kill or hang
+        #: may act on it; an in-process agent reads either as a vanish.
+        self.forked = forked
         #: Optional :class:`~repro.obs.fleet.JournalWriter`; ``None``
         #: costs one ``is not None`` check per lifecycle event.
         self.journal = journal
@@ -62,6 +65,7 @@ class WorkerAgent:
             "cache_hits": 0,
             "errors": 0,
             "abandoned": 0,
+            "resent": 0,
         }
 
     def _record(self, event: str, trace, spec_hash: str, **data) -> None:
@@ -80,8 +84,9 @@ class WorkerAgent:
 
         Returns ``"idle"`` (queue empty), ``"done"`` (completed ok),
         ``"error"`` (spec failed, reported), ``"abandoned"`` (lease
-        lost before execution) or ``"vanished"`` (a chaos plan removed
-        this agent; it must not touch the broker again).
+        lost before execution) or ``"vanished"`` (a chaos fault removed
+        this agent; it must not touch the broker again).  A partition
+        stamped on the lease raises :class:`TransportError`.
         """
         if self.vanished:
             return "vanished"
@@ -93,17 +98,28 @@ class WorkerAgent:
         spec_hash = task["spec_hash"]
         lease = task["lease"]
         trace = task.get("trace")
-        if self.faults is not None:
-            try:
-                if self.faults.fire_task_faults(task["serial"], task["attempt"]):
-                    # The agent dies holding the lease: no completion, no
-                    # heartbeat.  Recovery is the broker's job (lease
-                    # expiry), or the executor's when the agent is forked.
-                    self.vanished = True
-                    return "vanished"
-            except InjectedFault as error:
-                self._complete_error(spec_hash, lease, repr(error), trace)
-                return "error"
+        faults = {fault["kind"]: fault["seconds"] for fault in task.get("faults", ())}
+        if self._falls(faults):
+            # The agent is gone holding the lease: no heartbeat, no
+            # completion.  The lease expires (in-process), or the
+            # agent's exit reads as a crash (forked).
+            self.vanished = True
+            return "vanished"
+        if "spec_error" in faults:
+            error = InjectedFault(
+                f"injected spec_error at task {task['serial']} "
+                f"attempt {task['attempt']}"
+            )
+            self._complete_error(spec_hash, lease, repr(error), trace)
+            return "error"
+        if "partition_worker" in faults:
+            self.counters["abandoned"] += 1
+            raise TransportError(
+                f"every call on lease {lease} lost (injected partition_worker)"
+            )
+        if "drop_request" in faults:
+            # The lease's next call is lost on the way; the agent resends it.
+            self.counters["resent"] += 1
         if self.journal is not None:
             self._record("worker.claim", trace, spec_hash, lease=lease)
         try:
@@ -153,21 +169,37 @@ class WorkerAgent:
             if self.cache is not None:
                 self.cache.put(spec, result)
         result_json = result.to_json()
-        self.transport.call(
-            "complete",
-            {
-                "spec_hash": spec_hash,
-                "lease": lease,
-                "worker": self.worker_id,
-                "status": "ok",
-                "result": result_json,
-                "payload_sha256": payload_sha256(result_json),
-            },
-        )
+        completion = {
+            "spec_hash": spec_hash,
+            "lease": lease,
+            "worker": self.worker_id,
+            "status": "ok",
+            "result": result_json,
+            "payload_sha256": payload_sha256(result_json),
+        }
+        if "delay_response" in faults:
+            time.sleep(faults["delay_response"])
+        self.transport.call("complete", completion)
+        if "duplicate_result" in faults:
+            # The network delivered the completion twice: the broker
+            # must absorb the replay as an idempotent no-op.
+            self.transport.call("complete", completion)
         self.counters["completed"] += 1
         if self.journal is not None:
             self._record("worker.complete", trace, spec_hash, lease=lease)
         return "done"
+
+    def _falls(self, faults: dict) -> bool:
+        """Act out a stamped kill, hang or vanish; True if the agent is gone."""
+        if self.forked:
+            if "worker_kill" in faults:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if "worker_hang" in faults:
+                time.sleep(faults["worker_hang"])
+                return "worker_vanish" in faults
+        return not faults.keys().isdisjoint(
+            ("worker_kill", "worker_hang", "worker_vanish")
+        )
 
     def _complete_error(self, spec_hash: str, lease: str, detail: str, trace) -> None:
         self.counters["errors"] += 1

@@ -11,8 +11,9 @@ The layer has four parts, all off by default and free when off:
 * :mod:`repro.obs.metricsfmt` / :mod:`repro.obs.chrometrace` — the
   versioned JSONL metrics format and the Perfetto-loadable Chrome
   trace exporter;
-* :mod:`repro.obs.telemetry` — :class:`TelemetryExecutor` and the
-  campaign ``--progress`` heartbeat;
+* :mod:`repro.obs.telemetry` — :class:`TelemetryRecorder`, which
+  records what an executor reports, and the campaign ``--progress``
+  heartbeat;
 * :mod:`repro.obs.fleet` — dispatch-layer observability: structured
   event journals, content-hash-derived trace correlation, fleet
   Chrome traces and the ``repro fleet`` / ``repro campaign watch``
@@ -68,7 +69,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".telemetry": (
             "TELEMETRY_FORMAT",
             "TELEMETRY_VERSION",
-            "TelemetryExecutor",
+            "TelemetryRecorder",
             "heartbeat_printer",
             "write_runtime_telemetry",
         ),

@@ -1,14 +1,13 @@
-"""Runtime telemetry: the recording executor wrapper and heartbeats.
+"""Runtime telemetry: the executor's batch recorder and heartbeats.
 
-:class:`TelemetryExecutor` wraps any :class:`~repro.runtime.executor.
-Executor` and records, per batch, what the runtime actually did —
+:class:`TelemetryRecorder` records, per batch, what an executor
+reports to it (see :meth:`~repro.runtime.executor.Executor.attach`) —
 simulated vs cache-hit counts, wall time, the resilience counters, and
-a per-spec completion log with offsets from batch start.  Results pass
-through untouched, so the wrapped executor stays bit-compatible with
-the bare one.  The CLI's ``--obs`` flag keeps one wrapper per command
-and writes its :meth:`~TelemetryExecutor.snapshot` next to reports;
-the campaign runner keeps one per stage and stores
-:meth:`~TelemetryExecutor.shard_record` in the manifest after every
+a per-spec completion log with offsets from batch start.  Recording
+never touches results.  The CLI's ``--obs`` flag attaches one per
+command and writes its :meth:`~TelemetryRecorder.snapshot` next to
+reports; the campaign runner attaches one per stage and stores
+:meth:`~TelemetryRecorder.shard_record` in the manifest after every
 shard.
 
 :func:`heartbeat_printer` builds the per-simulation progress callback
@@ -26,9 +25,6 @@ import os
 import time
 from collections.abc import Callable
 
-from repro.errors import ExecutionFailed
-from repro.runtime.executor import Executor
-
 TELEMETRY_FORMAT = "repro-obs-telemetry"
 TELEMETRY_VERSION = 1
 
@@ -37,25 +33,20 @@ _SUMMED = ("simulated", "cache_hits", "elapsed_seconds", "retries", "failures",
            "worker_deaths", "timeouts")
 
 
-class TelemetryExecutor(Executor):
-    """Pass-through executor wrapper that records batch telemetry.
+class TelemetryRecorder:
+    """Records the specs and batches ``executor`` reports once attached.
 
-    A batch that raises :class:`~repro.errors.ExecutionFailed` is still
-    logged, from the error's partial outcome, before the error
-    propagates.  ``heartbeat(stage, done, total, label, cached)``, when
-    given, is called once per completed spec with the current
-    ``stage``.
+    A batch that raises :class:`~repro.errors.ExecutionFailed` is
+    reported too, from its partial outcome.  ``heartbeat(stage, done,
+    total, label, cached)``, when given, is called once per completed
+    spec with ``stage``.
     """
 
-    def __init__(self, inner: Executor, *, heartbeat=None) -> None:
-        self.inner = inner
-        self.jobs = inner.jobs
+    def __init__(self, executor, *, heartbeat=None, stage: str = "") -> None:
+        self.executor = executor
         self.heartbeat = heartbeat
-        self.stage = ""
+        self.stage = stage
         self.reset()
-
-    def describe(self) -> str:
-        return f"telemetry({self.inner.describe()})"
 
     def reset(self) -> None:
         """Forget everything recorded so far (the runner's per shard)."""
@@ -68,37 +59,24 @@ class TelemetryExecutor(Executor):
         #: ``fleet`` snapshot) are point-in-time, so the last one wins.
         self.dispatch: dict = {}
 
-    def run(self, specs, *, cache=None, progress=None):
-        batch_index = len(self.batches)
-        started = time.perf_counter()
+    def on_spec(self, done, total, spec, cached, at_seconds) -> None:
+        self.completions.append(
+            {
+                "batch": len(self.batches),
+                "label": spec.label(),
+                "spec_hash": spec.content_hash[:12],
+                "cached": cached,
+                "at_seconds": round(at_seconds, 6),
+            }
+        )
+        if self.heartbeat is not None:
+            self.heartbeat(self.stage, done, total, spec.label(), cached)
 
-        def observe(done, total, spec, cached):
-            self.completions.append(
-                {
-                    "batch": batch_index,
-                    "label": spec.label(),
-                    "spec_hash": spec.content_hash[:12],
-                    "cached": cached,
-                    "at_seconds": round(time.perf_counter() - started, 6),
-                }
-            )
-            if self.heartbeat is not None:
-                self.heartbeat(self.stage, done, total, spec.label(), cached)
-            if progress is not None:
-                progress(done, total, spec, cached)
-
-        try:
-            outcome = self.inner.run(specs, cache=cache, progress=observe)
-        except ExecutionFailed as error:
-            if error.outcome is not None:
-                self._log(specs, error.outcome)
-            self.spec_failures += len(error.failures)
-            raise
-        self.spec_hashes.extend(spec.content_hash for spec in specs)
-        self._log(specs, outcome)
-        return outcome
-
-    def _log(self, specs, outcome) -> None:
+    def on_batch(self, specs, outcome, failed=()) -> None:
+        if failed:
+            self.spec_failures += len(failed)
+        else:
+            self.spec_hashes.extend(spec.content_hash for spec in specs)
         self.batches.append(
             {
                 "specs": len(specs),
@@ -132,8 +110,8 @@ class TelemetryExecutor(Executor):
     def snapshot(self) -> dict:
         """Aggregated counters plus the raw batch/completion logs."""
         return {
-            "executor": self.inner.describe(),
-            "jobs": self.jobs,
+            "executor": self.executor.describe(),
+            "jobs": self.executor.jobs,
             "batches": list(self.batches),
             "completions": list(self.completions),
             "totals": self._totals(),

@@ -10,8 +10,10 @@ the same stance.  Three pieces:
   broker behind every parallel executor charges crashes, timeouts and
   spec errors against the policy's attempt budget.
 * :mod:`~repro.resilience.faults` — seeded, counter-keyed
-  :class:`FaultPlan`\\ s (worker kill/hang, spec/adapter errors,
-  cache corruption, torn manifest writes) so chaos is reproducible.
+  :class:`FaultPlan`\\ s (agent kill/hang/vanish, lost, duplicated
+  and delayed calls, partitions, spec/adapter errors, cache
+  corruption, torn manifest writes) so chaos is reproducible; one
+  :class:`FaultInjector` per run decides them all, in the parent.
 * :mod:`~repro.resilience.chaos` — the three-leg harness proving a
   killed/corrupted/hung campaign converges to digests byte-identical
   to an undisturbed serial run.

@@ -3,15 +3,17 @@
 The harness runs one campaign three ways inside a chaos directory:
 
 1. **reference** — serial, no cache, no faults: the ground truth.
-2. **chaos** — parallel under a :class:`FaultPlan`: forked agents are
-   SIGKILLed and hung, specs and adapters raise, cache blobs are
-   corrupted as they are written, a manifest save is torn, and the run
-   is interrupted mid-campaign.  Between the legs the harness also
-   corrupts one at-rest cache blob and one shard artifact.
+2. **chaos** — parallel under a :class:`FaultPlan`, interrupted
+   mid-campaign: forked agents are SIGKILLed, hung, partitioned off or
+   vanish holding their lease, calls are lost, duplicated and delayed,
+   specs and adapters raise, cache blobs are corrupted as they are
+   written and a manifest save is torn.  Between the legs the harness
+   also corrupts one at-rest cache blob and one shard artifact.
 3. **resume** — the same plan minus the interrupt, continuing from the
    (recovered) checkpoint to completion.
 
-Convergence means :func:`~repro.campaign.runner.stage_digests` of the
+Convergence means every stage completed, every fault kind the plan
+names fired, and :func:`~repro.campaign.runner.stage_digests` of the
 resumed chaos manifest equals the reference's, byte for byte — every
 retry, quarantine and checkpoint fallback notwithstanding.  Because
 fault plans are deterministic (every fault keys on a counter, never on
@@ -22,7 +24,9 @@ lets CI assert it.
 from __future__ import annotations
 
 import json
+import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +34,7 @@ from repro.campaign import get_campaign
 from repro.campaign.runner import CampaignRunner, stage_digests
 from repro.campaign.spec import CampaignSpec
 from repro.errors import CampaignInterrupted
-from repro.resilience.faults import BUILTIN_PLANS, FaultInjector, FaultPlan
+from repro.resilience.faults import BUILTIN_PLANS, FaultInjector, FaultPlan, load_plan
 from repro.resilience.policy import RetryPolicy
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
@@ -51,29 +55,18 @@ class ChaosReport:
     fired: dict[str, int]
     resilience: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
-    # Dispatch legs (4/5): a distributed run under network faults must
-    # converge to the same reference digests.  Defaults mean "not run".
-    dispatch_ran: bool = False
-    dispatch_identical: bool = True
-    dispatch_complete: bool = True
-    dispatch_interrupted: bool = False
-    dispatch_mismatched: list[str] = field(default_factory=list)
-    dispatch_digests: dict = field(default_factory=dict)
-    dispatch_counters: dict = field(default_factory=dict)
+
+    @property
+    def unfired(self) -> list[str]:
+        """Fault kinds the plan names that never fired: untested."""
+        return sorted({fault.kind for fault in self.plan.faults} - set(self.fired))
 
     @property
     def converged(self) -> bool:
-        return (
-            self.identical
-            and self.complete
-            and (
-                not self.dispatch_ran
-                or (self.dispatch_identical and self.dispatch_complete)
-            )
-        )
+        return self.identical and self.complete and not self.unfired
 
     def to_json(self) -> dict:
-        payload = {
+        return {
             "campaign": self.campaign,
             "plan": self.plan.to_json(),
             "converged": self.converged,
@@ -87,16 +80,6 @@ class ChaosReport:
             "resilience": dict(self.resilience),
             "wall_seconds": round(self.wall_seconds, 3),
         }
-        if self.dispatch_ran:
-            payload["dispatch"] = {
-                "identical": self.dispatch_identical,
-                "complete": self.dispatch_complete,
-                "interrupted": self.dispatch_interrupted,
-                "mismatched": list(self.dispatch_mismatched),
-                "digests": dict(self.dispatch_digests),
-                "counters": dict(self.dispatch_counters),
-            }
-        return payload
 
     def summary(self) -> str:
         verdict = "CONVERGED" if self.converged else "DIVERGED"
@@ -111,87 +94,50 @@ class ChaosReport:
         ]
         if self.mismatched:
             lines.append(f"  MISMATCHED: {', '.join(sorted(self.mismatched))}")
-        if self.dispatch_ran:
-            n = len(self.reference_digests) - len(self.dispatch_mismatched)
-            lines.insert(
-                -1,
-                "  dispatch leg: "
-                f"identical {n}/{len(self.reference_digests)}, "
-                f"counters {json.dumps(self.dispatch_counters, sort_keys=True)}",
-            )
-            if self.dispatch_mismatched:
-                lines.append(
-                    "  DISPATCH MISMATCHED: "
-                    f"{', '.join(sorted(self.dispatch_mismatched))}"
-                )
+        if self.unfired:
+            lines.append(f"  NEVER FIRED: {', '.join(self.unfired)}")
         return "\n".join(lines)
 
 
-def _corrupt_at_rest(cache_root: Path, chaos_dir: Path) -> int:
+def _corrupt_at_rest(cache_root: Path, chaos_dir: Path) -> None:
     """Deterministically damage one cache blob and one shard artifact.
 
     Picks the lexicographically first of each so the disturbance is
-    reproducible; returns how many files were damaged.
+    reproducible.
     """
-    damaged = 0
     blobs = sorted(cache_root.glob("v*/*/*.json"))
     if blobs:
         blobs[0].write_bytes(b'{"cache_version": "tampered"')
-        damaged += 1
     shards = sorted(chaos_dir.glob("artifacts/shards/*.json"))
     if shards:
         data = shards[0].read_bytes()
         shards[0].write_bytes(data[: max(1, len(data) // 2)])
-        damaged += 1
-    return damaged
 
 
-def run_chaos(
-    campaign: CampaignSpec | str,
+def _disturbed_leg(
+    campaign: CampaignSpec,
+    base: Path,
+    plan: FaultPlan,
     *,
-    chaos_dir: str | Path,
-    plan: FaultPlan | str | None = None,
-    jobs: int = 2,
-    retries: int = 2,
-    timeout: float | None = 3.0,
-    dispatch: bool = False,
-    progress=None,
-) -> ChaosReport:
-    """Run the reference/chaos/resume legs and compare digests.
+    jobs: int,
+    retries: int,
+    timeout: float | None,
+    progress,
+):
+    """Run the campaign in ``base/chaos`` under ``plan``, one injector
+    for the executor, the cache and the runner alike.
 
-    With ``dispatch=True`` two more legs run the same campaign through
-    a local :class:`~repro.dispatch.DispatchExecutor` under the
-    network-fault plan (drops, duplicates, delays, a partition and a
-    vanished worker, plus the mid-run interrupt), then resume it —
-    asserting the distributed path converges to the same byte-identical
-    stage digests as the serial reference.
+    Returns the result (``None`` when the plan's interrupt stopped the
+    run) and the faults fired, by kind.
     """
-    if isinstance(campaign, str):
-        campaign = get_campaign(campaign)
-    if plan is None:
-        plan = BUILTIN_PLANS["smoke"]
-    elif isinstance(plan, str):
-        from repro.resilience.faults import load_plan
-
-        plan = load_plan(plan)
-    base = Path(chaos_dir)
-    started = time.perf_counter()
-    retry = RetryPolicy(max_attempts=retries + 1)
-
-    # Leg 1 — undisturbed serial reference, no cache: ground truth.
-    reference = CampaignRunner(
-        campaign, campaign_dir=base / "reference", executor=SerialExecutor()
-    ).run(progress=progress)
-    reference_digests = stage_digests(reference.manifest)
-
-    # Leg 2 — the disturbed run: faults + mid-run interrupt.
-    cache = ResultCache(base / "cache")
     injector = FaultInjector(plan)
+    cache = ResultCache(base / "cache")
     cache.put_hook = injector.on_cache_put
-    fired: dict[str, int] = {}
-    interrupted = False
     executor = ParallelExecutor(
-        jobs=jobs, retry=retry, timeout=timeout, fault_plan=plan
+        jobs=jobs,
+        retry=RetryPolicy(max_attempts=retries + 1),
+        timeout=timeout,
+        faults=injector,
     )
     runner = CampaignRunner(
         campaign,
@@ -202,39 +148,51 @@ def run_chaos(
         faults=injector,
     )
     try:
-        runner.run(progress=progress, stop_after=injector.stop_hook())
+        result = runner.run(progress=progress, stop_after=injector.stop_hook())
     except CampaignInterrupted:
-        interrupted = True
+        result = None
     finally:
         executor.close()
-    for kind, count in injector.summary().items():
-        fired[kind] = fired.get(kind, 0) + count
+    return result, injector.summary()
 
+
+def run_chaos(
+    campaign: CampaignSpec | str,
+    *,
+    chaos_dir: str | Path,
+    plan: FaultPlan | str | None = None,
+    jobs: int = 2,
+    retries: int = 2,
+    timeout: float | None = 3.0,
+    progress=None,
+) -> ChaosReport:
+    """Run the reference/chaos/resume legs and compare digests."""
+    if isinstance(campaign, str):
+        campaign = get_campaign(campaign)
+    if plan is None:
+        plan = BUILTIN_PLANS["smoke"]
+    elif isinstance(plan, str):
+        plan = load_plan(plan)
+    base = Path(chaos_dir)
+    # Every leg starts from nothing: state an earlier run left here would
+    # serve its stages from the manifest, and no fault would fire.
+    for leg_dir in ("reference", "chaos", "cache"):
+        shutil.rmtree(base / leg_dir, ignore_errors=True)
+    started = time.perf_counter()
+    leg = dict(jobs=jobs, retries=retries, timeout=timeout, progress=progress)
+
+    # Leg 1 — undisturbed serial reference, no cache: ground truth.
+    reference = CampaignRunner(
+        campaign, campaign_dir=base / "reference", executor=SerialExecutor()
+    ).run(progress=progress)
+    reference_digests = stage_digests(reference.manifest)
+
+    # Leg 2 — the disturbed run: faults + mid-run interrupt.
+    first, fired = _disturbed_leg(campaign, base, plan, **leg)
     # Between legs: damage data at rest, the way a bad disk would.
     _corrupt_at_rest(base / "cache", base / "chaos")
-
     # Leg 3 — resume to completion under the same faults, no interrupt.
-    resume_plan = plan.without_interrupt()
-    resume_injector = FaultInjector(resume_plan)
-    cache = ResultCache(base / "cache")
-    cache.put_hook = resume_injector.on_cache_put
-    executor = ParallelExecutor(
-        jobs=jobs, retry=retry, timeout=timeout, fault_plan=resume_plan
-    )
-    runner = CampaignRunner(
-        campaign,
-        campaign_dir=base / "chaos",
-        executor=executor,
-        cache=cache,
-        shard_retries=retries,
-        faults=resume_injector,
-    )
-    try:
-        final = runner.run(progress=progress)
-    finally:
-        executor.close()
-    for kind, count in resume_injector.summary().items():
-        fired[kind] = fired.get(kind, 0) + count
+    final, resumed = _disturbed_leg(campaign, base, plan.without_interrupt(), **leg)
 
     chaos_digests = stage_digests(final.manifest)
     mismatched = sorted(
@@ -242,81 +200,18 @@ def run_chaos(
         for name in reference_digests
         if reference_digests[name] != chaos_digests.get(name)
     )
-
-    # Legs 4/5 — the distributed story: the same campaign through the
-    # dispatch layer under network chaos, interrupted, then resumed.
-    dispatch_ran = dispatch
-    dispatch_identical = dispatch_complete = True
-    dispatch_interrupted = False
-    dispatch_mismatched: list[str] = []
-    dispatch_digests: dict[str, str | None] = {}
-    dispatch_counters: dict[str, int] = {}
-    if dispatch:
-        from repro.dispatch import DispatchExecutor
-
-        dplan = plan if plan.network_faults() else BUILTIN_PLANS["dispatch"]
-        for leg_plan, resuming in ((dplan, False), (dplan.without_interrupt(), True)):
-            dcache = ResultCache(base / "dispatch_cache")
-            dexecutor = DispatchExecutor(
-                jobs=jobs, retry=retry, timeout=timeout, fault_plan=leg_plan
-            )
-            dinjector = dexecutor.injector
-            dcache.put_hook = dinjector.on_cache_put
-            drunner = CampaignRunner(
-                campaign,
-                campaign_dir=base / "dispatch",
-                executor=dexecutor,
-                cache=dcache,
-                shard_retries=retries,
-                faults=dinjector,
-            )
-            try:
-                dfinal = drunner.run(
-                    progress=progress,
-                    stop_after=None if resuming else dinjector.stop_hook(),
-                )
-            except CampaignInterrupted:
-                dispatch_interrupted = True
-                dfinal = None
-            finally:
-                if dexecutor._broker is not None:
-                    for key, value in dexecutor._broker.counters.items():
-                        dispatch_counters[key] = dispatch_counters.get(key, 0) + value
-                dexecutor.close()
-            for kind, count in dinjector.summary().items():
-                fired[kind] = fired.get(kind, 0) + count
-            if not resuming:
-                # Same at-rest damage the parallel legs get between runs.
-                _corrupt_at_rest(base / "dispatch_cache", base / "dispatch")
-        dispatch_complete = dfinal is not None and dfinal.complete
-        if dfinal is not None:
-            dispatch_digests = stage_digests(dfinal.manifest)
-        dispatch_mismatched = sorted(
-            name
-            for name in reference_digests
-            if reference_digests[name] != dispatch_digests.get(name)
-        )
-        dispatch_identical = not dispatch_mismatched
-
     report = ChaosReport(
         campaign=campaign.name,
         plan=plan,
         identical=not mismatched,
         complete=final.complete,
-        interrupted=interrupted,
+        interrupted=first is None,
         mismatched=mismatched,
         reference_digests=reference_digests,
         chaos_digests=chaos_digests,
-        fired=fired,
+        fired=dict(Counter(fired) + Counter(resumed)),
         resilience=final.manifest.get("telemetry", {}).get("resilience", {}),
         wall_seconds=time.perf_counter() - started,
-        dispatch_ran=dispatch_ran,
-        dispatch_identical=dispatch_identical,
-        dispatch_complete=dispatch_complete,
-        dispatch_interrupted=dispatch_interrupted,
-        dispatch_mismatched=dispatch_mismatched,
-        dispatch_digests=dispatch_digests,
-        dispatch_counters=dispatch_counters,
     )
     (base / "chaos_report.json").write_text(
         json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",

@@ -25,6 +25,11 @@ structured :class:`~repro.resilience.FailureRecord`, and only after the
 rest of the batch has completed does the executor raise
 :class:`~repro.errors.ExecutionFailed` carrying the records and the
 partial outcome.
+
+Every executor reports each completed spec, and each finished batch
+(a failed one too), to the recorders attached to it — the campaign
+runner's per-stage :class:`~repro.obs.telemetry.TelemetryRecorder`
+and the CLI's ``--obs`` one.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from importlib import import_module
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 
-from repro.errors import ExecutionFailed, TransportError
-from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.errors import DispatchError, ExecutionFailed, TransportError
 from repro.resilience.policy import FailureRecord, RetryPolicy
 from repro.runtime.cache import ResultCache
 from repro.runtime.spec import EXECUTE_SPEC_IMPORTS, RunResult, RunSpec, execute_spec
@@ -82,9 +86,37 @@ class Executor:
     """Interface shared by every executor."""
 
     jobs: int = 1
+    #: What each completed spec and finished batch is reported to: any
+    #: object with ``on_spec`` and ``on_batch`` (see :meth:`attach`).
+    recorders: tuple = ()
+    _trace_context: str | None = None
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def attach(self, recorder) -> None:
+        """Report to ``recorder`` until :meth:`detach`.
+
+        It gets ``on_spec(done, total, spec, cached, at_seconds)`` as
+        each spec's result becomes available and ``on_batch(specs,
+        outcome, failed)`` as each batch ends, where ``failed`` are the
+        permanent failure records of a batch that raises
+        :class:`ExecutionFailed`.
+        """
+        self.recorders = (*self.recorders, recorder)
+
+    def detach(self, recorder) -> None:
+        self.recorders = tuple(r for r in self.recorders if r is not recorder)
+
+    def set_trace_context(self, trace: str | None) -> None:
+        """Pin the trace id stamped on subsequent submits.
+
+        The campaign runner sets this to the stage/shard-derived trace
+        before each shard, so journal records on every actor share one
+        id per shard.  ``None`` reverts to per-batch trace derivation;
+        an executor without a broker stamps nothing.
+        """
+        self._trace_context = trace
 
     def run(
         self,
@@ -107,62 +139,51 @@ class Executor:
 
     # -- shared plumbing ---------------------------------------------
 
-    def _resolve_cached(
-        self,
-        specs: Sequence[RunSpec],
-        cache: ResultCache | None,
-        progress: ProgressCallback | None,
-    ) -> tuple[dict[str, RunResult], list[RunSpec], int, int, int]:
-        """Split a batch into (resolved-by-hash, unique pending specs).
+    def _batch(self, specs, cache, progress) -> _Batch:
+        """A new batch whose completions also reach every recorder."""
+        started = time.perf_counter()
+        recorders = self.recorders
+        if not recorders:
+            return _Batch(specs, cache, progress, started)
 
-        Duplicate specs collapse onto one simulation; counters and the
-        progress callback run over the *unique* specs.  Returns
-        ``(resolved, pending, cache_hits, done, total)``.
-        """
-        unique: dict[str, RunSpec] = {}
-        for spec in specs:
-            unique.setdefault(spec.content_hash, spec)
-        total = len(unique)
-        resolved: dict[str, RunResult] = {}
-        pending: list[RunSpec] = []
-        hits = 0
-        done = 0
-        for key, spec in unique.items():
-            cached = cache.get(spec) if cache is not None else None
-            if cached is not None:
-                resolved[key] = cached
-                hits += 1
-                done += 1
-                if progress is not None:
-                    progress(done, total, spec, True)
-            else:
-                pending.append(spec)
-        return resolved, pending, hits, done, total
-
-    @staticmethod
-    def _ordered(
-        specs: Sequence[RunSpec], resolved: dict[str, RunResult]
-    ) -> list[RunResult]:
-        return [resolved[spec.content_hash] for spec in specs]
-
-    @staticmethod
-    def _simulate_serially(
-        pending: Sequence[RunSpec],
-        resolved: dict[str, RunResult],
-        cache: ResultCache | None,
-        progress: ProgressCallback | None,
-        done: int,
-        total: int,
-    ) -> None:
-        """Execute ``pending`` in-process, with cache write-back."""
-        for spec in pending:
-            result = execute_spec(spec)
-            resolved[spec.content_hash] = result
-            if cache is not None:
-                cache.put(spec, result)
-            done += 1
+        def observe(done, total, spec, cached):
+            at_seconds = time.perf_counter() - started
+            for recorder in recorders:
+                recorder.on_spec(done, total, spec, cached, at_seconds)
             if progress is not None:
-                progress(done, total, spec, False)
+                progress(done, total, spec, cached)
+
+        return _Batch(specs, cache, observe, started)
+
+    def _finish(self, batch: _Batch, **counters) -> ExecutionOutcome:
+        """The batch's outcome, reported to every recorder.
+
+        Raises :class:`ExecutionFailed` (after reporting) when a spec
+        failed permanently.
+        """
+        permanent = [record for record in batch.failures if not record.retried]
+        outcome = ExecutionOutcome(
+            results=[] if permanent else batch.results(),
+            cache_hits=batch.hits,
+            simulated=len(batch.pending) - len(permanent),
+            elapsed_seconds=time.perf_counter() - batch.started,
+            failures=batch.failures,
+            **counters,
+        )
+        for recorder in self.recorders:
+            recorder.on_batch(batch.specs, outcome, permanent)
+        if permanent:
+            names = ", ".join(
+                f"{record.label} ({record.kind})" for record in permanent[:4]
+            )
+            more = len(permanent) - 4
+            raise ExecutionFailed(
+                f"{len(permanent)} spec(s) failed permanently after "
+                f"retries: {names}{f' (+{more} more)' if more > 0 else ''}",
+                failures=permanent,
+                outcome=outcome,
+            )
+        return outcome
 
 
 class SerialExecutor(Executor):
@@ -174,38 +195,58 @@ class SerialExecutor(Executor):
         return "serial"
 
     def run(self, specs, *, cache=None, progress=None):
-        started = time.perf_counter()
-        resolved, pending, hits, done, total = self._resolve_cached(
-            specs, cache, progress
-        )
-        self._simulate_serially(pending, resolved, cache, progress, done, total)
-        return ExecutionOutcome(
-            results=self._ordered(specs, resolved),
-            cache_hits=hits,
-            simulated=len(pending),
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        batch = self._batch(specs, cache, progress)
+        batch.simulate_in_process()
+        return self._finish(batch)
 
 
 class _Batch:
-    """A batch's un-cached specs on their way through a broker."""
+    """One ``run``'s specs on their way to results.
 
-    def __init__(self, pending, resolved, cache, progress, done, total) -> None:
-        self.outstanding = {spec.content_hash: spec for spec in pending}
+    Duplicate specs collapse onto one simulation; counters and the
+    progress callback run over the *unique* specs.  Cache hits land at
+    once; the rest (``pending``) stay ``outstanding`` until a result is
+    absorbed or their last attempt fails.
+    """
+
+    def __init__(self, specs, cache, progress, started: float) -> None:
+        self.specs = specs
+        self.started = started
         self.failures: list[FailureRecord] = []
-        self._resolved = resolved
         self._cache = cache
         self._progress = progress
-        self._done = done
-        self._total = total
+        self._resolved: dict[str, RunResult] = {}
+        unique: dict[str, RunSpec] = {}
+        for spec in specs:
+            unique.setdefault(spec.content_hash, spec)
+        self._total = len(unique)
+        self.outstanding: dict[str, RunSpec] = {}
+        for key, spec in unique.items():
+            cached = cache.get(spec) if cache is not None else None
+            if cached is None:
+                self.outstanding[key] = spec
+            else:
+                self._land(spec, cached, True)
+        self.hits = len(self._resolved)
+        self.pending = list(self.outstanding.values())
+
+    def _land(self, spec: RunSpec, result: RunResult, cached: bool) -> None:
+        self._resolved[spec.content_hash] = result
+        if self._progress is not None:
+            self._progress(len(self._resolved), self._total, spec, cached)
 
     def absorb(self, spec: RunSpec, result: RunResult) -> None:
-        self._resolved[spec.content_hash] = result
         if self._cache is not None:
             self._cache.put(spec, result)
-        self._done += 1
-        if self._progress is not None:
-            self._progress(self._done, self._total, spec, False)
+        self._land(spec, result, False)
+
+    def results(self) -> list[RunResult]:
+        """Results in spec order (duplicates share one)."""
+        return [self._resolved[spec.content_hash] for spec in self.specs]
+
+    def simulate_in_process(self) -> None:
+        for spec in self.pending:
+            self.absorb(spec, execute_spec(spec))
 
     def collect(self, transport) -> bool:
         """Pull settled specs out of the broker; True if any landed.
@@ -257,20 +298,18 @@ class LeaseExecutor(Executor):
         jobs: int,
         retry: RetryPolicy | None,
         timeout: float | None,
-        fault_plan: FaultPlan | None,
+        faults,
     ) -> None:
         self.jobs = jobs
         self.retry = retry or RetryPolicy()
         self.timeout = timeout
-        self.fault_plan = fault_plan
-        #: In-process activation of ``fault_plan``, shared by every
-        #: in-process agent so each fault fires once.
-        self.injector = FaultInjector(fault_plan) if fault_plan else None
+        #: A chaos run's :class:`~repro.resilience.FaultInjector`, handed
+        #: to the in-parent broker, which stamps each lease it grants.
+        self.faults = faults
         self._broker = None  # an in-parent broker, when there is one
         self._transport = None  # how ``run`` reaches the broker
         self._agents: list = []  # in-process WorkerAgents
         self._fallback: ParallelExecutor | None = None
-        self._trace_context: str | None = None
 
     # -- hooks ----------------------------------------------------------
 
@@ -282,15 +321,6 @@ class LeaseExecutor(Executor):
         return {}
 
     # -- lifecycle ------------------------------------------------------
-
-    def set_trace_context(self, trace: str | None) -> None:
-        """Pin the trace id stamped on subsequent submits.
-
-        The campaign runner sets this to the stage/shard-derived trace
-        before each shard, so journal records on every actor share one
-        id per shard.  ``None`` reverts to per-batch trace derivation.
-        """
-        self._trace_context = trace
 
     def close(self, *, force: bool = False) -> None:
         """Drop the broker and agents (idempotent; a later run rebuilds)."""
@@ -305,7 +335,7 @@ class LeaseExecutor(Executor):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(force=exc_type is not None)
 
-    def _local_broker(self, *, faults=None, **options) -> None:
+    def _local_broker(self, **options) -> None:
         """An in-parent broker on a manual clock, reached in-process."""
         from repro.dispatch.broker import Broker, ManualClock
         from repro.dispatch.transport import LocalTransport
@@ -314,31 +344,23 @@ class LeaseExecutor(Executor):
             lease_seconds=LEASE_SECONDS,
             retry=self.retry,
             clock=ManualClock(),
+            faults=self.faults,
             **options,
         )
-        self._transport = LocalTransport(self._broker, faults=faults)
+        self._transport = LocalTransport(self._broker)
 
     # -- execution ------------------------------------------------------
 
     def run(self, specs, *, cache=None, progress=None):
-        started = time.perf_counter()
-        resolved, pending, hits, done, total = self._resolve_cached(
-            specs, cache, progress
-        )
-        if not self._leased(pending):
-            self._simulate_serially(pending, resolved, cache, progress, done, total)
-            return ExecutionOutcome(
-                results=self._ordered(specs, resolved),
-                cache_hits=hits,
-                simulated=len(pending),
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        batch = _Batch(pending, resolved, cache, progress, done, total)
+        batch = self._batch(specs, cache, progress)
+        if not self._leased(batch.pending):
+            batch.simulate_in_process()
+            return self._finish(batch)
         deaths, timeouts = self.worker_deaths, self.timeouts
         self._connect()
         before = self._counters()
         try:
-            self._submit(pending)
+            self._submit(batch.pending)
             self._collect(batch)
         except TransportError:
             pass  # the broker became unreachable: the rest degrades
@@ -359,31 +381,14 @@ class LeaseExecutor(Executor):
         leftovers = list(batch.outstanding.values())
         if leftovers:
             self._run_fallback(leftovers, batch)
-        permanent = [record for record in batch.failures if not record.retried]
-        outcome = ExecutionOutcome(
-            results=[] if permanent else self._ordered(specs, resolved),
-            cache_hits=hits,
-            simulated=len(pending) - len(permanent),
-            elapsed_seconds=time.perf_counter() - started,
-            failures=batch.failures,
+        return self._finish(
+            batch,
             retries=counters.get("task_retries", 0),
             worker_deaths=self.worker_deaths - deaths,
             timeouts=self.timeouts - timeouts,
             degraded=self.degraded or bool(leftovers),
             dispatch=self._dispatch_telemetry(counters, leftovers),
         )
-        if permanent:
-            names = ", ".join(
-                f"{record.label} ({record.kind})" for record in permanent[:4]
-            )
-            more = len(permanent) - 4
-            raise ExecutionFailed(
-                f"{len(permanent)} spec(s) failed permanently after "
-                f"retries: {names}{f' (+{more} more)' if more > 0 else ''}",
-                failures=permanent,
-                outcome=outcome,
-            )
-        return outcome
 
     def _submit(self, pending: Sequence[RunSpec]) -> None:
         from repro.obs.fleet.spans import batch_trace_id
@@ -471,17 +476,16 @@ class _Forked:
         self.deadline: float | None = None
 
 
-def _agent_main(conn, fault_plan: FaultPlan | None, worker_id: str) -> None:
+def _agent_main(conn, worker_id: str) -> None:
     """A forked agent: claim, run and complete tasks until released."""
     from repro.dispatch.transport import PipeTransport
     from repro.dispatch.worker import WorkerAgent
 
-    faults = FaultInjector(fault_plan, in_worker=True) if fault_plan else None
-    agent = WorkerAgent(PipeTransport(conn), worker_id=worker_id, faults=faults)
+    agent = WorkerAgent(PipeTransport(conn), worker_id=worker_id, forked=True)
     try:
         agent.run()
-    except (EOFError, OSError):
-        pass  # released, or the executor is gone
+    except (EOFError, OSError, TransportError):
+        pass  # released, the executor is gone, or a stamped partition
 
 
 def _reap(processes: list) -> None:
@@ -508,19 +512,22 @@ class ParallelExecutor(LeaseExecutor):
     ``timeout``
         Per-spec wall-clock budget in seconds; an agent running past
         it is killed and its lease charged as a ``timeout``.
-    ``fault_plan``
-        A :class:`~repro.resilience.FaultPlan` for chaos runs; each
-        agent fires its agent-side faults after a claim.
+    ``faults``
+        A chaos run's :class:`~repro.resilience.FaultInjector`; the
+        broker stamps each granted lease with the faults its agent
+        acts out.
 
     An agent that dies (its pipe reads EOF) is replaced, and its lease
     is completed as a ``crash`` error, so the retry budget charges the
-    spec.  After ``max(3, 2 * jobs)`` agent deaths the executor
-    degrades for good: the batch finishes on one in-process agent,
-    where kill and hang faults do not fire.
+    spec.  An agent that a stamped vanish or partition takes off its
+    lease exits, so it reads as a crash too.  After ``max(3, 2 *
+    jobs)`` agent deaths the executor degrades for good: the batch
+    finishes on one in-process agent, where a stamped kill or hang
+    reads as a vanish.
 
-    With ``jobs=1`` (or a single pending spec and no timeout or fault
-    plan) the batch runs plainly in-process and nothing is forked, so
-    ``--jobs 1`` stays an honest serial baseline.
+    With ``jobs=1`` (or a single pending spec and no timeout or
+    faults) the batch runs plainly in-process and nothing is forked,
+    so ``--jobs 1`` stays an honest serial baseline.
     """
 
     def __init__(
@@ -529,11 +536,11 @@ class ParallelExecutor(LeaseExecutor):
         *,
         retry: RetryPolicy | None = None,
         timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
+        faults=None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1 (or None for cpu_count)")
-        super().__init__(jobs or os.cpu_count() or 1, retry, timeout, fault_plan)
+        super().__init__(jobs or os.cpu_count() or 1, retry, timeout, faults)
         self._forked: list[_Forked] = []
         self._spawned = 0
         self._processes: list = []  # shared with the finalizer
@@ -546,8 +553,8 @@ class ParallelExecutor(LeaseExecutor):
         if self.jobs <= 1 or not pending:
             return False
         # A single pending spec still goes through the agents when a
-        # timeout or fault plan must see every task.
-        supervised = self.timeout is not None or self.fault_plan is not None
+        # timeout or a fault injector must see every task.
+        supervised = self.timeout is not None or self.faults is not None
         return len(pending) > 1 or supervised
 
     def _connect(self) -> None:
@@ -557,9 +564,7 @@ class ParallelExecutor(LeaseExecutor):
     def _recruit(self):
         from repro.dispatch.worker import WorkerAgent
 
-        return WorkerAgent(
-            self._transport, worker_id="in-process", faults=self.injector
-        )
+        return WorkerAgent(self._transport, worker_id="in-process")
 
     def close(self, *, force: bool = False) -> None:
         """Stop the agents (idempotent; a later run forks new ones)."""
@@ -597,7 +602,7 @@ class ParallelExecutor(LeaseExecutor):
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=_agent_main,
-            args=(child_conn, self.fault_plan, f"agent-{self._spawned}"),
+            args=(child_conn, f"agent-{self._spawned}"),
             daemon=True,
         )
         process.start()
@@ -643,7 +648,14 @@ class ParallelExecutor(LeaseExecutor):
             if op == "claim":
                 agent.claim = payload
                 continue
-            reply = self._broker.handle(op, payload)
+            try:
+                reply = self._broker.handle(op, payload)
+            except DispatchError:
+                if op != "complete":
+                    raise
+                # A redelivered completion that lands after its batch
+                # was collected (and the broker reset): nothing to do.
+                reply = {"ok": True, "duplicate": True}
             if op == "complete":
                 agent.task = agent.deadline = None
                 settled = True

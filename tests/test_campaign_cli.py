@@ -118,6 +118,27 @@ def test_campaign_obs_writes_telemetry_under_dir(tiny_registered, tmp_path):
     assert not (tmp_path / "state" / "telemetry.json").exists()
 
 
+def test_campaign_obs_leaves_the_manifest_telemetry_unchanged(
+    tiny_registered, tmp_path
+):
+    # `--obs` attaches a recorder to the executor instead of wrapping
+    # it, so the manifest describes the same executor, with the same
+    # counters, with or without it.
+    telemetry = {}
+    for name, extra in (("plain", ()), ("obs", ("--obs", str(tmp_path / "obs")))):
+        state = tmp_path / name
+        assert main(["campaign", "run", "tinyci", "--campaign-dir", str(state),
+                     "--baseline", str(tmp_path / "baseline.json"),
+                     "--no-cache", "--jobs", "2", *extra]) == 0
+        manifest = json.loads((state / "manifest.json").read_text())
+        telemetry[name] = manifest["telemetry"]
+        del telemetry[name]["wall_seconds"]
+        for stage in telemetry[name]["stages"].values():
+            del stage["elapsed_seconds"]
+    assert telemetry["plain"]["executor"] == "parallel[jobs=2]"
+    assert telemetry["obs"] == telemetry["plain"]
+
+
 def test_campaign_check_fails_without_baseline(tiny_registered, tmp_path, capsys):
     assert _run(["run", "tinyci"], tmp_path, "--check") == 1
     err = capsys.readouterr().err

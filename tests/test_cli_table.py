@@ -98,7 +98,7 @@ def test_every_command_accepts_exactly_its_declared_flags():
             else:
                 assert code == 2, argv
                 assert flag in err, (argv, err)
-    assert accepted == 302
+    assert accepted == 301
 
 
 def _fenced_lines(path):

@@ -5,7 +5,7 @@ import pytest
 from repro.dispatch import DispatchExecutor
 from repro.errors import ExecutionFailed
 from repro.network.config import SimulationConfig
-from repro.resilience import Fault, FaultPlan, RetryPolicy
+from repro.resilience import Fault, FaultInjector, FaultPlan, RetryPolicy
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.spec import RunSpec
@@ -62,15 +62,14 @@ def test_directory_target_persists_result_artifacts(tmp_path):
 def test_vanished_workers_task_lands_on_another_worker():
     specs = _specs()
     serial = SerialExecutor().map(specs)
-    plan = FaultPlan(
-        name="vanish", faults=(Fault(kind="worker_vanish", at=0),)
+    injector = FaultInjector(
+        FaultPlan(name="vanish", faults=(Fault(kind="worker_vanish", at=0),))
     )
-    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, faults=injector) as ex:
         outcome = ex.run(specs)
         counters = dict(ex.broker.counters)
-        fired = ex.injector.summary()
     assert outcome.results == serial  # hash-identical to the serial answer
-    assert fired.get("worker_vanish") == 1
+    assert injector.summary() == {"worker_vanish": 1}
     # The abandoned lease expired (via the manual clock) and the task
     # was requeued onto a surviving worker — exactly once.
     assert counters["leases_expired"] == 1
@@ -86,7 +85,9 @@ def test_every_worker_vanishing_recruits_a_replacement():
         faults=(Fault(kind="worker_vanish", at=0),
                 Fault(kind="worker_vanish", at=1)),
     )
-    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+    with DispatchExecutor(
+        jobs=2, retry=_FAST_RETRY, faults=FaultInjector(plan)
+    ) as ex:
         outcome = ex.run(specs)
         counters = dict(ex.broker.counters)
     assert outcome.results == serial
@@ -99,7 +100,9 @@ def test_duplicate_result_delivery_is_absorbed():
     plan = FaultPlan(
         name="dup", faults=(Fault(kind="duplicate_result", at=0),)
     )
-    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+    with DispatchExecutor(
+        jobs=2, retry=_FAST_RETRY, faults=FaultInjector(plan)
+    ) as ex:
         outcome = ex.run(specs)
     assert outcome.results == serial
     assert outcome.dispatch["duplicate_results"] == 1
@@ -107,31 +110,34 @@ def test_duplicate_result_delivery_is_absorbed():
 
 
 def test_dropped_and_delayed_calls_are_retried():
+    # Task 0's first call after the claim is lost and resent; task 1's
+    # completion lands late.  Neither costs the lease.
     specs = _specs(2)
     serial = SerialExecutor().map(specs)
-    plan = FaultPlan(
+    injector = FaultInjector(FaultPlan(
         name="lossy",
-        faults=(Fault(kind="drop_request", at=1),
-                Fault(kind="delay_response", at=3, seconds=0.01)),
-    )
-    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+        faults=(Fault(kind="drop_request", at=0),
+                Fault(kind="delay_response", at=1, seconds=0.01)),
+    ))
+    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, faults=injector) as ex:
         outcome = ex.run(specs)
-        fired = ex.injector.summary()
+        resent = sum(agent.counters["resent"] for agent in ex._agents)
     assert outcome.results == serial
-    assert fired == {"drop_request": 1, "delay_response": 1}
+    assert injector.summary() == {"drop_request": 1, "delay_response": 1}
+    assert resent == 1
     assert outcome.dispatch["completions"] == len(specs)
     assert outcome.dispatch.get("leases_expired", 0) == 0
 
 
 def test_partitioned_worker_loses_its_lease_to_expiry():
-    # Calls 2-5 are all dropped: the first agent's heartbeat exhausts
-    # its transport retries, so it is cut off holding a lease.
+    # Every call on task 0's lease is lost: its agent gives the lease
+    # up, and the lease expires on the manual clock, for free.
     specs = _specs(2)
     serial = SerialExecutor().map(specs)
-    plan = FaultPlan(
-        name="cut", faults=(Fault(kind="partition_worker", at=2, attempts=4),)
-    )
-    with DispatchExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+    plan = FaultPlan(name="cut", faults=(Fault(kind="partition_worker", at=0),))
+    with DispatchExecutor(
+        jobs=2, retry=_FAST_RETRY, faults=FaultInjector(plan)
+    ) as ex:
         outcome = ex.run(specs)
     assert outcome.results == serial
     assert outcome.dispatch["leases_expired"] == 1

@@ -22,7 +22,7 @@ from repro.network.engine import ColumnSimulator
 from repro.network.golden import GoldenColumnSimulator
 from repro.network.trace import TraceRecorder
 from repro.qos.registry import available_policies, create_policy
-from repro.scenarios import bursty_workload
+from repro.scenarios import bursty_workload, phased_workload
 from repro.topologies.registry import get_topology
 from repro.traffic.workloads import (
     full_column_workload,
@@ -291,6 +291,49 @@ def test_pvc_hotspot_preemption_matches_golden(topology):
     golden.run(1500)
     assert optimised.stats.preemption_events > 0
     assert optimised.stats.snapshot() == golden.stats.snapshot()
+
+
+class _RankedFromScratch(ColumnSimulator):
+    """The optimised engine with every port ranking rebuilt each pass.
+
+    ``golden.py`` refuses weight-scheduled flows, so the weight-change
+    rank fence is checked against this reference instead: it voids
+    the port's rank epoch and blocked verdict before every arbitration
+    pass, so no fence can be missing from it.
+    """
+
+    def _arbitrate_port(self, port, now):
+        self._rank_epoch[port.index] = -1
+        self._bp_cache[port.index] = None
+        return super()._arbitrate_port(port, now)
+
+
+@pytest.mark.parametrize("frame_cycles", (100_000, 1_000))
+def test_weight_changes_void_every_port_ranking(frame_cycles):
+    # Uniform traffic at 0.30 in four 700-cycle phases; node 0's weight
+    # is 8x in phase 2 and node 7's in phase 4.  A raised weight
+    # improves the flow's priority at every router, so every ranking
+    # built before it must be rebuilt: without the weight-change fence
+    # this case diverges (the frame flush alone does not save it).
+    ones = [1.0] * 8
+    phases = [
+        {"cycles": 700, "rate": 0.30},
+        {"cycles": 700, "rate": 0.30, "weights": [8.0, *ones[1:]]},
+        {"cycles": 700, "rate": 0.30},
+        {"cycles": 700, "rate": 0.30, "weights": [*ones[:7], 8.0]},
+    ]
+    config = SimulationConfig(frame_cycles=frame_cycles, seed=2)
+    snapshots = []
+    for cls in (ColumnSimulator, _RankedFromScratch):
+        sim = cls(
+            get_topology("mesh_x1").build(config),
+            phased_workload(phases),
+            create_policy("perflow"),
+            config,
+        )
+        sim.run(2800)
+        snapshots.append(sim.stats.snapshot())
+    assert snapshots[0] == snapshots[1]
 
 
 def test_stepwise_runs_match_golden():

@@ -1,4 +1,4 @@
-"""Runtime telemetry: executor wrapping, heartbeats, campaign rollups."""
+"""Runtime telemetry: executor recorders, heartbeats, campaign rollups."""
 
 import json
 
@@ -10,11 +10,11 @@ from repro.network.config import SimulationConfig
 from repro.obs import (
     TELEMETRY_FORMAT,
     TELEMETRY_VERSION,
-    TelemetryExecutor,
+    TelemetryRecorder,
     heartbeat_printer,
     write_runtime_telemetry,
 )
-from repro.resilience import Fault, FaultPlan, RetryPolicy
+from repro.resilience import Fault, FaultInjector, FaultPlan, RetryPolicy
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
@@ -28,21 +28,35 @@ def tiny_specs(n=3):
     ]
 
 
-def test_wrapped_executor_is_pass_through():
+def attached(executor, **options):
+    recorder = TelemetryRecorder(executor, **options)
+    executor.attach(recorder)
+    return recorder
+
+
+def test_a_recorded_executor_is_pass_through():
     specs = tiny_specs()
     bare = run_batch(specs, executor=SerialExecutor(), cache=None)
-    wrapper = TelemetryExecutor(SerialExecutor())
-    wrapped = run_batch(specs, executor=wrapper, cache=None)
-    assert wrapped.results == bare.results
-    assert wrapper.describe() == "telemetry(serial)"
-    assert wrapper.jobs == 1
+    executor = SerialExecutor()
+    recorder = attached(executor)
+    recorded = run_batch(specs, executor=executor, cache=None)
+    assert recorded.results == bare.results
+    # Nothing wraps the executor: it describes itself, recorder or not.
+    assert recorded.manifest.executor == "serial"
+    snapshot = recorder.snapshot()
+    assert (snapshot["executor"], snapshot["jobs"]) == ("serial", 1)
+    assert snapshot["totals"]["specs"] == len(specs)
+    executor.detach(recorder)
+    run_batch(specs, executor=executor, cache=None)
+    assert recorder.snapshot()["totals"]["batches"] == 1
 
 
 def test_snapshot_totals_and_completion_log():
-    wrapper = TelemetryExecutor(SerialExecutor())
-    run_batch(tiny_specs(2), executor=wrapper, cache=None)
-    run_batch(tiny_specs(3), executor=wrapper, cache=None)
-    snapshot = wrapper.snapshot()
+    executor = SerialExecutor()
+    recorder = attached(executor)
+    run_batch(tiny_specs(2), executor=executor, cache=None)
+    run_batch(tiny_specs(3), executor=executor, cache=None)
+    snapshot = recorder.snapshot()
     assert snapshot["totals"]["batches"] == 2
     assert snapshot["totals"]["specs"] == 5
     assert snapshot["totals"]["simulated"] == 5
@@ -55,13 +69,18 @@ def test_snapshot_totals_and_completion_log():
 
 def test_telemetry_progress_still_forwarded():
     seen = []
-    wrapper = TelemetryExecutor(SerialExecutor())
+    beats = []
+    executor = SerialExecutor()
+    attached(executor, stage="sat",
+             heartbeat=lambda stage, done, total, label, cached:
+                 beats.append((stage, done, total)))
     run_batch(
-        tiny_specs(2), executor=wrapper, cache=None,
+        tiny_specs(2), executor=executor, cache=None,
         progress=lambda done, total, spec, cached:
             seen.append((done, total, cached)),
     )
     assert seen == [(1, 2, False), (2, 2, False)]
+    assert beats == [("sat", 1, 2), ("sat", 2, 2)]
 
 
 def test_a_batch_that_raises_is_still_recorded():
@@ -71,27 +90,28 @@ def test_a_batch_that_raises_is_still_recorded():
         name="err", faults=(Fault(kind="spec_error", at=0, attempts=5),)
     )
     with ParallelExecutor(
-        jobs=2, retry=RetryPolicy(max_attempts=2), fault_plan=plan
-    ) as inner:
-        wrapper = TelemetryExecutor(inner)
+        jobs=2, retry=RetryPolicy(max_attempts=2), faults=FaultInjector(plan)
+    ) as executor:
+        recorder = attached(executor)
         with pytest.raises(ExecutionFailed):
-            wrapper.run(tiny_specs(3))
-    snapshot = wrapper.snapshot()
+            executor.run(tiny_specs(3))
+    snapshot = recorder.snapshot()
     assert snapshot["totals"]["batches"] == 1
     assert snapshot["totals"]["simulated"] == 2
     assert snapshot["totals"]["retries"] == 1
     assert snapshot["totals"]["failures"] == 2  # both attempts, in order
     assert len(snapshot["completions"]) == 2
-    shard = wrapper.shard_record()
+    shard = recorder.shard_record()
     assert shard["spec_failures"] == 1
     assert shard["simulated"] == 2 and shard["spec_hashes"] == []
 
 
 def test_write_runtime_telemetry_document(tmp_path):
-    wrapper = TelemetryExecutor(SerialExecutor())
-    run_batch(tiny_specs(1), executor=wrapper, cache=None)
+    executor = SerialExecutor()
+    recorder = attached(executor)
+    run_batch(tiny_specs(1), executor=executor, cache=None)
     path = tmp_path / "nested" / "telemetry.json"
-    write_runtime_telemetry(path, wrapper.snapshot(), meta={"target": "t"})
+    write_runtime_telemetry(path, recorder.snapshot(), meta={"target": "t"})
     document = json.loads(path.read_text())
     assert document["format"] == TELEMETRY_FORMAT
     assert document["version"] == TELEMETRY_VERSION

@@ -64,15 +64,34 @@ def test_dispatch_serve_retries_0_means_one_attempt(monkeypatch):
     assert [broker.retry.max_attempts for broker in brokers] == [1, 2, 3]
 
 
-def test_chaos_flag_threads_one_injector_through_executor_and_cache(tmp_path):
+def test_chaos_flag_threads_one_injector_through_executor_and_cache(
+    tmp_path, monkeypatch
+):
     args = _args("--jobs", "2", "--chaos", "smoke",
                  "--cache-dir", str(tmp_path))
     injector = _fault_injector(args)
     assert injector is not None and injector.plan.name == "smoke"
     assert _fault_injector(args) is injector  # one injector per command
-    assert _executor(args).fault_plan is injector.plan
+    assert _executor(args).faults is injector
     assert _cache(args).put_hook == injector.on_cache_put
     assert _fault_injector(_args()) is None
+    # `campaign run --chaos` hands the runner that same injector.
+    from repro.campaign import CampaignRunner
+    from repro.errors import CampaignInterrupted
+
+    runners = []
+
+    def stop(self, **options):
+        runners.append(self)
+        raise CampaignInterrupted("stopped before the first stage")
+
+    monkeypatch.setattr(CampaignRunner, "run", stop)
+    assert main(["campaign", "run", "smoke", "--jobs", "2", "--chaos", "smoke",
+                 "--campaign-dir", str(tmp_path / "state"),
+                 "--cache-dir", str(tmp_path / "cache")]) == 3
+    [runner] = runners
+    assert runner.executor.faults is runner.faults
+    assert runner.cache.put_hook == runner.faults.on_cache_put
 
 
 def test_chaos_plan_prints_round_trippable_json(capsys):

@@ -13,7 +13,12 @@ from repro.resilience import (
     RetryPolicy,
     load_plan,
 )
-from repro.resilience.faults import BUILTIN_PLANS, FAULT_KINDS, InjectedFault
+from repro.resilience.faults import (
+    BUILTIN_PLANS,
+    FAULT_KINDS,
+    LEASE_KINDS,
+    InjectedFault,
+)
 
 _HASH = "ab" * 32
 
@@ -106,13 +111,16 @@ def test_plan_round_trips_through_json():
     assert FaultPlan.from_json(json.loads(plan.dumps())) == plan
     assert plan.without_interrupt().interrupt_after_shards is None
     assert plan.without_interrupt().faults == plan.faults
-    assert [f.kind for f in plan.worker_faults()] == ["worker_hang"]
 
 
 def test_builtin_smoke_plan_covers_every_fault_kind():
-    kinds = {fault.kind for fault in BUILTIN_PLANS["smoke"].faults}
-    assert kinds == set(FAULT_KINDS)
-    assert BUILTIN_PLANS["smoke"].interrupt_after_shards is not None
+    plan = BUILTIN_PLANS["smoke"]
+    assert {fault.kind for fault in plan.faults} == set(FAULT_KINDS)
+    assert plan.interrupt_after_shards is not None
+    # One lease fault per serial, on the eight specs the smoke campaign
+    # submits before its interrupt (fig4's two shards of four).
+    serials = [fault.at for fault in plan.faults if fault.kind in LEASE_KINDS]
+    assert sorted(serials) == list(range(8))
     assert BUILTIN_PLANS["none"].faults == ()
 
 
@@ -130,24 +138,34 @@ def test_load_plan_by_name_file_and_failure(tmp_path):
 
 
 def test_spec_error_fires_in_parent_and_respects_attempt_budget():
-    plan = FaultPlan(faults=(Fault(kind="spec_error", at=0, attempts=1),))
+    plan = FaultPlan(faults=(Fault(kind="spec_error", at=0, attempts=2),))
     injector = FaultInjector(plan)
-    with pytest.raises(InjectedFault):
-        injector.fire_task_faults(0, 0)
-    injector.fire_task_faults(0, 1)  # retry goes through clean
-    injector.fire_task_faults(1, 0)  # other tasks untouched
-    assert injector.summary() == {"spec_error": 1}
+    stamp = [{"kind": "spec_error", "seconds": 30.0}]
+    assert injector.lease_faults(0, 0) == stamp
+    assert injector.lease_faults(0, 1) == stamp  # attempts=2: hit again
+    assert injector.lease_faults(0, 2) == []  # then the retry goes clean
+    assert injector.lease_faults(1, 0) == []  # other tasks untouched
+    assert injector.summary() == {"spec_error": 2}
 
 
-def test_kill_and_hang_only_ever_fire_inside_a_worker():
+def test_a_lease_is_stamped_once_per_serial_and_attempt():
+    # A vanish or partition costs the lease without charging an
+    # attempt: the regranted lease of the same attempt must run clean.
     plan = FaultPlan(faults=(
-        Fault(kind="worker_kill", at=0),
-        Fault(kind="worker_hang", at=1, seconds=30.0),
+        Fault(kind="worker_vanish", at=0),
+        Fault(kind="partition_worker", at=0),
+        Fault(kind="worker_hang", at=1, seconds=2.5),
+        Fault(kind="adapter_error", at=0),
     ))
-    injector = FaultInjector(plan, in_worker=False)
-    injector.fire_task_faults(0, 0)  # must not SIGKILL the test process
-    injector.fire_task_faults(1, 0)  # must not sleep 30s
-    assert injector.fired == []
+    injector = FaultInjector(plan)
+    assert [f["kind"] for f in injector.lease_faults(0, 0)] == [
+        "worker_vanish", "partition_worker",
+    ]
+    assert injector.lease_faults(0, 0) == []
+    assert injector.lease_faults(1, 0) == [{"kind": "worker_hang", "seconds": 2.5}]
+    assert [event["where"] for event in injector.fired] == ["task#0"] * 2 + [
+        "task#1"
+    ]
 
 
 def test_adapter_error_keys_on_the_execution_counter():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ExecutionFailed
 from repro.network.config import SimulationConfig
-from repro.resilience import Fault, FaultPlan, RetryPolicy
+from repro.resilience import Fault, FaultInjector, FaultPlan, RetryPolicy
 from repro.runtime import executor as executor_module
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.spec import RunSpec
@@ -35,7 +35,7 @@ def test_worker_kill_is_retried_to_the_serial_answer():
     specs = _specs()
     serial = SerialExecutor().map(specs)
     plan = FaultPlan(name="kill", faults=(Fault(kind="worker_kill", at=0),))
-    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, faults=FaultInjector(plan)) as ex:
         outcome = ex.run(specs)
     assert outcome.results == serial
     assert outcome.worker_deaths == 1
@@ -48,13 +48,59 @@ def test_a_vanished_forked_agent_reads_as_a_crash():
     specs = _specs()
     serial = SerialExecutor().map(specs)
     plan = FaultPlan(name="gone", faults=(Fault(kind="worker_vanish", at=1),))
-    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, fault_plan=plan) as ex:
+    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, faults=FaultInjector(plan)) as ex:
         outcome = ex.run(specs)
     assert outcome.results == serial
     assert outcome.worker_deaths == 1
     assert [(f.kind, f.attempt, f.retried) for f in outcome.failures] == [
         ("crash", 0, True),
     ]
+
+
+def test_a_partitioned_forked_agent_reads_as_a_crash():
+    # Every call on task 1's lease is lost: the agent gives the lease up
+    # and exits, so the parent charges the lease as a crash.
+    specs = _specs()
+    serial = SerialExecutor().map(specs)
+    plan = FaultPlan(name="cut", faults=(Fault(kind="partition_worker", at=1),))
+    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, faults=FaultInjector(plan)) as ex:
+        outcome = ex.run(specs)
+    assert outcome.results == serial
+    assert outcome.worker_deaths == 1
+    assert [(f.kind, f.attempt, f.retried) for f in outcome.failures] == [
+        ("crash", 0, True),
+    ]
+
+
+def test_dropped_and_delayed_calls_cost_a_forked_agent_nothing():
+    specs = _specs()
+    serial = SerialExecutor().map(specs)
+    injector = FaultInjector(FaultPlan(
+        name="lossy",
+        faults=(Fault(kind="drop_request", at=0),
+                Fault(kind="delay_response", at=1, seconds=0.01)),
+    ))
+    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, faults=injector) as ex:
+        outcome = ex.run(specs)
+    assert outcome.results == serial
+    assert injector.summary() == {"drop_request": 1, "delay_response": 1}
+    assert outcome.failures == [] and outcome.worker_deaths == 0
+
+
+def test_a_forked_agents_duplicate_completion_is_absorbed():
+    # Task 0's completion arrives twice.  The replay may land after its
+    # batch was collected, so the next batch must run through it.
+    specs = _specs(3)
+    serial = SerialExecutor().map(specs)
+    plan = FaultPlan(name="dup", faults=(Fault(kind="duplicate_result", at=0),))
+    with ParallelExecutor(jobs=2, retry=_FAST_RETRY, faults=FaultInjector(plan)) as ex:
+        first = ex.run(specs[:1])
+        second = ex.run(specs[1:])
+        counters = dict(ex._broker.counters)
+    assert first.results + second.results == serial
+    assert first.failures == second.failures == []
+    assert counters["completions"] == len(specs)  # ingested once each
+    assert counters["duplicate_results"] <= 1
 
 
 def test_hung_worker_is_killed_by_the_watchdog_and_the_spec_retried():
@@ -64,7 +110,7 @@ def test_hung_worker_is_killed_by_the_watchdog_and_the_spec_retried():
         name="hang", faults=(Fault(kind="worker_hang", at=0, seconds=30.0),)
     )
     with ParallelExecutor(
-        jobs=2, retry=_FAST_RETRY, timeout=0.75, fault_plan=plan
+        jobs=2, retry=_FAST_RETRY, timeout=0.75, faults=FaultInjector(plan)
     ) as ex:
         outcome = ex.run(specs)
     assert outcome.results == serial
@@ -80,7 +126,7 @@ def test_exhausted_retries_raise_execution_failed_with_partial_outcome():
     with ParallelExecutor(
         jobs=2,
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0),
-        fault_plan=plan,
+        faults=FaultInjector(plan),
     ) as ex:
         with pytest.raises(ExecutionFailed) as excinfo:
             ex.run(specs)
@@ -101,7 +147,7 @@ def test_a_spec_that_kills_its_worker_every_attempt_ends_as_a_crash():
         name="killer", faults=(Fault(kind="worker_kill", at=0, attempts=5),)
     )
     with ParallelExecutor(
-        jobs=2, retry=RetryPolicy(max_attempts=2), fault_plan=plan
+        jobs=2, retry=RetryPolicy(max_attempts=2), faults=FaultInjector(plan)
     ) as ex:
         with pytest.raises(ExecutionFailed) as excinfo:
             ex.run(_specs())
@@ -127,12 +173,14 @@ def test_repeated_deaths_degrade_to_in_process_and_still_finish():
     with ParallelExecutor(
         jobs=2,
         retry=RetryPolicy(max_attempts=10, backoff_base=0.0, jitter=0.0),
-        fault_plan=plan,
+        faults=FaultInjector(plan),
     ) as ex:
         outcome = ex.run(specs)
     assert outcome.degraded
     assert outcome.worker_deaths == 4  # max(3, 2 * jobs)
-    assert outcome.results == serial  # in-process path skips kill faults
+    # On the in-process agent a stamped kill reads as a vanish, and a
+    # lease is stamped once per attempt, so the regranted lease runs.
+    assert outcome.results == serial
 
 
 def test_keyboard_interrupt_force_closes_the_pool(monkeypatch):
@@ -174,7 +222,7 @@ def test_pool_validation_and_outcome_properties():
         name="err", faults=(Fault(kind="spec_error", at=1, attempts=5),)
     )
     with ParallelExecutor(
-        jobs=2, retry=RetryPolicy(max_attempts=2), fault_plan=plan
+        jobs=2, retry=RetryPolicy(max_attempts=2), faults=FaultInjector(plan)
     ) as ex:
         with pytest.raises(ExecutionFailed) as excinfo:
             ex.run(_specs(3))
