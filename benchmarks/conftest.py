@@ -1,19 +1,19 @@
 """Benchmark configuration.
 
-Every benchmark regenerates one of the paper's tables/figures and
-prints the same rows the paper reports through the experiment module's
-``format_rows`` (run with ``-s`` to see them; they are also printed
-into the captured output).  Simulation-backed benchmarks use the scaled
-windows set in each bench file, not yet the ``paper`` campaign's
-budgets in ``repro.campaign.builtin``; pass the paper-scale parameters
-through the experiment modules for long runs.
+Three files time work; none asserts a paper result.  Those are the
+claim table's predicates over the campaigns' stage rows
+(``repro.campaign.claims``), which ``repro campaign run paper --check``
+evaluates at the ``paper`` campaign's budgets.
 
-Experiments that route through :mod:`repro.runtime` accept an
-``executor=``; :func:`executor_variants` supplies the serial reference
-and a process-parallel executor so a benchmark can report both
-wall-clocks, and :func:`record_runtime_baseline` records the
-comparison as a ``sweeps`` row of ``BENCH_runtime.json`` at the repo
-root, through the same bench registry as ``repro bench``.
+* ``bench_engine.py`` times the optimised engine against the golden
+  reference and records ``BENCH_engine.json``.
+* ``bench_fig4_latency.py`` and ``bench_ablations.py`` run an
+  experiment sweep on both executors: :func:`executor_variants`
+  supplies the serial reference and a process-parallel executor, and
+  :func:`record_runtime_baseline` records the comparison as a
+  ``sweeps`` row of ``BENCH_runtime.json`` at the repo root, through
+  the same bench registry as ``repro bench``.  Each prints its rows
+  through the experiment module's ``format_rows`` (run with ``-s``).
 """
 
 from __future__ import annotations

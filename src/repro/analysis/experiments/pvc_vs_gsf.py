@@ -26,9 +26,10 @@ The four runs are one batch of runtime specs, cached and parallel like
 every other stage.  Both engines run GSF identically (the
 golden-equivalence harness pins it), so these numbers are
 engine-independent.  Rows are committed to
-``CAMPAIGN_baseline.json``; the test suite asserts the qualitative
-ordering — GSF fairness comparable to PVC at saturation, GSF latency
-visibly above PVC with headroom — rather than exact figures.
+``CAMPAIGN_baseline.json``; the ``pvc_vs_gsf`` claims of
+:mod:`repro.campaign.claims` assert the qualitative ordering — GSF
+fairness comparable to PVC at saturation, GSF latency visibly above PVC
+with headroom — rather than exact figures.
 """
 
 from __future__ import annotations

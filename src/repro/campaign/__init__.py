@@ -4,7 +4,8 @@ A campaign is a declarative set of stages (experiments, figures,
 ablations, scenario studies) with parameter grids, dependencies, and
 shard decompositions.  Running one produces a sha256-addressed
 artifact store plus a report card comparing every stage's summary
-rows against the committed baseline::
+rows against the committed baseline and checking the paper's claims
+(:mod:`repro.campaign.claims`) on them::
 
     from repro.campaign import get_campaign, run_campaign
     from repro import ParallelExecutor, ResultCache
@@ -29,9 +30,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         ".builtin": ("CAMPAIGNS", "get_campaign"),
+        ".claims": ("CLAIMS", "Claim", "claims_for"),
         ".doctor": ("CampaignFsckReport", "fsck_campaign"),
         ".report": (
             "BASELINE_FILENAME",
+            "ClaimReport",
             "ReportCard",
             "StageReport",
             "compare_rows",

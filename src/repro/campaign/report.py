@@ -20,15 +20,18 @@ against it yields a per-stage verdict:
 ``failed`` / ``blocked`` / ``pending``
     the stage did not produce rows this campaign.
 
-The overall verdict is ``pass`` only when every stage passes, which is
-exactly the condition CI gates on.
+Every stage with rows also has the paper claims of its kind that the
+campaign supports (:mod:`repro.campaign.claims`) evaluated on them.
+The overall verdict is ``pass`` only when every stage passes and every
+claim holds, which is exactly the condition CI gates on: a false claim
+fails the card even when the baseline was re-recorded from its rows.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.campaign.spec import CampaignSpec
@@ -196,17 +199,33 @@ class StageReport:
 
 
 @dataclass(frozen=True)
+class ClaimReport:
+    """One paper claim evaluated on one stage's rows."""
+
+    id: str
+    where: str
+    stage: str
+    statement: str
+    holds: bool
+    #: Why the rows could not decide the claim, if they could not.
+    detail: str = ""
+
+
+@dataclass(frozen=True)
 class ReportCard:
-    """Per-stage verdicts plus the campaign-level roll-up."""
+    """Per-stage verdicts and paper claims plus the campaign-level roll-up."""
 
     campaign: str
     engine: str
     seed: int
     drift_tolerance: float
     stages: tuple[StageReport, ...]
+    claims: tuple[ClaimReport, ...] = ()
 
     @property
     def overall(self) -> str:
+        if not all(claim.holds for claim in self.claims):
+            return "fail"
         verdicts = {stage.verdict for stage in self.stages}
         if verdicts <= {"pass"}:
             return "pass"
@@ -233,6 +252,7 @@ class ReportCard:
             "overall": self.overall,
             "counts": self.counts(),
             "stages": [stage.to_json() for stage in self.stages],
+            "claims": [asdict(claim) for claim in self.claims],
         }
 
     def to_markdown(self) -> str:
@@ -278,6 +298,24 @@ class ReportCard:
                 lines.append(f"- {mismatch}")
             lines.append("")
             lines.append("</details>")
+        if self.claims:
+            held = sum(claim.holds for claim in self.claims)
+            lines += [
+                "",
+                f"## Paper claims: {held} of {len(self.claims)} hold",
+                "",
+                "| claim | where | stage | verdict | statement |",
+                "|---|---|---|---|---|",
+            ]
+            for claim in self.claims:
+                verdict = "✅ holds" if claim.holds else "❌ false"
+                statement = claim.statement
+                if claim.detail:
+                    statement = f"{statement} — {claim.detail}"
+                lines.append(
+                    f"| `{claim.id}` | {claim.where} | `{claim.stage}` "
+                    f"| {verdict} | {statement} |"
+                )
         return "\n".join(lines)
 
 
@@ -291,7 +329,12 @@ def build_report_card(
     engine: str,
 ) -> ReportCard:
     """Assemble the report card for a campaign's current on-disk state."""
+    # Imported here, not at the top: building a campaign runner (a
+    # benchmark's set-up) then never loads the claim table.
+    from repro.campaign.claims import check, claims_for
+
     reports = []
+    claims = []
     for stage in campaign.stages:
         entry = manifest["stages"].get(stage.name, {})
         status = entry.get("status", "pending")
@@ -365,10 +408,18 @@ def build_report_card(
                 retries=retries,
             )
         )
+        for claim in claims_for(campaign.name, stage.kind):
+            holds, why = check(claim, rows)
+            claims.append(
+                ClaimReport(
+                    claim.id, claim.where, stage.name, claim.statement, holds, why
+                )
+            )
     return ReportCard(
         campaign=campaign.name,
         engine=engine,
         seed=campaign.seed,
         drift_tolerance=campaign.drift_tolerance,
         stages=tuple(reports),
+        claims=tuple(claims),
     )

@@ -30,7 +30,7 @@ Usage (after installation)::
     repro campaign resume paper          # continue after an interruption
     repro campaign status paper          # per-stage manifest state
     repro campaign report smoke --check  # report card; exit 1 unless pass
-    repro campaign diff smoke            # row-level deltas vs the baseline
+    repro campaign diff smoke            # row deltas + false paper claims
     repro campaign run paper --progress  # ... with a per-simulation heartbeat
     repro obs record bursty --rate 0.3 --out obs/   # run + record metrics
     repro obs record bursty --out obs/ --timeline   # ... plus Chrome trace
@@ -117,8 +117,10 @@ def _executor(args) -> Executor:
     ``--retries``/``--timeout``/``--chaos`` configure the parallel
     executor's broker and agents (deterministic retry policy, per-spec
     wall-clock budget, the command's fault injector, whose faults the
-    broker stamps on each lease); they are inert under ``--jobs 1``,
-    which must stay the honest serial baseline.
+    broker stamps on each lease).  They are inert under ``--jobs 1``,
+    which must stay the honest serial baseline, except ``--timeout``:
+    nothing in-process could enforce it, so it exits 2 there
+    (:func:`_timeout_needs_agents`).
 
     ``--dispatch URL|DIR|local`` routes the batch through the
     lease-based broker/worker layer instead: an HTTP broker at a URL,
@@ -206,6 +208,17 @@ def _journal_needs_dispatch(args) -> None:
         raise ConfigurationError(
             "--journal needs --dispatch: only the dispatch broker and its "
             "workers journal a batch"
+        )
+
+
+def _timeout_needs_agents(args) -> None:
+    """Only a watchdog over forked or dispatched agents enforces ``--timeout``."""
+    if args.timeout is not None and args.jobs == 1 and not args.dispatch:
+        from repro.errors import ConfigurationError
+
+        raise ConfigurationError(
+            "--timeout needs --jobs N > 1 or --dispatch: under --jobs 1 "
+            "every spec simulates in-process, where no watchdog can stop it"
         )
 
 
@@ -297,6 +310,7 @@ def _run_targets(args) -> int:
     from repro.errors import ConfigurationError
 
     _journal_needs_dispatch(args)
+    _timeout_needs_agents(args)
     targets = list(TARGETS) if args.verb == "all" else [args.verb, *args.more]
     # Checked here, not by argparse: a foreign flag's value lands among
     # the further targets, and the foreign flag must be what is named.
@@ -577,6 +591,7 @@ def _scenario_run(args) -> int:
     from repro.runtime.runner import run_batch
 
     _journal_needs_dispatch(args)
+    _timeout_needs_agents(args)
     spec = _scenario_spec(args, obs_dir=args.obs)
     # Obs runs bypass the cache: a cache hit would skip the simulation
     # and leave no artifacts behind.
@@ -616,6 +631,7 @@ def _scenario_replay(args) -> int:
     from repro.scenarios import file_sha256, read_trace
 
     _journal_needs_dispatch(args)
+    _timeout_needs_agents(args)
     path = args.trace
     trace = read_trace(path)
     source = trace.meta.get("source")
@@ -777,6 +793,7 @@ def _campaign_run(args) -> int:
 
     name = args.name
     get_campaign(name)  # an unknown name fails before a journal is opened
+    _timeout_needs_agents(args)
     runner = _campaign_runner(
         args,
         executor=_observed(args, _executor(args)),
@@ -825,13 +842,16 @@ def _campaign_run(args) -> int:
     print(f"report card: {runner.dir / 'report.md'}")
     print(f"overall: {report.overall} "
           + " ".join(f"{k}={v}" for k, v in sorted(report.counts().items())))
+    false = [claim.id for claim in report.claims if not claim.holds]
+    print(f"claims: {len(report.claims) - len(false)} of {len(report.claims)} "
+          "hold" + "".join(f"; {claim_id} is false" for claim_id in false))
     if result.failed_stages:
         print(f"failed stages: {', '.join(result.failed_stages)}",
               file=sys.stderr)
         return 1
     if args.check and not report.passed:
-        print("--check: report-card verdicts are not all 'pass'",
-              file=sys.stderr)
+        print("--check: a stage verdict is not 'pass' or a paper claim is "
+              "false", file=sys.stderr)
         return 1
     return 0
 
@@ -930,8 +950,14 @@ def _campaign_diff(args) -> int:
         print(f"{stage.name}: {stage.verdict} — {stage.detail}")
         for mismatch in stage.mismatches:
             print(f"  {mismatch}")
+    for claim in report.claims:
+        if not claim.holds:
+            clean = False
+            print(f"claim {claim.id} ({claim.where}) is false on {claim.stage}: "
+                  f"{claim.statement} {claim.detail}".rstrip())
     if clean:
-        print(f"campaign {args.name}: every stage matches the baseline")
+        print(f"campaign {args.name}: every stage matches the baseline "
+              "and every claim holds")
         return 0
     return 1
 
@@ -1300,7 +1326,7 @@ def _arguments() -> dict[str, dict]:
                            help="committed baseline for the report card"),
         "--check": dict(action="store_true",
                         help="exit 1 unless every stage's report-card "
-                        "verdict is 'pass'"),
+                        "verdict is 'pass' and every paper claim holds"),
         "--json": dict(action="store_true",
                        help="print the JSON report card instead of markdown"),
         "--update-baseline": dict(action="store_true",
@@ -1474,7 +1500,7 @@ VERBS: dict[str, Command | Verb] = {
                 "--update-baseline",
             )),
             "diff": Command(_campaign_diff, "print row-level deltas against "
-                            "the baseline",
+                            "the baseline and every false claim",
                             ("name", "--campaign-dir", "--baseline")),
             "watch": Command(_campaign_watch, "redraw per-stage progress bars",
                              ("name", "--campaign-dir", "--interval")),

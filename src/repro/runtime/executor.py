@@ -521,9 +521,9 @@ class ParallelExecutor(LeaseExecutor):
     is completed as a ``crash`` error, so the retry budget charges the
     spec.  An agent that a stamped vanish or partition takes off its
     lease exits, so it reads as a crash too.  After ``max(3, 2 *
-    jobs)`` agent deaths the executor degrades for good: the batch
-    finishes on one in-process agent, where a stamped kill or hang
-    reads as a vanish.
+    jobs)`` agent deaths, not counting watchdog kills, the executor
+    degrades until :meth:`close`: the batch finishes on one in-process
+    agent, where a stamped kill or hang reads as a vanish.
 
     With ``jobs=1`` (or a single pending spec and no timeout or
     faults) the batch runs plainly in-process and nothing is forked,
@@ -567,11 +567,13 @@ class ParallelExecutor(LeaseExecutor):
         return WorkerAgent(self._transport, worker_id="in-process")
 
     def close(self, *, force: bool = False) -> None:
-        """Stop the agents (idempotent; a later run forks new ones)."""
+        """Stop the agents and zero the death counts (idempotent; a later
+        run forks new ones)."""
         for agent in list(self._forked):
             if not force:
                 self._reply(agent, None)  # release: its held claim ends
             self._retire(agent, death=False, grace=0.0 if force else 2.0)
+        self.worker_deaths = self.timeouts = 0
         self.degraded = False
         super().close(force=force)
 
@@ -707,5 +709,7 @@ class ParallelExecutor(LeaseExecutor):
         self._processes.remove(agent.process)
         if death:
             self.worker_deaths += 1
-            if self.worker_deaths >= max(3, 2 * self.jobs):
+            # A watchdog kill is the deadline working, not a sick host:
+            # degrading would finish the batch where no deadline holds.
+            if self.worker_deaths - self.timeouts >= max(3, 2 * self.jobs):
                 self.degraded = True

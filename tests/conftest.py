@@ -5,6 +5,9 @@ points at a session temp dir, so no test reads or writes the user's
 ``~/.cache/repro`` (a warm home cache would let a CLI test pass without
 simulating).
 
+``smoke_campaign`` is one live run of the built-in ``smoke`` campaign,
+shared by every test that reads its rows or its report card.
+
 Also registers hypothesis profiles.  CI exports
 ``HYPOTHESIS_PROFILE=ci`` to get a pinned, derandomized profile (fixed
 seed derivation, no deadline) so property tests cannot flake on slow
@@ -41,6 +44,21 @@ def _session_result_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("result-cache")))
         yield
+
+
+@pytest.fixture(scope="session")
+def smoke_campaign(tmp_path_factory):
+    """The ``smoke`` campaign run serially, uncached, into a session temp
+    dir and reported against the committed ``CAMPAIGN_baseline.json``."""
+    from repro.campaign import get_campaign, run_campaign
+
+    return run_campaign(
+        get_campaign("smoke"),
+        campaign_dir=tmp_path_factory.mktemp("smoke-campaign"),
+        baseline_path=os.path.join(
+            os.path.dirname(__file__), os.pardir, "CAMPAIGN_baseline.json"
+        ),
+    )
 
 
 @pytest.fixture

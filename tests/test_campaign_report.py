@@ -1,6 +1,7 @@
 """Report card: row comparison, verdicts, baseline persistence, markdown."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.campaign import (
     run_campaign,
     update_baseline,
 )
-from repro.campaign.report import ReportCard, StageReport
+from repro.campaign.report import ClaimReport, ReportCard, StageReport
 from repro.errors import CampaignError
 
 
@@ -111,6 +112,40 @@ def test_report_card_overall_rollup():
     assert card("pass", "stale_baseline").overall == "fail"
     assert not card("pass", "drift").passed
     assert card("pass", "drift").counts() == {"pass": 1, "drift": 1}
+
+
+def test_a_false_claim_fails_the_rollup_and_shows_in_markdown():
+    stage = StageReport(
+        name="area",
+        kind="fig3",
+        verdict="pass",
+        detail="matches baseline exactly",
+        rows=5,
+        elapsed_seconds=0.0,
+        artifact_sha256=None,
+    )
+    claim = ClaimReport(
+        id="fig3.area_order",
+        where="Fig. 3",
+        stage="area",
+        statement="mesh_x1 has the smallest router area.",
+        holds=False,
+    )
+    card = ReportCard(
+        campaign="c",
+        engine="1.5.0",
+        seed=1,
+        drift_tolerance=0.05,
+        stages=(stage,),
+        claims=(claim,),
+    )
+    assert card.overall == "fail" and not card.passed
+    assert card.counts() == {"pass": 1}  # the stage verdict keeps its meaning
+    text = card.to_markdown()
+    assert "Paper claims: 0 of 1 hold" in text
+    assert "| `fig3.area_order` | Fig. 3 | `area` | ❌ false |" in text
+    held = replace(card, claims=(replace(claim, holds=True),))
+    assert held.overall == "pass"
 
 
 def test_markdown_contains_verdict_table_and_mismatch_details():

@@ -256,6 +256,28 @@ def test_journal_without_dispatch_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "journal").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig3"],
+    ["fig4", "--fast", "--no-cache"],
+    ["scenario", "run", "bursty", "--rate", "0.3", "--cycles", "300",
+     "--no-cache"],
+    ["scenario", "replay", "missing.jsonl"],
+    ["campaign", "run", "smoke", "--campaign-dir", "state", "--no-cache"],
+])
+def test_timeout_without_agents_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # Under --jobs 1 every spec simulates in-process, where no watchdog
+    # can stop it: the budget would be silently ignored.
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--timeout", "0.001"]) == 2
+    assert "--timeout needs --jobs N > 1 or --dispatch" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    parser = build_parser()
+    for agents in (["--jobs", "2"], ["--dispatch", "local"]):
+        cli._timeout_needs_agents(
+            parser.parse_args([*argv, "--timeout", "5", *agents])
+        )
+
+
 def test_a_campaign_journals_without_dispatch(tmp_path, monkeypatch):
     import repro.campaign.builtin as builtin
     from repro.campaign import CampaignSpec, StageSpec

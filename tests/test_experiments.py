@@ -1,7 +1,8 @@
 """Experiment harness smoke tests: structure and formatting.
 
-Heavy qualitative claims live in test_paper_claims.py; these verify the
-harness mechanics at miniature scale.
+The paper's claims are predicates over the campaigns' stage rows
+(``repro.campaign.claims``, checked by test_claims.py); these verify
+the harness mechanics at miniature scale.
 """
 
 

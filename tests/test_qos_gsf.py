@@ -1,11 +1,11 @@
-"""GSF mechanics: frame budgets, source throttling, the head-to-head.
+"""GSF mechanics: frame budgets and source throttling.
 
 Policy-level tests drive :class:`GsfPolicy` directly through the
 ``QosPolicy`` contract calls the engines make (charge on creation,
 release at placement, compliance reads); the engine-level test pins the
 end-to-end property — a budget-exhausted source emits nothing further
-until the next frame boundary — and the experiment test asserts the
-qualitative PVC-vs-GSF ordering the extension study reports.
+until the next frame boundary.  The PVC-vs-GSF head-to-head is a set of
+``pvc_vs_gsf`` claims in :mod:`repro.campaign.claims`.
 """
 
 import pytest
@@ -198,33 +198,3 @@ def test_engine_budget_exhausted_source_waits_for_frame_boundary():
     assert max(per_frame[1:]) == 2  # budget actually used, not starved
     assert simulator.stats.preemption_events == 0  # GSF never preempts
 
-
-def test_pvc_vs_gsf_qualitative_ordering():
-    from repro.analysis.experiments.pvc_vs_gsf import run_pvc_vs_gsf
-
-    cells = {
-        (cell.regime, cell.policy): cell
-        for cell in run_pvc_vs_gsf(
-            warmup=500, window=3000,
-            config=SimulationConfig(frame_cycles=500, seed=1),
-        )
-    }
-    sat_pvc = cells[("saturation", "pvc")]
-    sat_gsf = cells[("saturation", "gsf")]
-    # Comparable fairness at saturation: both policies keep every flow
-    # within a broad band of its fair share...
-    assert sat_gsf.min_relative >= sat_pvc.min_relative - 0.15
-    # ...but they pay differently: PVC preempts, GSF defers at source.
-    assert sat_pvc.preemption_events > 0
-    assert sat_pvc.throttle_deferrals == 0
-    assert sat_gsf.preemption_events == 0
-    assert sat_gsf.throttle_deferrals > 0
-
-    head_pvc = cells[("headroom", "pvc")]
-    head_gsf = cells[("headroom", "gsf")]
-    # With spare capacity, PVC's scheduling-only QoS uses it; GSF's
-    # admission-based reservations clamp throughput and stall packets
-    # across frame boundaries — the paper's core argument.
-    assert head_gsf.delivered_flits < head_pvc.delivered_flits
-    assert head_gsf.mean_latency > 10 * head_pvc.mean_latency
-    assert head_gsf.throttle_deferrals > 0

@@ -183,6 +183,49 @@ def test_repeated_deaths_degrade_to_in_process_and_still_finish():
     assert outcome.results == serial
 
 
+def test_watchdog_kills_exhaust_retries_instead_of_degrading():
+    # Every attempt of both specs hangs past the deadline.  Those kills
+    # are the deadline working: degrading would finish the batch on an
+    # in-process agent, where no deadline holds and a hung spec hangs
+    # the parent.  So the retries run out and the batch fails.
+    plan = FaultPlan(
+        name="stuck",
+        faults=tuple(
+            Fault(kind="worker_hang", at=serial, attempts=3, seconds=30.0)
+            for serial in (0, 1)
+        ),
+    )
+    with ParallelExecutor(
+        jobs=2, retry=_FAST_RETRY, timeout=0.3, faults=FaultInjector(plan)
+    ) as ex:
+        with pytest.raises(ExecutionFailed) as excinfo:
+            ex.run(_specs())
+    outcome = excinfo.value.outcome
+    assert outcome.timeouts == 6 and not outcome.degraded
+    assert [f.kind for f in excinfo.value.failures] == ["timeout", "timeout"]
+
+
+def test_close_zeroes_the_death_count_toward_degradation():
+    # The first batch degrades.  After close() the next batch's single
+    # agent death is its first, not its fifth.
+    plan = FaultPlan(
+        name="storm-then-one",
+        faults=(Fault(kind="worker_kill", at=0, attempts=10),
+                Fault(kind="worker_kill", at=1, attempts=10),
+                Fault(kind="worker_kill", at=2)),
+    )
+    with ParallelExecutor(
+        jobs=2,
+        retry=RetryPolicy(max_attempts=10, backoff_base=0.0, jitter=0.0),
+        faults=FaultInjector(plan),
+    ) as ex:
+        assert ex.run(_specs()).degraded
+        ex.close()
+        outcome = ex.run(_specs(3))
+    assert outcome.worker_deaths == 1 and not outcome.degraded
+    assert outcome.results == SerialExecutor().map(_specs(3))
+
+
 def test_keyboard_interrupt_force_closes_the_pool(monkeypatch):
     before = set(multiprocessing.active_children())
     with ParallelExecutor(jobs=2) as ex:
