@@ -7,16 +7,16 @@ sweeps themselves.
 
 from conftest import record_runtime_baseline, run_once, time_variants
 
-from repro.analysis.ablations import patience, run_patience_ablation, run_quota_ablation
+from repro.analysis.ablations import patience, quota
 
 
 def test_ablations_serial_vs_parallel_runtime(benchmark):
-    """Patience + quota sweeps on both executors: equal points, timings."""
+    """Patience + quota sweeps on both executors: equal rows, timings."""
 
     def sweep(executor):
         return (
-            run_patience_ablation(executor=executor),
-            run_quota_ablation(executor=executor),
+            patience.stage_rows(executor=executor),
+            quota.stage_rows(executor=executor),
         )
 
     timings, results = time_variants(sweep)
@@ -26,4 +26,4 @@ def test_ablations_serial_vs_parallel_runtime(benchmark):
     record_runtime_baseline("ablations_patience_plus_quota", timings)
     print()
     print(f"ablation runtime comparison: {timings}")
-    run_once(benchmark, patience.format_rows, patience.summary_rows(serial[0]))
+    run_once(benchmark, patience.format_rows, serial[0])

@@ -9,52 +9,50 @@ topologies: latency under benign (uniform random) and adversarial
 Run:  python examples/topology_showdown.py
 """
 
-from repro import SimulationConfig, latency_throughput_sweep
-from repro.analysis.experiments import run_fig3, run_fig7
+from repro.analysis.experiments import fig3_area, fig4_latency, fig7_energy
 from repro.topologies import TOPOLOGY_NAMES
-from repro.traffic import full_column_workload
-from repro.traffic.patterns import tornado, uniform_random
 from repro.util.tables import format_table
 
 RATES = [0.02, 0.06, 0.10]
 
 
-def sweep(pattern):
-    config = SimulationConfig(frame_cycles=10_000, seed=11)
-    rows = []
-    for name in TOPOLOGY_NAMES:
-        points = latency_throughput_sweep(
-            name,
-            lambda rate: full_column_workload(rate, pattern=pattern),
-            RATES,
-            cycles=4000,
-            warmup=1000,
-            config=config,
-        )
-        rows.append([name] + [point.mean_latency for point in points])
-    return rows
+def latency_rows(rows, panel):
+    """``[topology, latency at each rate]`` for one Figure 4 panel."""
+    latency = {
+        (row["topology"], row["rate"]): row["mean_latency"]
+        for row in rows
+        if row["panel"] == panel
+    }
+    return [[name] + [latency[name, rate] for rate in RATES]
+            for name in TOPOLOGY_NAMES]
 
 
 def main() -> None:
+    sweep = fig4_latency.stage_rows(
+        {"rates": RATES, "cycles": 4000, "warmup": 1000, "frame_cycles": 10_000},
+        seed=11,
+    )
     headers = ["topology"] + [f"lat@{rate:.0%}" for rate in RATES]
-    print(format_table(headers, sweep(uniform_random),
+    print(format_table(headers, latency_rows(sweep, "uniform"),
                        title="Uniform random (cycles)", float_format=".1f"))
     print()
-    print(format_table(headers, sweep(tornado),
+    print(format_table(headers, latency_rows(sweep, "tornado"),
                        title="Tornado (cycles)", float_format=".1f"))
 
-    areas = run_fig3()
-    energies = {row.topology: row for row in run_fig7()}
-    rows = []
-    for name in TOPOLOGY_NAMES:
-        rows.append(
-            [
-                name,
-                areas[name].total_mm2,
-                energies[name].three_hops.total_pj,
-                energies[name].intermediate.total_pj,
-            ]
-        )
+    area = {row["topology"]: row["total_mm2"] for row in fig3_area.stage_rows()}
+    energy = {
+        (row["topology"], row["hop"]): row["total_pj"]
+        for row in fig7_energy.stage_rows()
+    }
+    rows = [
+        [
+            name,
+            area[name],
+            energy[name, "three_hops"],
+            energy[name, "intermediate"],
+        ]
+        for name in TOPOLOGY_NAMES
+    ]
     print()
     print(
         format_table(

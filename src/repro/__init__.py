@@ -112,8 +112,19 @@ Besides PVC the registry ships GSF (Globally-Synchronized Frames, the
 frame-reservation scheme the paper argues against); ``repro pvcgsf``
 runs the head-to-head.  See ``docs/qos.md``.
 
-Experiments (one per paper table/figure) live in
-:mod:`repro.analysis.experiments`.
+Experiments: every paper table, figure, ablation and extension is one
+stage kind in :mod:`repro.campaign.stages`, backed by a module under
+:mod:`repro.analysis` whose ``stage_rows`` runs it and whose
+``format_rows`` renders its rows::
+
+    from repro.analysis.experiments import fig4_latency
+
+    rows = fig4_latency.stage_rows(
+        {"rates": [0.02, 0.06], "topology_names": ["mecs", "dps"]}, seed=1
+    )
+    print(fig4_latency.format_rows(rows))   # both panels, one batch
+
+CLI: ``repro <target>`` (``repro list`` names them).
 
 Full-paper campaigns (:mod:`repro.campaign`) — every figure, table,
 ablation and scenario study as one resumable, sharded, CI-verifiable
@@ -177,7 +188,7 @@ A :class:`Broker` leases content-hashed specs to
 complete); abandoned leases expire and requeue, completions are
 idempotent on the spec hash, and every result is sha256-verified
 before ingestion.  :class:`DispatchExecutor` is a drop-in executor
-over the protocol (``--dispatch URL|DIR|local`` on any batch target)
+over the protocol (``--dispatch URL|local`` on any batch target)
 that degrades to a local :class:`ParallelExecutor` when the broker is
 unreachable.  The chaos harness (``repro chaos run``) stamps lost,
 duplicated and delayed calls, partitions and vanishing workers on the
@@ -242,7 +253,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         ".analysis.fairness": ("fairness_report", "max_min_allocation"),
-        ".analysis.sweep": ("latency_throughput_sweep",),
         ".campaign.builtin": ("CAMPAIGNS", "get_campaign"),
         ".campaign.report": ("ReportCard", "StageReport"),
         ".campaign.runner": ("CampaignResult", "CampaignRunner", "run_campaign"),

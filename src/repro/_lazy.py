@@ -20,8 +20,10 @@ def lazy_exports(namespace: dict, table: dict[str, tuple[str, ...]]):
 
     ``table`` maps a defining module, relative to the package (``".spec"``,
     ``".runtime.spec"``), to the names exported from it; ``__all__``
-    lists them in table order.  A name is bound in the package on its
-    first access, so later lookups are plain attribute reads.
+    lists them in table order.  A name listed under its own module
+    (``".fig3_area": ("fig3_area",)``) exports that submodule.  A name is
+    bound in the package on its first access, so later lookups are plain
+    attribute reads.
     """
     package = namespace["__name__"]
     origin = {name: module for module, names in table.items() for name in names}
@@ -30,7 +32,9 @@ def lazy_exports(namespace: dict, table: dict[str, tuple[str, ...]]):
         module = origin.get(name)
         if module is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(import_module(module, package), name)
+        imported = import_module(module, package)
+        value = imported if module == f".{name}" else getattr(imported, name)
+        namespace[name] = value
         return value
 
     def __dir__() -> list[str]:

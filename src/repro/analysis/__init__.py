@@ -4,8 +4,9 @@
 (Figures 3–7, Table 2, the Section 5.2 saturation study) and the
 extensions, ``repro.analysis.ablations`` one per design-choice ablation,
 and ``chip_study`` the shared-column placement study.  Each module's
-``run_*`` returns typed results; its ``stage_rows`` projects them onto
-the plain summary rows a campaign stage records, and its ``format_rows``
+``stage_rows(params, *, seed, executor, cache)`` resolves ``params`` over
+its ``STAGE_DEFAULTS``, runs the study's specs as one runtime batch and
+returns the plain rows a campaign stage records; its ``format_rows``
 renders those rows as the paper's table.  The experiment table in
 :mod:`repro.campaign.stages` names every such module once.
 """
@@ -15,8 +16,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        ".chip_study": ("run_chip_study",),
+        ".chip_study": ("chip_study",),
         ".fairness": ("FairnessReport", "fairness_report", "max_min_allocation"),
-        ".sweep": ("LatencyPoint", "latency_throughput_sweep"),
     },
 )

@@ -19,6 +19,9 @@ module                 question
 ``topology_extension`` the flattened-butterfly alternative the paper
                        names but does not evaluate
 =====================  ====================================================
+
+Each exposes ``STAGE_DEFAULTS``, ``stage_rows`` and ``format_rows``
+(see :mod:`repro.campaign.stages`).
 """
 
 from repro._lazy import lazy_exports
@@ -26,12 +29,15 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        ".frame": ("run_frame_ablation",),
-        ".patience": ("run_patience_ablation",),
-        ".quota": ("run_quota_ablation",),
-        ".replica_policy": ("run_replica_ablation",),
-        ".reserved_vc": ("run_reserved_vc_ablation",),
-        ".topology_extension": ("run_fbfly_study",),
-        ".window": ("run_window_ablation",),
+        f".{kind}": (kind,)
+        for kind in (
+            "frame",
+            "patience",
+            "quota",
+            "replica_policy",
+            "reserved_vc",
+            "topology_extension",
+            "window",
+        )
     },
 )

@@ -9,18 +9,16 @@ reservation on and off.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 from repro.analysis.fairness import fairness_report
 from repro.network.config import SimulationConfig
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_columns, percent
 
-#: Campaign stage-adapter defaults (see :func:`stage_rows`).
+#: The study's budgets; a campaign stage's params override them.
 STAGE_DEFAULTS = {
     "topology_name": "dps",
     "cycles": 15_000,
@@ -28,27 +26,13 @@ STAGE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class ReservedVcPoint:
-    """One (workload, reserved?) cell of the ablation."""
-
-    workload: str
-    reserved: bool
-    preemption_events: int
-    fairness_std: float
-    delivered_flits: int
-
-
-def run_reserved_vc_ablation(
-    *,
-    topology_name: str = "dps",
-    cycles: int = 15_000,
-    config: SimulationConfig | None = None,
-    executor: Executor | None = None,
-    cache: ResultCache | None = None,
-) -> list[ReservedVcPoint]:
-    """Hotspot + Workload 1, reserved VC on/off."""
-    base = config or SimulationConfig(frame_cycles=10_000, seed=1)
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """One row per (workload, reserved?) cell: hotspot + Workload 1,
+    reserved VC on/off."""
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_reserved_vc")
+    base = SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed)
+    cycles = p["cycles"]
     cells = [
         (workload_name, rate, reserved)
         for workload_name, rate in (("hotspot64", 0.05), ("workload1", None))
@@ -56,7 +40,7 @@ def run_reserved_vc_ablation(
     ]
     specs = [
         RunSpec(
-            topology=topology_name,
+            topology=p["topology_name"],
             workload=workload_name,
             rate=rate,
             config=replace(base, reserved_vc=reserved),
@@ -67,34 +51,19 @@ def run_reserved_vc_ablation(
         for workload_name, rate, reserved in cells
     ]
     batch = run_batch(specs, executor=executor, cache=cache)
-    points = []
+    rows = []
     for (workload_name, _, reserved), result in zip(cells, batch.results):
         report = fairness_report(list(result.window_flits_per_flow))
-        points.append(
-            ReservedVcPoint(
-                workload=workload_name,
-                reserved=reserved,
-                preemption_events=result.preemption_events,
-                fairness_std=report.std_relative,
-                delivered_flits=result.delivered_flits,
-            )
+        rows.append(
+            {
+                "workload": workload_name,
+                "reserved": reserved,
+                "preemption_events": result.preemption_events,
+                "fairness_std": report.std_relative,
+                "delivered_flits": result.delivered_flits,
+            }
         )
-    return points
-
-
-def summary_rows(points: list[ReservedVcPoint]) -> list[dict]:
-    """One plain row per (workload, reserved?) cell."""
-    return [asdict(point) for point in points]
-
-
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`."""
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_reserved_vc")
-    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
-    return summary_rows(
-        run_reserved_vc_ablation(**p, config=config, executor=executor, cache=cache)
-    )
+    return rows
 
 
 def format_rows(rows: list[dict]) -> str:

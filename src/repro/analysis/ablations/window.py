@@ -9,50 +9,32 @@ column).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 from repro.network.config import SimulationConfig
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_columns
 
-DEFAULT_WINDOWS: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
-
-#: Campaign stage-adapter defaults (see :func:`stage_rows`).
+#: The study's budgets; a campaign stage's params override them.
 STAGE_DEFAULTS = {
     "topology_name": "mesh_x1",
-    "windows": DEFAULT_WINDOWS,
+    "windows": (1, 2, 4, 8, 16, 32),
     "cycles": 6_000,
     "frame_cycles": 10_000,
 }
 
 
-@dataclass(frozen=True)
-class WindowPoint:
-    """Outcome of one window size."""
-
-    window_packets: int
-    delivered_flits: int
-    mean_latency: float
-
-
-def run_window_ablation(
-    *,
-    topology_name: str = "mesh_x1",
-    windows: tuple[int, ...] = DEFAULT_WINDOWS,
-    cycles: int = 6_000,
-    config: SimulationConfig | None = None,
-    executor: Executor | None = None,
-    cache: ResultCache | None = None,
-) -> list[WindowPoint]:
-    """Sweep the retransmission window for a saturated 0->7 flow."""
-    base = config or SimulationConfig(frame_cycles=10_000, seed=1)
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """One row per retransmission-window size for a saturated 0->7 flow."""
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_window")
+    base = SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed)
+    cycles = p["cycles"]
     specs = [
         RunSpec(
-            topology=topology_name,
+            topology=p["topology_name"],
             workload="single_flow",
             rate=0.9,
             workload_params={"node": 0, "dst": 7, "flits": 1},
@@ -60,32 +42,17 @@ def run_window_ablation(
             cycles=cycles,
             warmup=cycles // 4,
         )
-        for window in windows
+        for window in p["windows"]
     ]
     batch = run_batch(specs, executor=executor, cache=cache)
     return [
-        WindowPoint(
-            window_packets=window,
-            delivered_flits=result.delivered_flits,
-            mean_latency=result.mean_latency,
-        )
-        for window, result in zip(windows, batch.results)
+        {
+            "window_packets": window,
+            "delivered_flits": result.delivered_flits,
+            "mean_latency": result.mean_latency,
+        }
+        for window, result in zip(p["windows"], batch.results)
     ]
-
-
-def summary_rows(points: list[WindowPoint]) -> list[dict]:
-    """One plain row per retransmission-window size."""
-    return [asdict(point) for point in points]
-
-
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`."""
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "ablation_window")
-    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
-    return summary_rows(
-        run_window_ablation(**p, config=config, executor=executor, cache=cache)
-    )
 
 
 def format_rows(rows: list[dict]) -> str:

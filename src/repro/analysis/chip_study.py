@@ -17,8 +17,6 @@ moved:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from repro.core.allocator import DomainAllocator
 from repro.core.chip import Chip, ChipConfig
 from repro.core.isolation import audit_chip
@@ -26,31 +24,12 @@ from repro.errors import AllocationError
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_columns
 
-#: Configurations studied: the paper's middle column, edge placement,
-#: and one/two/three-column variants.
-DEFAULT_LAYOUTS: tuple[tuple[int, ...], ...] = (
-    (4,),
-    (0,),
-    (7,),
-    (2, 5),
-    (0, 7),
-    (1, 4, 6),
-)
-
-#: Campaign stage-adapter defaults (see :func:`stage_rows`).
-STAGE_DEFAULTS = {"layouts": DEFAULT_LAYOUTS}
-
-
-@dataclass(frozen=True)
-class ColumnLayoutPoint:
-    """Metrics of one shared-column placement."""
-
-    columns: tuple[int, ...]
-    mean_access_distance: float
-    max_access_distance: int
-    compute_tiles: int
-    compute_nodes_per_shared_router: float
-    isolation_violations: int
+#: The study's configurations; a campaign stage's params override them.
+STAGE_DEFAULTS = {
+    # The paper's middle column, edge placement, and one/two/three-column
+    # variants.
+    "layouts": ((4,), (0,), (7,), (2, 5), (0, 7), (1, 4, 6)),
+}
 
 
 def _access_distances(chip: Chip) -> list[int]:
@@ -73,45 +52,33 @@ def _isolation_violations(chip: Chip) -> int:
     return len(audit_chip(chip, allocator.domains))
 
 
-def run_chip_study(
-    layouts: tuple[tuple[int, ...], ...] = DEFAULT_LAYOUTS,
-) -> list[ColumnLayoutPoint]:
-    """Evaluate each shared-column layout on an 8x8 chip."""
-    points = []
-    for columns in layouts:
-        chip = Chip(ChipConfig(shared_columns=columns))
-        distances = _access_distances(chip)
-        compute_nodes = len(chip.compute_nodes())
-        shared_routers = len(chip.shared_nodes())
-        points.append(
-            ColumnLayoutPoint(
-                columns=columns,
-                mean_access_distance=sum(distances) / len(distances),
-                max_access_distance=max(distances),
-                compute_tiles=compute_nodes * chip.config.concentration,
-                compute_nodes_per_shared_router=compute_nodes / shared_routers,
-                isolation_violations=_isolation_violations(chip),
-            )
-        )
-    return points
-
-
-def summary_rows(points: list[ColumnLayoutPoint]) -> list[dict]:
-    """One plain row per shared-column layout (``columns`` as a list, as JSON
-    reads it back)."""
-    return [{**asdict(point), "columns": list(point.columns)} for point in points]
-
-
 def stage_rows(params: dict | None = None, *, seed: int = 1,
                executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`.
+    """One row per shared-column layout of an 8x8 chip (``columns`` as a
+    list, as JSON reads it back).
 
     Analytical — ``seed``/``executor``/``cache`` are accepted for
     signature uniformity with the simulation-backed stages and ignored.
     """
     del seed, executor, cache
     p = resolve_stage_params(params, STAGE_DEFAULTS, "chip")
-    return summary_rows(run_chip_study(**p))
+    rows = []
+    for columns in p["layouts"]:
+        chip = Chip(ChipConfig(shared_columns=columns))
+        distances = _access_distances(chip)
+        compute_nodes = len(chip.compute_nodes())
+        shared_routers = len(chip.shared_nodes())
+        rows.append(
+            {
+                "columns": list(columns),
+                "mean_access_distance": sum(distances) / len(distances),
+                "max_access_distance": max(distances),
+                "compute_tiles": compute_nodes * chip.config.concentration,
+                "compute_nodes_per_shared_router": compute_nodes / shared_routers,
+                "isolation_violations": _isolation_violations(chip),
+            }
+        )
+    return rows
 
 
 def format_rows(rows: list[dict]) -> str:

@@ -13,6 +13,9 @@ module                 paper result
 ``burst_fairness``     extension — QoS under bursty/replayed traffic
 ``pvc_vs_gsf``         extension — PVC vs GSF head-to-head
 =====================  =============================================
+
+Each exposes ``STAGE_DEFAULTS``, ``stage_rows`` and ``format_rows``
+(see :mod:`repro.campaign.stages`).
 """
 
 from repro._lazy import lazy_exports
@@ -20,14 +23,17 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        ".burst_fairness": ("run_burst_fairness",),
-        ".fig3_area": ("run_fig3",),
-        ".fig4_latency": ("run_fig4",),
-        ".fig5_preemption": ("run_fig5",),
-        ".fig6_slowdown": ("run_fig6",),
-        ".fig7_energy": ("run_fig7",),
-        ".pvc_vs_gsf": ("run_pvc_vs_gsf",),
-        ".saturation": ("run_saturation",),
-        ".table2_fairness": ("run_table2",),
+        f".{kind}": (kind,)
+        for kind in (
+            "burst_fairness",
+            "fig3_area",
+            "fig4_latency",
+            "fig5_preemption",
+            "fig6_slowdown",
+            "fig7_energy",
+            "pvc_vs_gsf",
+            "saturation",
+            "table2_fairness",
+        )
     },
 )

@@ -13,28 +13,25 @@ makes repeated sweeps free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.analysis.sweep import LatencyPoint, point_from_result
 from repro.network.config import SimulationConfig
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import Executor
-from repro.runtime.runner import RunManifest, run_batch
+from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.registry import TOPOLOGY_NAMES
 from repro.util.charts import line_chart
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_table
 
-#: Default swept injection rates (flits/cycle per injector).
-DEFAULT_RATES: tuple[float, ...] = (0.01, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13)
+#: The two panels, Figure 4(a) benign and 4(b) adversarial: each row's
+#: ``panel`` and the traffic pattern it runs.
+_PANELS: tuple[tuple[str, str], ...] = (
+    ("uniform", "uniform_random"),
+    ("tornado", "tornado"),
+)
 
-#: The two panels: Figure 4(a) benign, Figure 4(b) adversarial.
-_PANEL_PATTERNS: tuple[str, ...] = ("uniform_random", "tornado")
-
-#: Campaign stage-adapter defaults (see :func:`stage_rows`).
+#: The study's budgets; a campaign stage's params override them.
 STAGE_DEFAULTS = {
-    "rates": DEFAULT_RATES,
+    # Swept injection rates (flits/cycle per injector).
+    "rates": (0.01, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13),
     "cycles": 5000,
     "warmup": 1500,
     "frame_cycles": 10_000,
@@ -42,28 +39,17 @@ STAGE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class Fig4Result:
-    """Curves for both panels, keyed by topology name."""
-
-    uniform: dict[str, list[LatencyPoint]]
-    tornado: dict[str, list[LatencyPoint]]
-    rates: tuple[float, ...]
-    manifest: RunManifest | None = None
-
-
-def run_fig4(
-    *,
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    cycles: int = 5000,
-    warmup: int = 1500,
-    topology_names: tuple[str, ...] = TOPOLOGY_NAMES,
-    config: SimulationConfig | None = None,
-    executor: Executor | None = None,
-    cache: ResultCache | None = None,
-) -> Fig4Result:
-    """Run both Figure 4 panels for every topology."""
-    config = config or SimulationConfig(frame_cycles=10_000)
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """One row per (panel, topology, rate), both panels in one batch."""
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig4")
+    config = SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed)
+    cells = [
+        (panel, pattern, name, rate)
+        for panel, pattern in _PANELS
+        for name in p["topology_names"]
+        for rate in p["rates"]
+    ]
     specs = [
         RunSpec(
             topology=name,
@@ -71,61 +57,24 @@ def run_fig4(
             rate=rate,
             workload_params={"pattern": pattern},
             config=config,
-            cycles=cycles,
-            warmup=warmup,
+            cycles=p["cycles"],
+            warmup=p["warmup"],
         )
-        for pattern in _PANEL_PATTERNS
-        for name in topology_names
-        for rate in rates
+        for _, pattern, name, rate in cells
     ]
     batch = run_batch(specs, executor=executor, cache=cache)
-    curves: dict[str, dict[str, list[LatencyPoint]]] = {
-        pattern: {} for pattern in _PANEL_PATTERNS
-    }
-    index = 0
-    for pattern in _PANEL_PATTERNS:
-        for name in topology_names:
-            curves[pattern][name] = [
-                point_from_result(rate, batch.results[index + offset])
-                for offset, rate in enumerate(rates)
-            ]
-            index += len(rates)
-    return Fig4Result(
-        uniform=curves["uniform_random"],
-        tornado=curves["tornado"],
-        rates=rates,
-        manifest=batch.manifest,
-    )
-
-
-def summary_rows(result: Fig4Result) -> list[dict]:
-    """One plain row per (panel, topology, rate)."""
-    rows = []
-    for panel, curves in (("uniform", result.uniform), ("tornado", result.tornado)):
-        for name, points in curves.items():
-            for point in points:
-                rows.append(
-                    {
-                        "panel": panel,
-                        "topology": name,
-                        "rate": point.rate,
-                        "mean_latency": point.mean_latency,
-                        "delivered_flits": point.delivered_flits,
-                        "accepted_ratio": point.accepted_ratio,
-                        "preemption_events": point.preemption_events,
-                    }
-                )
-    return rows
-
-
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`."""
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig4")
-    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
-    return summary_rows(
-        run_fig4(**p, config=config, executor=executor, cache=cache)
-    )
+    return [
+        {
+            "panel": panel,
+            "topology": name,
+            "rate": rate,
+            "mean_latency": result.mean_latency,
+            "delivered_flits": result.delivered_flits,
+            "accepted_ratio": result.accepted_ratio,
+            "preemption_events": result.preemption_events,
+        }
+        for (panel, _, name, rate), result in zip(cells, batch.results)
+    ]
 
 
 def _curves(rows: list[dict], panel: str) -> dict[str, list[tuple[float, float]]]:
@@ -139,8 +88,9 @@ def _curves(rows: list[dict], panel: str) -> dict[str, list[tuple[float, float]]
     return curves
 
 
-def format_rows(rows: list[dict]) -> str:
-    """Render both panels (average packet latency in cycles)."""
+def format_rows(rows: list[dict], *, chart: bool = False) -> str:
+    """Render both panels (average packet latency in cycles); ``chart``
+    adds an ASCII chart of the uniform panel."""
     tables = []
     for panel, title in (("uniform", "Figure 4(a): uniform random"),
                          ("tornado", "Figure 4(b): tornado")):
@@ -153,16 +103,13 @@ def format_rows(rows: list[dict]) -> str:
             title=title,
             float_format=".1f",
         ))
+    if chart:
+        tables.append(line_chart(
+            {
+                name: [(rate * 100, latency) for rate, latency in points]
+                for name, points in _curves(rows, "uniform").items()
+            },
+            title="uniform random: latency (cyc) vs injection (%)",
+            y_cap=120.0,
+        ))
     return "\n\n".join(tables)
-
-
-def uniform_chart(rows: list[dict]) -> str:
-    """ASCII chart of the uniform panel: latency against injection rate."""
-    curves = {
-        name: [(rate * 100, latency) for rate, latency in points]
-        for name, points in _curves(rows, "uniform").items()
-    }
-    return line_chart(
-        curves, title="uniform random: latency (cyc) vs injection (%)",
-        y_cap=120.0,
-    )

@@ -20,12 +20,8 @@ topologies), so a parallel executor overlaps them freely.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from repro.analysis.fairness import deviation_from_expected, max_min_allocation
 from repro.network.config import SimulationConfig
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.topologies.registry import TOPOLOGY_NAMES
@@ -35,7 +31,7 @@ from repro.util.tables import format_columns, percent
 
 _WORKLOADS = {"workload1": workload1, "workload2": workload2}
 
-#: Campaign stage-adapter defaults (see :func:`stage_rows`).
+#: The study's budgets; a campaign stage's params override them.
 STAGE_DEFAULTS = {
     "duration": 12_000,
     "window": 15_000,
@@ -45,36 +41,16 @@ STAGE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class Fig6Row:
-    """One topology's slowdown + fairness-deviation result."""
-
-    topology: str
-    workload: str
-    slowdown: float
-    avg_deviation: float
-    min_deviation: float
-    max_deviation: float
-    pvc_completion: int
-    baseline_completion: int
-
-
-def run_fig6(
-    *,
-    duration: int = 12_000,
-    window: int = 15_000,
-    warmup: int = 3000,
-    topology_names: tuple[str, ...] = TOPOLOGY_NAMES,
-    config: SimulationConfig | None = None,
-    executor: Executor | None = None,
-    cache: ResultCache | None = None,
-) -> list[Fig6Row]:
-    """Run slowdown and deviation measurements for both workloads."""
-    config = config or SimulationConfig(frame_cycles=10_000)
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """One slowdown + fairness-deviation row per (workload, topology)."""
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig6")
+    config = SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed)
+    duration, window = p["duration"], p["window"]
     cells = [
         (workload_name, topology_name)
         for workload_name in _WORKLOADS
-        for topology_name in topology_names
+        for topology_name in p["topology_names"]
     ]
     specs = []
     for workload_name, topology_name in cells:
@@ -99,7 +75,7 @@ def run_fig6(
                 config=config,
                 mode="window",
                 cycles=window,
-                warmup=warmup,
+                warmup=p["warmup"],
             )
         )
     batch = run_batch(specs, executor=executor, cache=cache)
@@ -109,8 +85,6 @@ def run_fig6(
         pvc, base, cont = batch.results[3 * index : 3 * index + 3]
         pvc_done = pvc.completion_cycle
         base_done = base.completion_cycle
-        slowdown = pvc_done / base_done - 1.0 if base_done else 0.0
-
         demands = [flow.rate for flow in _WORKLOADS[workload_name]()]
         allocation = max_min_allocation(demands, 1.0)
         expected = [alloc * window for alloc in allocation]
@@ -118,33 +92,18 @@ def run_fig6(
             [float(v) for v in cont.window_flits_per_flow], expected
         )
         rows.append(
-            Fig6Row(
-                topology=topology_name,
-                workload=workload_name,
-                slowdown=slowdown,
-                avg_deviation=avg_dev,
-                min_deviation=min_dev,
-                max_deviation=max_dev,
-                pvc_completion=pvc_done,
-                baseline_completion=base_done,
-            )
+            {
+                "topology": topology_name,
+                "workload": workload_name,
+                "slowdown": pvc_done / base_done - 1.0 if base_done else 0.0,
+                "avg_deviation": avg_dev,
+                "min_deviation": min_dev,
+                "max_deviation": max_dev,
+                "pvc_completion": pvc_done,
+                "baseline_completion": base_done,
+            }
         )
     return rows
-
-
-def summary_rows(rows: list[Fig6Row]) -> list[dict]:
-    """One plain row per (workload, topology)."""
-    return [asdict(row) for row in rows]
-
-
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`."""
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig6")
-    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
-    return summary_rows(
-        run_fig6(**p, config=config, executor=executor, cache=cache)
-    )
 
 
 def format_rows(rows: list[dict]) -> str:

@@ -10,69 +10,42 @@ distance with just two router traversals; DPS pays only a buffer and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.models.energy import EnergyBreakdown, HopType, RouterEnergyModel
-from repro.models.technology import DEFAULT_TECHNOLOGY, TechnologyParameters
+from repro.models.energy import HopType, RouterEnergyModel
 from repro.topologies.registry import TOPOLOGY_NAMES, get_topology
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_columns
 
 #: Figure 7's composite route length in hops.
-COMPOSITE_HOPS = 3
+_COMPOSITE_HOPS = 3
 
-#: Campaign stage-adapter defaults (see :func:`stage_rows`).
+#: The study's budget; a campaign stage's params override it.
 STAGE_DEFAULTS = {"topology_names": TOPOLOGY_NAMES}
 
 
-@dataclass(frozen=True)
-class Fig7Row:
-    """Per-hop-type energy for one topology."""
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """One row per (topology, hop type), in Figure 7's order.
 
-    topology: str
-    source: EnergyBreakdown
-    intermediate: EnergyBreakdown
-    destination: EnergyBreakdown
-    three_hops: EnergyBreakdown
-
-
-def run_fig7(
-    technology: TechnologyParameters = DEFAULT_TECHNOLOGY,
-    topology_names: tuple[str, ...] = TOPOLOGY_NAMES,
-) -> list[Fig7Row]:
-    """Energy breakdown per topology, in Figure 7's order."""
-    model = RouterEnergyModel(technology)
+    Analytical — ``seed``/``executor``/``cache`` are accepted for
+    signature uniformity with the simulation-backed stages and ignored.
+    """
+    del seed, executor, cache
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig7")
+    model = RouterEnergyModel()
     rows = []
-    for name in topology_names:
+    for name in p["topology_names"]:
         geometry = get_topology(name).geometry()
-        single_hop = name == "mecs"
-        rows.append(
-            Fig7Row(
-                topology=name,
-                source=model.hop_energy(geometry, HopType.SOURCE),
-                intermediate=model.hop_energy(geometry, HopType.INTERMEDIATE),
-                destination=model.hop_energy(geometry, HopType.DESTINATION),
-                three_hops=model.route_energy(
-                    geometry, COMPOSITE_HOPS, single_hop_reach=single_hop
-                ),
-            )
-        )
-    return rows
-
-
-def summary_rows(rows: list[Fig7Row]) -> list[dict]:
-    """One plain row per (topology, hop type)."""
-    summary = []
-    for row in rows:
         for hop_name, energy in (
-            ("source", row.source),
-            ("intermediate", row.intermediate),
-            ("destination", row.destination),
-            ("three_hops", row.three_hops),
+            ("source", model.hop_energy(geometry, HopType.SOURCE)),
+            ("intermediate", model.hop_energy(geometry, HopType.INTERMEDIATE)),
+            ("destination", model.hop_energy(geometry, HopType.DESTINATION)),
+            ("three_hops", model.route_energy(
+                geometry, _COMPOSITE_HOPS, single_hop_reach=name == "mecs"
+            )),
         ):
-            summary.append(
+            rows.append(
                 {
-                    "topology": row.topology,
+                    "topology": name,
                     "hop": hop_name,
                     "buffers_pj": energy.buffers_pj,
                     "crossbar_pj": energy.crossbar_pj,
@@ -80,19 +53,7 @@ def summary_rows(rows: list[Fig7Row]) -> list[dict]:
                     "total_pj": energy.total_pj,
                 }
             )
-    return summary
-
-
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`.
-
-    Analytical — ``seed``/``executor``/``cache`` are accepted for
-    signature uniformity with the simulation-backed stages and ignored.
-    """
-    del seed, executor, cache
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "fig7")
-    return summary_rows(run_fig7(**p))
+    return rows
 
 
 #: Figure 7's label for each row's ``hop``.

@@ -34,21 +34,17 @@ with headroom — rather than exact figures.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from repro.analysis.fairness import fairness_report
 from repro.network.config import SimulationConfig
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import Executor
 from repro.runtime.runner import run_batch
 from repro.runtime.spec import RunSpec
 from repro.util.params import resolve_stage_params
 from repro.util.tables import format_columns, percent
 
 #: The two policies of the head-to-head, in presentation order.
-POLICY_PAIR = ("pvc", "gsf")
+_POLICY_PAIR = ("pvc", "gsf")
 
-#: Campaign stage-adapter defaults (see :func:`stage_rows`).
+#: The study's budgets; a campaign stage's params override them.
 STAGE_DEFAULTS = {
     "topology": "mecs",
     "target": 0,
@@ -60,89 +56,51 @@ STAGE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class PvcVsGsfCell:
-    """One (regime, policy) cell of the comparison."""
-
-    regime: str  # "saturation" (64 injectors) or "headroom" (8 terminals)
-    policy: str
-    min_relative: float
-    max_relative: float
-    mean_latency: float
-    delivered_flits: int
-    preemption_events: int
-    throttle_deferrals: int
-
-
-def run_pvc_vs_gsf(
-    *,
-    topology: str = "mecs",
-    target: int = 0,
-    saturation_rate: float = 0.05,
-    headroom_rate: float = 0.05,
-    warmup: int = 1000,
-    window: int = 6000,
-    config: SimulationConfig | None = None,
-    executor: Executor | None = None,
-    cache: ResultCache | None = None,
-) -> list[PvcVsGsfCell]:
-    """Run both regimes under both policies; one cell per combination.
+def stage_rows(params: dict | None = None, *, seed: int = 1,
+               executor=None, cache=None) -> list[dict]:
+    """One row per (regime, policy).
 
     Headroom is ``uniform`` with a hotspot target: the eight terminal
     injectors only.  ``throttle_deferrals`` is ``RunResult.deferrals``.
     """
-    config = config or SimulationConfig(frame_cycles=1000)
+    p = resolve_stage_params(params, STAGE_DEFAULTS, "pvc_vs_gsf")
+    config = SimulationConfig(frame_cycles=p["frame_cycles"], seed=seed)
     regimes = (
-        ("saturation", "hotspot64", saturation_rate),
-        ("headroom", "uniform", headroom_rate),
+        ("saturation", "hotspot64", p["saturation_rate"]),
+        ("headroom", "uniform", p["headroom_rate"]),
     )
     specs = {
         (regime, policy): RunSpec(
-            topology=topology,
+            topology=p["topology"],
             workload=workload,
             rate=rate,
-            workload_params={"target": target},
+            workload_params={"target": p["target"]},
             policy=policy,
             config=config,
             mode="window",
-            cycles=window,
-            warmup=warmup,
+            cycles=p["window"],
+            warmup=p["warmup"],
         )
         for regime, workload, rate in regimes
-        for policy in POLICY_PAIR
+        for policy in _POLICY_PAIR
     }
     batch = run_batch(list(specs.values()), executor=executor, cache=cache)
-    cells = []
+    rows = []
     for (regime, policy), result in zip(specs, batch.results):
         report = fairness_report(list(result.window_flits_per_flow))
-        cells.append(
-            PvcVsGsfCell(
-                regime=regime,
-                policy=policy,
-                min_relative=report.min_relative,
-                max_relative=report.max_relative,
-                mean_latency=result.mean_latency,
-                delivered_flits=result.delivered_flits,
-                preemption_events=result.preemption_events,
-                throttle_deferrals=result.deferrals,
-            )
+        rows.append(
+            {
+                "regime": regime,
+                "policy": policy,
+                "min_relative": report.min_relative,
+                "max_relative": report.max_relative,
+                "mean_latency": result.mean_latency,
+                "delivered_flits": result.delivered_flits,
+                "preemption_events": result.preemption_events,
+                "throttle_deferrals": result.deferrals,
+            }
         )
-    return cells
-
-
-def summary_rows(cells: list[PvcVsGsfCell]) -> list[dict]:
-    """One plain row per (regime, policy)."""
-    return [asdict(cell) for cell in cells]
-
-
-def stage_rows(params: dict | None = None, *, seed: int = 1,
-               executor=None, cache=None) -> list[dict]:
-    """Campaign stage adapter: the study's :func:`summary_rows`."""
-    p = resolve_stage_params(params, STAGE_DEFAULTS, "pvc_vs_gsf")
-    config = SimulationConfig(frame_cycles=p.pop("frame_cycles"), seed=seed)
-    return summary_rows(
-        run_pvc_vs_gsf(**p, config=config, executor=executor, cache=cache)
-    )
+    return rows
 
 
 def format_rows(rows: list[dict]) -> str:

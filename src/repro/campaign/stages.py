@@ -3,9 +3,9 @@
 Each entry is a stage *kind* backed by one module under
 ``repro.analysis`` that exposes
 
-* ``stage_rows(params, *, seed, executor, cache) -> list[dict]`` — runs
-  the study through the runtime and projects the result onto plain,
-  comparable summary rows;
+* ``stage_rows(params, *, seed, executor, cache) -> list[dict]`` —
+  resolves ``params`` over the module's ``STAGE_DEFAULTS``, runs the
+  study through the runtime and returns plain, comparable summary rows;
 * ``format_rows(rows) -> str`` — renders those rows as the paper's table.
 
 Campaign stages name a kind and carry its budgets.  The CLI's experiment

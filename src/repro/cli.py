@@ -122,13 +122,12 @@ def _executor(args) -> Executor:
     nothing in-process could enforce it, so it exits 2 there
     (:func:`_timeout_needs_agents`).
 
-    ``--dispatch URL|DIR|local`` routes the batch through the
-    lease-based broker/worker layer instead: an HTTP broker at a URL,
-    or an in-process broker (``local``, or a directory that also
-    receives sha256-addressed result artifacts).  The dispatch
-    executor degrades to a local parallel executor when the broker is
-    unreachable.  It is built once per command and journals under
-    ``--journal``.
+    ``--dispatch URL|local`` routes the batch through the lease-based
+    broker/worker layer instead: an HTTP broker at an ``http(s)://``
+    URL, or an in-process broker (``local``); any other value exits 2
+    (:func:`_dispatch_target`).  The dispatch executor degrades to a
+    local parallel executor when the broker is unreachable.  It is
+    built once per command and journals under ``--journal``.
     """
     from repro.runtime.executor import ParallelExecutor, SerialExecutor
 
@@ -267,11 +266,8 @@ def _run_target(args, target: str) -> str:
             _stage_params(kind, args.fast), seed=args.seed,
             executor=executor, cache=cache,
         )
-        tables.append(get_adapter(kind).format(rows))
-        if args.chart and kind == "fig4":
-            from repro.analysis.experiments.fig4_latency import uniform_chart
-
-            tables[-1] += "\n\n" + uniform_chart(rows)
+        chart = {"chart": True} if args.chart and kind == "fig4" else {}
+        tables.append(get_adapter(kind).format(rows, **chart))
     text = "\n\n".join(tables)
     if cache is not None:
         # Cache writes are fresh simulations; hits were served from disk.
@@ -1239,6 +1235,15 @@ def _seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected seconds > 0, got {text!r}")
 
 
+def _dispatch_target(text: str) -> str:
+    """``type=`` for ``--dispatch``: ``local`` or an http(s):// broker URL."""
+    if text == "local" or text.startswith(("http://", "https://")):
+        return text
+    raise argparse.ArgumentTypeError(
+        f"expected 'local' or an http(s):// broker URL, got {text!r}"
+    )
+
+
 def _arguments() -> dict[str, dict]:
     """Every flag and positional, declared once by name: its argparse
     keywords.  Built per parser: ``--policy`` lists the policies
@@ -1281,12 +1286,12 @@ def _arguments() -> dict[str, dict]:
                         "file; see 'repro chaos plan list') — injects "
                         "deterministic worker kills/hangs, spec/adapter "
                         "errors, cache corruption and torn manifest writes"),
-        "--dispatch": dict(default=None, metavar="URL|DIR|local",
+        "--dispatch": dict(type=_dispatch_target, default=None,
+                           metavar="URL|local",
                            help="run batches through the lease-based broker/"
-                           "worker layer: an HTTP broker URL (workers run "
-                           "'repro dispatch work <url>'), a directory "
-                           "(in-process broker + sha256-addressed result "
-                           "artifacts), or 'local' (in-process broker)"),
+                           "worker layer: an http(s):// broker URL (workers "
+                           "run 'repro dispatch work <url>') or 'local' "
+                           "(in-process broker)"),
         "--journal": dict(default=None, metavar="DIR",
                           help="journal lifecycle events: each actor (broker, "
                           "workers, campaign runner) appends to its own "

@@ -15,7 +15,7 @@ worker agents through a lease-granting broker:
 * :class:`BrokerServer` — the ``http.server`` face for real multi-
   process runs (``repro dispatch serve`` / ``repro dispatch work``);
 * :class:`DispatchExecutor` — all of the above behind the standard
-  Executor interface, selected with ``--dispatch URL|DIR`` on batch
+  Executor interface, selected with ``--dispatch URL|local`` on batch
   and campaign verbs, degrading to a local parallel executor when the
   broker is unreachable.
 

@@ -26,11 +26,9 @@ leases deterministically with :class:`ManualClock`.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import DispatchError
 from repro.resilience.policy import RetryPolicy
@@ -120,15 +118,12 @@ class Broker:
     worker reported ``status="error"``) is requeued before it is marked
     permanently failed; lease expiry and rejected payloads requeue
     without consuming this budget, because they are infrastructure
-    faults, not spec faults.  ``artifact_dir``, when set, persists every
-    accepted result as a sha256-addressed JSON artifact — the
-    filesystem face of the ``--dispatch DIR`` mode.
+    faults, not spec faults.
     """
 
     lease_seconds: float = DEFAULT_LEASE_SECONDS
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     clock: MonotonicClock | ManualClock = field(default_factory=MonotonicClock)
-    artifact_dir: str | os.PathLike | None = None
     #: Optional :class:`~repro.obs.fleet.JournalWriter` — the fleet
     #: observability seam.  ``None`` (the default) costs one ``is not
     #: None`` check per lifecycle event and nothing else.
@@ -375,7 +370,6 @@ class Broker:
             task.lease_token = None
             task.deadline = None
             self.counters["completions"] += 1
-            self._persist_artifact(spec_hash, result, digest)
             if self.journal is not None:
                 self._record(
                     "broker.complete",
@@ -512,19 +506,6 @@ class Broker:
             "records": self.journal.tail(limit),
             "path": str(self.journal.path),
         }
-
-    # -- artifacts ------------------------------------------------------
-
-    def _persist_artifact(self, spec_hash: str, result: dict, digest: str) -> None:
-        if self.artifact_dir is None:
-            return
-        directory = Path(self.artifact_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{spec_hash}.json"
-        blob = {"spec_hash": spec_hash, "payload_sha256": digest, "result": result}
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, path)
 
     # -- reset for reuse ------------------------------------------------
 

@@ -6,17 +6,15 @@ consultation and write-back, spec-ordered results, every attempt's
 failure record), so ``run_batch``, the campaign runner and the CLI can
 use it unchanged.  Two modes, selected by the ``target``:
 
-``None`` or a directory path — **local mode**: an in-process
+``None`` — **local mode**: an in-process
     :class:`~repro.dispatch.broker.Broker` on a :class:`ManualClock`
     drives round-robin :class:`~repro.dispatch.worker.WorkerAgent`\\ s
     over :class:`~repro.dispatch.transport.LocalTransport`.  Fully
     deterministic (lease expiry happens by advancing the manual clock,
     never by wall time), so a run under ``faults`` — every lease fault
-    acted out by an in-process agent — converges byte-identically.  A
-    directory target additionally persists every accepted result as a
-    sha256-addressed artifact.
+    acted out by an in-process agent — converges byte-identically.
 
-``http://...`` — **HTTP mode**: specs are submitted to a remote
+``http(s)://...`` — **HTTP mode**: specs are submitted to a remote
     :class:`~repro.dispatch.httpd.BrokerServer` and results polled
     back; worker agents run elsewhere (``repro dispatch work``).
 
@@ -60,6 +58,10 @@ class DispatchExecutor(LeaseExecutor):
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if target is not None and not target.startswith(("http://", "https://")):
+            raise ValueError(
+                f"dispatch target must be an http(s):// broker URL, got {target!r}"
+            )
         super().__init__(jobs or 2, retry, timeout, faults)
         self.target = target
         #: When set, the local broker and every recruited agent journal
@@ -67,7 +69,7 @@ class DispatchExecutor(LeaseExecutor):
         #: ``<actor>.journal.jsonl`` per actor).  ``None`` — the
         #: default — records nothing.
         self.journal_dir = journal_dir
-        self.remote = target is not None and target.startswith(("http://", "https://"))
+        self.remote = target is not None
         if self.remote:
             self._transport = HttpTransport(target)
 
@@ -96,9 +98,7 @@ class DispatchExecutor(LeaseExecutor):
     def _connect(self) -> None:
         if self.remote or self._broker is not None:
             return
-        self._local_broker(
-            artifact_dir=self.target, journal=self._journal_writer("broker")
-        )
+        self._local_broker(journal=self._journal_writer("broker"))
 
     def _recruit(self):
         from repro.dispatch.worker import WorkerAgent

@@ -56,22 +56,6 @@ class RunManifest:
             f"({self.executor})"
         )
 
-    @classmethod
-    def merge(cls, manifests: Sequence["RunManifest"]) -> "RunManifest":
-        """Fold several batch manifests into one (e.g. fig4's panels)."""
-        if not manifests:
-            return cls(0, 0, 0, 0.0, "serial", None, 0.0)
-        return cls(
-            total=sum(m.total for m in manifests),
-            simulated=sum(m.simulated for m in manifests),
-            cache_hits=sum(m.cache_hits for m in manifests),
-            elapsed_seconds=sum(m.elapsed_seconds for m in manifests),
-            executor=manifests[0].executor,
-            cache_dir=manifests[0].cache_dir,
-            started_at=min(m.started_at for m in manifests),
-            spec_hashes=tuple(h for m in manifests for h in m.spec_hashes),
-        )
-
 
 @dataclass(frozen=True)
 class BatchResult:

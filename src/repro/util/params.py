@@ -6,8 +6,8 @@ exposes a ``stage_rows`` adapter that consumes such a mapping.  The
 helper here gives all adapters the same contract: defaults are
 declarative, unknown keys are rejected eagerly (a typo'd budget key
 fails the stage instead of silently running the default), and list
-values are normalised to tuples so they can be splatted into the
-experiment ``run_*`` signatures.
+values are normalised to tuples, the form every module's
+``STAGE_DEFAULTS`` spells them in.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ def resolve_stage_params(
 ) -> dict:
     """Merge ``params`` over ``defaults``; reject unknown keys.
 
-    Lists become tuples (stage params arrive from JSON, experiment
-    signatures take tuples); scalars pass through untouched.
+    Lists become tuples (stage params arrive from JSON, the defaults
+    are tuples); scalars pass through untouched.
     """
     merged = {key: _normalise(value) for key, value in defaults.items()}
     unknown = []

@@ -278,6 +278,18 @@ def test_timeout_without_agents_exits_2(argv, tmp_path, monkeypatch, capsys):
         )
 
 
+@pytest.mark.parametrize("target", ["loacl", "store", "ftp://127.0.0.1:1"])
+def test_dispatch_takes_only_local_or_a_url(target, tmp_path, monkeypatch, capsys):
+    # A typo'd mode must not run the batch, nor leave files behind.
+    monkeypatch.chdir(tmp_path)
+    assert main(["saturation", "--fast", "--dispatch", target]) == 2
+    assert "expected 'local' or an http(s):// broker URL" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    parser = build_parser()
+    for valid in ("local", "http://127.0.0.1:1", "https://broker:443"):
+        assert parser.parse_args(["fig3", "--dispatch", valid]).dispatch == valid
+
+
 def test_a_campaign_journals_without_dispatch(tmp_path, monkeypatch):
     import repro.campaign.builtin as builtin
     from repro.campaign import CampaignSpec, StageSpec

@@ -1,7 +1,5 @@
 """Broker lease semantics: expiry, idempotent ingestion, digest checks."""
 
-import json
-
 import pytest
 
 from repro.dispatch import Broker, ManualClock, spec_hash_of
@@ -213,16 +211,3 @@ def test_unknown_op_and_unknown_completion_raise_dispatch_error():
         broker.handle("bogus", {})
     with pytest.raises(DispatchError):
         broker.handle("complete", {"spec_hash": "deadbeef"})
-
-
-def test_artifact_dir_persists_sha_addressed_results(tmp_path):
-    broker = _broker(artifact_dir=tmp_path / "store")
-    _submit(broker, _specs())
-    task = broker.handle("claim", {"worker": "w0"})["task"]
-    payload = _ok_payload(task["spec_hash"], task["lease"])
-    broker.handle("complete", payload)
-    blob = json.loads(
-        (tmp_path / "store" / f"{task['spec_hash']}.json").read_text()
-    )
-    assert blob["payload_sha256"] == payload["payload_sha256"]
-    assert payload_sha256(blob["result"]) == blob["payload_sha256"]

@@ -49,14 +49,9 @@ def test_cached_specs_never_reach_the_broker(tmp_path):
     assert second.dispatch.get("submitted", 0) == 0
 
 
-def test_directory_target_persists_result_artifacts(tmp_path):
-    specs = _specs(2)
-    store = tmp_path / "store"
-    with DispatchExecutor(str(store), jobs=2) as ex:
-        outcome = ex.run(specs)
-    assert len(outcome.results) == 2
-    paths = sorted(store.glob("*.json"))
-    assert [p.stem for p in paths] == sorted(s.content_hash for s in specs)
+def test_a_target_other_than_a_broker_url_is_refused():
+    with pytest.raises(ValueError, match="http"):
+        DispatchExecutor("store")
 
 
 def test_vanished_workers_task_lands_on_another_worker():

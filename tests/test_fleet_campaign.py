@@ -1,11 +1,11 @@
 """Campaign-level fleet journaling: bit-neutrality and determinism.
 
 The acceptance gate for the journaling seams: a journaled ``--dispatch
-local`` smoke campaign must produce stage digests byte-identical to a
-journaling-off run, and two journaled replays must produce journals
-identical after stripping wall-clock fields.  The three campaign runs
-are shared across tests via a module-scoped fixture — they dominate
-this file's wall time.
+local`` smoke campaign must produce stage digests byte-identical to the
+session's journaling-off smoke run (the ``smoke_campaign`` fixture), and
+two journaled replays must produce journals identical after stripping
+wall-clock fields.  The two journaled runs are shared across tests via
+a module-scoped fixture — they dominate this file's wall time.
 """
 
 import json
@@ -23,17 +23,20 @@ from repro.obs.fleet import (
 from repro.obs.fleet.fleetcollect import journal_paths
 
 
-def _run_smoke(base, name, *, journal):
-    """One full smoke campaign through local dispatch; returns digests."""
+def _digests(manifest: dict) -> dict:
+    """Each stage's artifact sha256."""
+    return {
+        stage: entry["artifact_sha256"]
+        for stage, entry in manifest["stages"].items()
+    }
+
+
+def _run_smoke(base, name):
+    """One journaled smoke campaign through local dispatch; returns its
+    digests and journal directory."""
     journal_dir = base / f"{name}-journal"
-    executor = DispatchExecutor(
-        jobs=2, journal_dir=str(journal_dir) if journal else None
-    )
-    writer = (
-        JournalWriter(journal_dir / "campaign.journal.jsonl",
-                      actor="campaign")
-        if journal else None
-    )
+    executor = DispatchExecutor(jobs=2, journal_dir=str(journal_dir))
+    writer = JournalWriter(journal_dir / "campaign.journal.jsonl", actor="campaign")
     try:
         result = run_campaign(
             get_campaign("smoke"),
@@ -43,34 +46,29 @@ def _run_smoke(base, name, *, journal):
         )
     finally:
         executor.close()
-        if writer is not None:
-            writer.close()
+        writer.close()
     assert result.complete
     manifest = json.loads((base / name / "manifest.json").read_text())
-    digests = {
-        stage: entry["artifact_sha256"]
-        for stage, entry in manifest["stages"].items()
-    }
-    return digests, journal_dir
+    return _digests(manifest), journal_dir
 
 
 @pytest.fixture(scope="module")
 def smoke_runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("fleet-smoke")
-    plain, _ = _run_smoke(base, "plain", journal=False)
-    first, first_dir = _run_smoke(base, "first", journal=True)
-    second, second_dir = _run_smoke(base, "second", journal=True)
-    return plain, first, first_dir, second, second_dir
+    first, first_dir = _run_smoke(base, "first")
+    second, second_dir = _run_smoke(base, "second")
+    return first, first_dir, second, second_dir
 
 
-def test_journaling_is_bit_neutral_to_stage_digests(smoke_runs):
-    plain, first, _, second, _ = smoke_runs
+def test_journaling_is_bit_neutral_to_stage_digests(smoke_runs, smoke_campaign):
+    first, _, second, _ = smoke_runs
+    plain = _digests(smoke_campaign.manifest)
     assert plain == first == second
     assert len(plain) == len(get_campaign("smoke").stages)
 
 
 def test_journal_replays_are_identical_after_wall_strip(smoke_runs):
-    _, _, first_dir, _, second_dir = smoke_runs
+    _, first_dir, _, second_dir = smoke_runs
     first_paths = journal_paths(first_dir)
     second_paths = journal_paths(second_dir)
     assert [p.name for p in first_paths] == [p.name for p in second_paths]
@@ -82,7 +80,7 @@ def test_journal_replays_are_identical_after_wall_strip(smoke_runs):
 
 
 def test_merged_campaign_timeline_is_causally_complete(smoke_runs):
-    _, _, first_dir, _, _ = smoke_runs
+    _, first_dir, _, _ = smoke_runs
     timeline = merge_journals(journal_paths(first_dir))
     assert check_timeline(timeline) == []
     # Every shard gets its own trace; each trace's records begin with
@@ -104,7 +102,7 @@ def test_merged_campaign_timeline_is_causally_complete(smoke_runs):
 
 
 def test_fleet_gauges_roll_up_into_campaign_manifest(smoke_runs, tmp_path):
-    _, _, first_dir, _, _ = smoke_runs
+    _, first_dir, _, _ = smoke_runs
     # Gauges ride the dispatch telemetry as a nested mapping (point-in-
     # time values, last-write-wins), next to the summed counters.
     base = first_dir.parent

@@ -9,6 +9,9 @@ Encoded findings:
   hops (no crossbar traversal, no flow-state access);
 * DPS saves roughly 17% over mesh x1 and 33% over mesh x4 on 3 hops;
 * MECS and DPS are nearly identical on the 3-hop composite.
+
+The 3-hop bands here are tighter than the ``fig7.dps_energy_savings``
+claim's (:mod:`repro.campaign.claims`), so they are checked here too.
 """
 
 import pytest

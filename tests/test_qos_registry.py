@@ -148,13 +148,12 @@ def test_runtime_views_derive_from_registry():
 
 
 def test_cli_choices_and_experiment_orders_derive_from_registry():
-    from repro.analysis.experiments.burst_fairness import POLICY_ORDER
-    from repro.analysis.experiments.pvc_vs_gsf import POLICY_PAIR
+    from repro.analysis.experiments import burst_fairness, pvc_vs_gsf
     from repro.cli import _policy_choices
 
     assert tuple(_policy_choices()) == available_policies()
-    assert POLICY_ORDER == available_policies()
-    assert set(POLICY_PAIR) <= set(available_policies())
+    assert burst_fairness._POLICIES == available_policies()
+    assert set(pvc_vs_gsf._POLICY_PAIR) <= set(available_policies())
 
 
 def test_run_spec_rejects_unknown_policy_eagerly():

@@ -156,45 +156,22 @@ def test_run_grid_shapes_and_manifest(tmp_path):
 
 
 def test_manifest_merge_and_summary():
-    a = RunManifest(total=4, simulated=4, cache_hits=0, elapsed_seconds=1.0,
-                    executor="serial", cache_dir=None, started_at=10.0,
-                    spec_hashes=("a",))
-    b = RunManifest(total=4, simulated=0, cache_hits=4, elapsed_seconds=0.5,
-                    executor="serial", cache_dir=None, started_at=12.0,
-                    spec_hashes=("b",))
-    merged = RunManifest.merge([a, b])
-    assert merged.total == 8
-    assert merged.simulated == 4
-    assert merged.cache_hits == 4
-    assert merged.spec_hashes == ("a", "b")
-    assert "4 simulated" in merged.summary() and "4 cached" in merged.summary()
-    assert merged.to_json()["total"] == 8
-
-
-def test_sweep_named_workload_matches_legacy_callable_path():
-    from repro.analysis.sweep import latency_throughput_sweep
-    from repro.traffic.workloads import uniform_workload
-
-    legacy = latency_throughput_sweep(
-        "dps", uniform_workload, list(_RATES),
-        cycles=600, warmup=150, config=_CFG,
-    )
-    named = latency_throughput_sweep(
-        "dps", "uniform", list(_RATES),
-        cycles=600, warmup=150, config=_CFG,
-        executor=ParallelExecutor(jobs=2),
-    )
-    assert legacy == named
+    manifest = RunManifest(total=8, simulated=4, cache_hits=4,
+                           elapsed_seconds=1.5, executor="serial",
+                           cache_dir=None, started_at=10.0,
+                           spec_hashes=("a", "b"))
+    assert "4 simulated" in manifest.summary() and "4 cached" in manifest.summary()
+    assert manifest.to_json()["total"] == 8
 
 
 def test_experiments_accept_executor_and_cache(tmp_path):
-    from repro.analysis.experiments.saturation import run_saturation
+    from repro.analysis.experiments import saturation
 
     cache = ResultCache(tmp_path)
-    points = run_saturation(cycles=500, topology_names=("mesh_x1",),
-                            config=_CFG, cache=cache)
-    cached = run_saturation(cycles=500, topology_names=("mesh_x1",),
-                            config=_CFG, cache=cache,
-                            executor=ParallelExecutor(jobs=2))
-    assert points == cached
+    params = {"cycles": 500, "topology_names": ["mesh_x1"],
+              "frame_cycles": _CFG.frame_cycles}
+    rows = saturation.stage_rows(params, seed=_CFG.seed, cache=cache)
+    cached = saturation.stage_rows(params, seed=_CFG.seed, cache=cache,
+                                   executor=ParallelExecutor(jobs=2))
+    assert rows == cached
     assert cache.info().entries == 2  # uniform + tornado

@@ -157,25 +157,22 @@ def test_replay_spec_digest_guard(tmp_path):
 
 
 def test_burst_fairness_experiment_runs(tmp_path):
-    from repro.analysis.experiments.burst_fairness import (
-        format_rows,
-        run_burst_fairness,
-        summary_rows,
-    )
+    from repro.analysis.experiments import burst_fairness
 
-    cells = run_burst_fairness(
-        warmup=300, window=1200, config=CONFIG,
+    rows = burst_fairness.stage_rows(
+        {"warmup": 300, "window": 1200, "frame_cycles": CONFIG.frame_cycles},
+        seed=CONFIG.seed,
         cache=ResultCache(tmp_path),
     )
-    assert len(cells) == 8  # (live + replayed) x every registered policy
-    by_key = {(cell.traffic, cell.policy): cell for cell in cells}
+    assert len(rows) == 8  # (live + replayed) x every registered policy
+    by_key = {(row["traffic"], row["policy"]): row for row in rows}
     # The replayed leg feeds every policy the same arrivals as the live
-    # leg, so matching cells are a standing replay-fidelity check.
+    # leg, so matching rows are a standing replay-fidelity check.
     for policy in ("pvc", "perflow", "noqos", "gsf"):
         live = by_key[("bursty", policy)]
         replayed = by_key[("replayed", policy)]
-        assert live.delivered_flits == replayed.delivered_flits
-        assert live.mean_latency == replayed.mean_latency
-    text = format_rows(summary_rows(cells))
+        assert live["delivered_flits"] == replayed["delivered_flits"]
+        assert live["mean_latency"] == replayed["mean_latency"]
+    text = burst_fairness.format_rows(rows)
     assert "bursty" in text and "replayed" in text and "noqos" in text
     assert "gsf" in text
